@@ -479,9 +479,12 @@ def _cmd_store(args: argparse.Namespace) -> int:
             elif args.store_command == "compact":
                 names = [args.name] if args.name else store.names()
                 for name in names:
+                    records = store.graph_info(name)["journal_records"]
                     info = store.compact(name)
+                    seconds = store.counters()["compact_seconds_last"]
                     print(
                         f"compacted {name!r}: version {info['version']}, "
+                        f"{records} records folded in {seconds * 1000:.1f} ms, "
                         f"journal empty",
                         file=sys.stderr,
                     )

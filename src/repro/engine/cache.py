@@ -77,8 +77,11 @@ class CompiledQuery:
 
         The last plan is memoized on the query, keyed by the interner's
         process-unique ``uid`` — never by graph identity, so a mutated (or
-        id-recycled) graph can never be served a table built over a prior
-        node/label numbering.  One entry suffices: a compiled query is
+        id-recycled) graph can never be served a table built over another
+        label numbering.  The uid names the *label* numbering, the only
+        part of the interner a plan reads: a caught-up interner keeps it
+        until a label is added, so the memo survives writes that add
+        nodes and edges only.  One entry suffices: a compiled query is
         overwhelmingly evaluated against one graph at a time, and a rebuild
         is O(states × labels).  The memo write is a benign race under the
         worker pool (worst case: a duplicate lowering).

@@ -13,12 +13,20 @@ Layout notes:
 
 * one ``(offsets, targets)`` pair per label and direction, built by a
   counting sort over the edge records (O(|E| + |labels|·|N|), no numpy);
+  the reversed direction is packed from the forward one when first asked
+  for, since the kernel sweeps only walk forward;
 * parallel edges are preserved — the rows store one entry per *edge*, so
   multiplicity survives even though edge ids do not (the relation kernels
   never need them);
 * the snapshot is immutable and version-stamped; :func:`get_csr` caches it
-  on the graph (cleared by ``_touch()`` on mutation, double-checked against
-  ``graph.version`` so a smuggled stale snapshot is never served).
+  on the graph and checks it against ``graph.version`` on every call, so a
+  stale snapshot is never served;
+* a write does not discard the snapshot.  Graph mutators are append-only,
+  so :meth:`CSRGraph.caught_up` derives the snapshot of the current version
+  from a stale one and the edge records added since: a *new*
+  :class:`CSRGraph` that re-packs the rows of the labels those edges carry
+  and shares every other label's arrays with its predecessor (copy on
+  write; no array of a snapshot already handed out is ever written).
 
 The module also hosts the bytearray bitset helpers the flat kernel loops
 inline: packed ``(node_int << k) | state_int`` codes index into a bitset of
@@ -28,6 +36,7 @@ bookkeeping.
 
 from __future__ import annotations
 
+import sys
 from array import array
 
 from repro.engine.intern import Interner
@@ -56,6 +65,56 @@ def _pack_rows(keys: array, values: array, num_nodes: int):
     return offsets, targets
 
 
+def _lane_sum(run: array, addend: bytes) -> array:
+    """``run`` plus ``addend`` (the raw items of an equally long array), element-wise.
+
+    ``array`` has no element-wise arithmetic, and a Python-level loop over
+    the |N| offsets of every touched row is what a catch-up would otherwise
+    spend its time in.  Read as one big integer, an array is a vector of
+    fixed-width lanes, and one integer addition adds lane to lane.  No lane
+    carries into its neighbour here: the sums are offsets into a targets
+    array, non-negative and within the signed item, so each fits its lane.
+    """
+    total = int.from_bytes(run.tobytes(), sys.byteorder) + int.from_bytes(
+        addend, sys.byteorder
+    )
+    return array(run.typecode, total.to_bytes(len(addend), sys.byteorder))
+
+
+def _splice_rows(row, added: "dict[int, list[int]]", num_nodes: int):
+    """``row`` with ``added[key]`` appended to each key's run; ``row`` is only read.
+
+    Every added value lands at the end of its key's run, which is where
+    :func:`_pack_rows` puts it when the added pairs follow the old ones in
+    its input.  ``row`` may be narrower than ``num_nodes`` (nodes added
+    since it was packed have empty runs).  Arrays that do not change are
+    shared with ``row``; arrays that change are new.
+    """
+    offsets, targets = row
+    missing = num_nodes + 1 - len(offsets)
+    if missing:
+        offsets = offsets + offsets[-1:] * missing
+    if not added:
+        return (offsets, targets) if missing else row
+    ordered = sorted(added)
+    # Offsets up to the first touched key stand; each later one grows by the
+    # number of values added at smaller keys, a step function of the node.
+    new_targets = array("i")
+    steps = bytearray()
+    cut = 0  # targets[:cut] are copied so far
+    shift = 0
+    for key, next_key in zip(ordered, ordered[1:] + [num_nodes]):
+        end = offsets[key + 1]
+        new_targets.extend(targets[cut:end])
+        new_targets.extend(added[key])
+        cut = end
+        shift += len(added[key])
+        steps += array("i", [shift]).tobytes() * (next_key - key)
+    new_targets.extend(targets[cut:])
+    first = ordered[0] + 1
+    return offsets[:first] + _lane_sum(offsets[first:], steps), new_targets
+
+
 class CSRGraph:
     """An immutable int-encoded adjacency snapshot of one graph version.
 
@@ -63,9 +122,14 @@ class CSRGraph:
     an ``(offsets, targets)`` pair of ``array('i')`` rows.  Every label the
     interner knows has a row (labels exist only because some edge carries
     them), and every node int indexes validly into every ``offsets`` row.
+
+    The kernel sweeps read ``out_rows`` only, so that is what a build and a
+    catch-up maintain; ``in_rows`` is derived from it on first use.
     """
 
-    __slots__ = ("version", "interner", "num_nodes", "num_edges", "out_rows", "in_rows")
+    __slots__ = (
+        "version", "interner", "num_nodes", "num_edges", "out_rows", "_in_rows",
+    )
 
     def __init__(self, graph: EdgeLabeledGraph, interner: "Interner | None" = None):
         if interner is None:
@@ -87,9 +151,68 @@ class CSRGraph:
         self.out_rows = [
             _pack_rows(srcs[li], tgts[li], n) for li in range(num_labels)
         ]
-        self.in_rows = [
-            _pack_rows(tgts[li], srcs[li], n) for li in range(num_labels)
+        self._in_rows = None
+
+    def caught_up(self, graph: EdgeLabeledGraph) -> "CSRGraph":
+        """The snapshot of ``graph``'s current version, derived from this one.
+
+        ``self`` must be a snapshot of an earlier version of the same
+        graph.  The graph only grows, so the difference is the edge records
+        past ``self.num_edges`` plus the nodes and labels the interner has
+        not seen; they get the next free ids.  Cost is O(|N|) per label the
+        new edges carry (a copy and one big-integer addition), nothing per
+        old edge, and a write that adds no edge (``set_property``) only
+        re-stamps the version.  ``self`` stays valid for its own version.
+        """
+        version = graph.version
+        delta = list(graph.iter_edge_records(self.num_edges))
+        old = self.interner
+        new_nodes = (
+            [node for node in graph.iter_nodes() if node not in old._node_ids]
+            if graph.num_nodes > old.num_nodes
+            else []
+        )
+        new_labels = list(
+            dict.fromkeys(
+                label for _e, _s, _t, label in delta if label not in old._label_ids
+            )
+        )
+        interner = old.extended(version, new_nodes, new_labels)
+        node_ids = interner._node_ids
+        label_ids = interner._label_ids
+        added: dict[int, dict[int, list[int]]] = {}  # label -> source -> targets
+        for _edge, src, tgt, label in delta:
+            runs = added.setdefault(label_ids[label], {})
+            runs.setdefault(node_ids[src], []).append(node_ids[tgt])
+        n = interner.num_nodes
+        unseen = (array("i", [0]), array("i"))  # the row of a brand-new label
+        caught = object.__new__(CSRGraph)
+        caught.interner = interner
+        caught.version = version
+        caught.num_nodes = n
+        caught.num_edges = self.num_edges + len(delta)
+        caught.out_rows = [
+            _splice_rows(row, added.get(li), n)
+            for li, row in enumerate(self.out_rows + [unseen] * len(new_labels))
         ]
+        caught._in_rows = None
+        return caught
+
+    @property
+    def in_rows(self) -> list:
+        """The reversed rows: ``in_rows[label][node]`` runs hold the sources
+        of the edges into ``node``.  Packed from ``out_rows`` on first use
+        and kept; nothing on the query path reads them."""
+        if self._in_rows is None:
+            n = self.num_nodes
+            rows = []
+            for offsets, targets in self.out_rows:
+                sources = array("i")
+                for node in range(n):
+                    sources.extend([node] * (offsets[node + 1] - offsets[node]))
+                rows.append(_pack_rows(targets, sources, n))
+            self._in_rows = rows
+        return self._in_rows
 
     # ------------------------------------------------------------------
     # lookups (tests and cold paths; hot loops index the rows directly)
@@ -114,21 +237,27 @@ class CSRGraph:
 def get_csr(graph: EdgeLabeledGraph, stats=None) -> CSRGraph:
     """The current :class:`CSRGraph` of ``graph`` (cached per version).
 
-    Same contract as :func:`repro.engine.index.get_index`: the snapshot is
-    stored on the graph (cleared by ``_touch()`` on mutation) and the
-    version check is belt-and-braces — a CSR built for a prior version is
-    never served, it is rebuilt (``tests/engine/test_csr.py`` locks the
-    mutate-between-queries scenario in).
+    The snapshot is stored on the graph and survives mutation; a CSR of a
+    prior version is never served, it is caught up to ``graph.version``
+    first (``tests/engine/test_csr.py`` locks the mutate-between-queries
+    scenario in).  Counters: ``csr_reuses`` for a current snapshot,
+    ``csr_builds`` for a full build (the first call), ``csr_patches`` for
+    a catch-up.
     """
     csr = graph._engine_csr
     if csr is not None and csr.version == graph.version:
         if stats is not None:
             stats.count("csr_reuses")
         return csr
-    csr = CSRGraph(graph)
+    if csr is None:
+        csr = CSRGraph(graph)
+        counter = "csr_builds"
+    else:
+        csr = csr.caught_up(graph)
+        counter = "csr_patches"
     graph._engine_csr = csr
     if stats is not None:
-        stats.count("csr_builds")
+        stats.count(counter)
     return csr
 
 

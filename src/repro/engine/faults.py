@@ -50,6 +50,7 @@ SITES = frozenset(
         "shard.crash",          # coordinator-side send to a shard (simulated death)
         "fleet.probe",          # fleet supervisor's per-shard heartbeat probe
         "storage.journal_write",  # GraphStore flush, before the journal commit
+        "storage.compact",      # GraphStore compact, inside the fold transaction
     }
 )
 

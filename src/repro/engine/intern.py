@@ -12,13 +12,18 @@ one pass and frozen:
   graph assign identical ids (iteration order of an unchanged node set is
   deterministic within a process), so a rebuilt CSR or transition table is
   bit-identical;
-* **never reused across versions** — the interner records the graph
-  ``version`` it saw and carries a process-unique ``uid``; consumers (the
-  per-``CompiledQuery`` int transition tables) key on the uid, so a mutated
-  graph can never resurrect a table built over the old id space.
+* **append-only across versions** — graphs only grow, so the interner of a
+  later version is :meth:`Interner.extended` from the earlier one: old ids
+  keep their meaning, new nodes and labels take the next free ids, and the
+  earlier interner is never written (a table that grows is copied first);
+* **one uid per label numbering** — consumers (the per-``CompiledQuery``
+  int transition tables) key on the process-unique ``uid``.  A lowered
+  table depends on the label ids only, so ``extended`` keeps the uid while
+  the label set is unchanged and mints a new one when a label is added: a
+  table built over another label numbering can never be resurrected.
 
-Interners are cached on the graph *inside* the CSR snapshot (one slot, one
-invalidation path — the graph's ``_touch()``); :func:`get_interner` is the
+Interners are cached on the graph *inside* the CSR snapshot (one slot, kept
+current by :func:`repro.engine.csr.get_csr`); :func:`get_interner` is the
 convenience accessor.
 """
 
@@ -60,6 +65,25 @@ class Interner:
         self.num_nodes = len(self._nodes)
         self.num_labels = len(self._labels)
 
+    def extended(self, version: int, nodes: list, labels: list) -> "Interner":
+        """A new interner for a later ``version`` of the same graph.
+
+        ``nodes`` and ``labels`` (unknown to this interner, no duplicates)
+        are appended at ids ``num_nodes..`` and ``num_labels..``.  This
+        interner is left untouched: tables that do not grow are shared with
+        the result, tables that grow are copied.
+        """
+        grown = object.__new__(Interner)
+        grown.version = version
+        grown.uid = next(_UIDS) if labels else self.uid
+        grown._nodes, grown._node_ids = _appended(self._nodes, self._node_ids, nodes)
+        grown._labels, grown._label_ids = _appended(
+            self._labels, self._label_ids, labels
+        )
+        grown.num_nodes = len(grown._nodes)
+        grown.num_labels = len(grown._labels)
+        return grown
+
     # ------------------------------------------------------------------
     # interning (object -> int)
     # ------------------------------------------------------------------
@@ -99,6 +123,16 @@ class Interner:
             f"<Interner uid={self.uid} version={self.version} "
             f"nodes={self.num_nodes} labels={self.num_labels}>"
         )
+
+
+def _appended(objects: list, ids: dict, new: list) -> "tuple[list, dict]":
+    """``(objects, ids)`` with ``new`` given the next ids; shared when empty."""
+    if not new:
+        return objects, ids
+    ids = dict(ids)
+    for index, obj in enumerate(new, len(objects)):
+        ids[obj] = index
+    return objects + new, ids
 
 
 def get_interner(graph: EdgeLabeledGraph, stats=None) -> Interner:

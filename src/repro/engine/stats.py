@@ -5,7 +5,7 @@ Every evaluator that goes through the execution kernel can be handed an
 
 * **counters** — monotonically increasing integers (product nodes expanded,
   product edges relaxed, compilation cache hits/misses, index builds and
-  reuses, answers produced), and
+  reuses, CSR full builds / catch-up patches / reuses, answers produced), and
 * **timers** — wall-clock seconds per named phase (``compile``, ``bfs``,
   ``product``, ``join``, ``match``), measured with ``perf_counter``.
 
@@ -33,6 +33,9 @@ KNOWN_COUNTERS = (
     "index_reuses",
     "reversed_builds",
     "reversed_reuses",
+    "csr_builds",
+    "csr_patches",
+    "csr_reuses",
     "edges_scanned",
     "sweep_sources",
     "batch_queries",

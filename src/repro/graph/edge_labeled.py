@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Hashable, Iterable, Iterator
+from itertools import islice
 
 from repro.errors import DuplicateObjectError, UnknownObjectError
 
@@ -68,7 +69,8 @@ class EdgeLabeledGraph:
         self._labels_seen: set[Label] = set()
         # Monotone mutation counter; derived structures (the engine's label
         # index, in particular) record the version they were built at and
-        # rebuild when it moves.  Every mutating method must call _touch().
+        # rebuild -- or, for the CSR snapshot, catch up -- when it moves.
+        # Every mutating method must call _touch().
         self._version: int = 0
         # Optional mutation sink ``(op, payload, version) -> None`` installed
         # by the storage tier (GraphStore.attach) to journal in-place
@@ -88,11 +90,18 @@ class EdgeLabeledGraph:
         return self._version
 
     def _touch(self) -> None:
-        """Record a mutation, invalidating any cached derived structure."""
+        """Record a mutation, invalidating the cached dict-plane structures.
+
+        The CSR snapshot is kept: every mutator is append-only (nodes and
+        edges are only ever added, ``_edges`` keeps insertion order), so
+        :func:`repro.engine.csr.get_csr` catches a stale snapshot up from
+        the records past its ``num_edges`` instead of rebuilding it.  A
+        future non-additive mutator (remove, relabel) must reset
+        ``_engine_csr`` itself.
+        """
         self._version += 1
         self._engine_index = None
         self._engine_reversed = None
-        self._engine_csr = None
 
     def attach_journal(self, sink) -> None:
         """Install a mutation sink called as ``sink(op, payload, version)``.
@@ -170,14 +179,22 @@ class EdgeLabeledGraph:
         return iter(self._edges)
 
     def iter_edge_records(
-        self,
+        self, start: int = 0
     ) -> Iterator[tuple[ObjectId, ObjectId, ObjectId, Label]]:
-        """Iterate ``(edge, src, tgt, label)`` records in one dict traversal.
+        """Iterate ``(edge, src, tgt, label)`` records in insertion order.
 
         The engine's label index and the pattern evaluators use this instead
-        of per-edge ``endpoints``/``label`` lookups.
+        of per-edge ``endpoints``/``label`` lookups.  ``start`` skips that
+        many of the oldest records: edges are never removed, so the records
+        from ``start`` on are exactly those added since the graph held
+        ``start`` edges (what a CSR catch-up reads).  The tail is reached
+        from the dict's end, in O(records yielded), not O(``start``).
         """
-        for edge, (src, tgt, label) in self._edges.items():
+        items = self._edges.items()
+        if start:
+            tail = list(islice(reversed(items), len(self._edges) - start))
+            items = reversed(tail)
+        for edge, (src, tgt, label) in items:
             yield (edge, src, tgt, label)
 
     @property

@@ -241,6 +241,8 @@ class GraphCatalog:
             self._store.close()
 
     def storage_info(self) -> "dict | None":
+        """Where the store lives, what is resident, and the store's own
+        write counters (flushes, compactions, records, compaction seconds)."""
         if self._store is None:
             return None
         lazy = resident = 0
@@ -256,6 +258,7 @@ class GraphCatalog:
             "resident_graphs": resident,
             "lazy_graphs": lazy,
             "max_resident_edges": self.max_resident_edges,
+            **self._store.counters(),
         }
 
     def names(self) -> list[str]:

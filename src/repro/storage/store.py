@@ -15,15 +15,31 @@ instances in one SQLite file (WAL mode) per data directory.  The lifecycle:
 * :meth:`load_graph` rebuilds ``snapshot ⊕ journal`` and stamps the graph
   with the durable version, so answer-cache keys derived from
   ``graph.version`` stay coherent across restarts;
-* :meth:`compact` folds the journal back into the snapshot (triggered
-  automatically once the journal exceeds ``compact_every`` batches).
+* :meth:`compact` folds the journal tail into the snapshot tables *in
+  place* (triggered automatically once the journal exceeds
+  ``compact_every`` batches): one transaction inserts the rows the tail
+  adds, rewrites the rows it changes and deletes the journal rows, so its
+  cost follows the tail, not the graph.
+
+What a journal record does to stored rows — endpoints created on demand,
+node labels refined, properties merged — is stated once, in
+:func:`fold_records`; every reader of ``snapshot ⊕ journal`` short of a
+full replay (:meth:`read_nodes`, :meth:`read_segment`,
+:meth:`label_counts`, :meth:`graph_info`) and :meth:`compact` go through
+it, so compaction cannot drift from what the readers saw before it.
+:meth:`load_graph` is the independent statement: it replays the records
+through the graph's own mutators.
 
 Crash safety: a batch commits atomically or not at all, so ``kill -9``
 leaves a consistent *prefix* of the mutation history — no torn edges, and
 ``graphs.version`` (updated in the same transaction as each batch) stays
-monotone.  The ``storage.journal_write`` fault site sits before the commit:
-an injected failure leaves the buffer intact for retry, proving flush is
-all-or-nothing.
+monotone.  A compaction commits the folded rows and the journal deletion
+together or not at all, so ``snapshot ⊕ journal`` is the same graph before,
+after and across a crash in the middle.  Two fault sites prove it:
+``storage.journal_write`` sits before the batch commit (an injected
+failure leaves the buffer intact for retry) and ``storage.compact`` inside
+the fold transaction (an injected failure rolls the fold back and leaves
+the journal in place).
 """
 
 from __future__ import annotations
@@ -31,7 +47,7 @@ from __future__ import annotations
 import os
 import sqlite3
 import threading
-from typing import Any, Iterable
+import time
 
 from repro.engine.faults import fault_point
 from repro.errors import StorageError
@@ -63,6 +79,68 @@ def apply_record(graph: EdgeLabeledGraph, op: str, payload: tuple) -> None:
         graph.set_property(obj, name, value)
     else:  # pragma: no cover - journal corruption guard
         raise StorageError(f"unknown journal op {op!r}")
+
+
+def fold_records(records, nodes: dict, edges: dict, default_label) -> None:
+    """Apply journal records to stored-row dicts, in place.
+
+    ``nodes`` maps id -> ``[label, props]`` and ``edges`` maps id ->
+    ``[src, tgt, label, props]`` (``props`` a dict or ``None``).  The dicts
+    are the caller's window on the snapshot: a record that names an id the
+    window lacks creates the row, exactly as replaying it on a graph
+    without that object would, so the window must hold every snapshot row
+    the caller cares about that the records touch.  A ``set_property`` on
+    an id outside the window is ignored.  ``default_label`` is the label
+    of a node created without one (``None`` for edge-labeled graphs).
+    """
+    for op, payload, _version in records:
+        if op == "add_node":
+            node, label, props = payload
+            entry = nodes.setdefault(node, [default_label, None])
+            if label is not None:
+                entry[0] = label
+            if props:
+                entry[1] = {**(entry[1] or {}), **props}
+        elif op == "add_edge":
+            edge, src, tgt, label, props = payload
+            nodes.setdefault(src, [default_label, None])
+            nodes.setdefault(tgt, [default_label, None])
+            edges[edge] = [src, tgt, label, dict(props) if props else None]
+        elif op == "set_property":
+            obj, prop_name, value = payload
+            entry = nodes.get(obj) or edges.get(obj)
+            if entry is not None:
+                entry[-1] = {**(entry[-1] or {}), prop_name: value}
+        else:  # pragma: no cover - journal corruption guard
+            raise StorageError(f"unknown journal op {op!r}")
+
+
+def _node_row(name: str, node, entry: list) -> tuple:
+    """A ``nodes`` table row (edge-labeled graphs store no node label)."""
+    label, props = entry
+    return (
+        name,
+        encode(node),
+        encode(label) if label is not None else None,
+        encode_props(props),
+    )
+
+
+def _edge_row(name: str, edge, entry: list) -> tuple:
+    src, tgt, label, props = entry
+    return (
+        name, encode(edge), encode(src), encode(tgt), encode(label),
+        encode_props(props),
+    )
+
+
+def _node_entry(label: "str | None", props: "str | None") -> list:
+    """The :func:`fold_records` entry of a stored ``nodes`` row."""
+    return [decode(label) if label is not None else None, decode_props(props)]
+
+
+def _default_node_label(kind: str):
+    return PropertyGraph.DEFAULT_NODE_LABEL if kind == "property" else None
 
 
 def _payload_to_json(op: str, payload: tuple) -> list:
@@ -134,6 +212,15 @@ class GraphStore:
         self._lock = threading.RLock()
         self._buffers: dict[str, list] = {}
         self._closed = False
+        #: what this process has written so far (see :meth:`counters`)
+        self._counters = {
+            "flushes": 0,
+            "records_flushed": 0,
+            "compactions": 0,
+            "records_folded": 0,
+            "compact_seconds_last": 0.0,
+            "compact_seconds_total": 0.0,
+        }
         self._conn = sqlite3.connect(
             self.path, timeout=timeout, check_same_thread=False
         )
@@ -158,54 +245,43 @@ class GraphStore:
     # ------------------------------------------------------------------
     # snapshots
     # ------------------------------------------------------------------
-    def put_graph(
-        self, name: str, graph: EdgeLabeledGraph, *, _keep_buffer: bool = False
-    ) -> dict:
+    def put_graph(self, name: str, graph: EdgeLabeledGraph) -> dict:
         """Write a full snapshot of ``graph``, replacing any prior state.
 
+        The import/upload path (compaction does not come through here).
         One transaction: manifest row, node rows, edge rows, journal
         cleared.  The durable version is ``graph.version`` verbatim, so a
         later :meth:`load_graph` hands back a graph whose answer-cache key
         matches the one that was stored.
 
         A replacement also discards any buffered journal records for the
-        name (they described the graph being replaced); compaction — where
-        concurrently buffered records must survive into the next batch —
-        passes ``_keep_buffer=True``.
+        name (they described the graph being replaced).
         """
         is_property = isinstance(graph, PropertyGraph)
         kind = "property" if is_property else "edge_labeled"
-        node_rows = []
-        for node in graph.iter_nodes():
-            if is_property:
-                node_rows.append(
-                    (
-                        name,
-                        encode(node),
-                        encode(graph.node_label(node)),
-                        encode_props(graph.properties(node)),
-                    )
-                )
-            else:
-                node_rows.append((name, encode(node), None, None))
-        edge_rows = []
-        for edge, src, tgt, label in graph.iter_edge_records():
-            edge_rows.append(
-                (
-                    name,
-                    encode(edge),
-                    encode(src),
-                    encode(tgt),
-                    encode(label),
-                    encode_props(graph.properties(edge)) if is_property else None,
-                )
+        node_rows = [
+            _node_row(
+                name,
+                node,
+                [graph.node_label(node), graph.properties(node)]
+                if is_property
+                else [None, None],
             )
+            for node in graph.iter_nodes()
+        ]
+        edge_rows = [
+            _edge_row(
+                name,
+                edge,
+                [src, tgt, label, graph.properties(edge) if is_property else None],
+            )
+            for edge, src, tgt, label in graph.iter_edge_records()
+        ]
         with self._lock:
             self._check_open()
-            if not _keep_buffer:
-                buffer = self._buffers.get(name)
-                if buffer is not None:
-                    buffer.clear()
+            buffer = self._buffers.get(name)
+            if buffer is not None:
+                buffer.clear()
             with self._conn:
                 self._conn.execute("DELETE FROM nodes WHERE graph=?", (name,))
                 self._conn.execute("DELETE FROM edges WHERE graph=?", (name,))
@@ -309,8 +385,9 @@ class GraphStore:
     def graph_info(self, name: str) -> dict:
         """Manifest entry: kind, durable version, exact object counts.
 
-        Snapshot counts are stored; the journal tail is decoded to count the
-        net new objects it adds (the tail is bounded by ``compact_every``).
+        Snapshot counts are stored; the journal tail is folded over the
+        rows it touches to count the net new objects it adds (the tail is
+        bounded by ``compact_every``).
         """
         with self._lock:
             self._check_open()
@@ -319,23 +396,9 @@ class GraphStore:
             tail = self._journal_tail(name)
             journal_records = len(tail)
             if tail:
-                known: set = {
-                    decode(r[0])
-                    for r in self._conn.execute(
-                        "SELECT id FROM nodes WHERE graph=?", (name,)
-                    )
-                }
-                for op, payload, _ in tail:
-                    if op == "add_node":
-                        if payload[0] not in known:
-                            known.add(payload[0])
-                            node_count += 1
-                    elif op == "add_edge":
-                        edge_count += 1
-                        for endpoint in (payload[1], payload[2]):
-                            if endpoint not in known:
-                                known.add(endpoint)
-                                node_count += 1
+                _, _, new_nodes, new_edges = self._fold_tail(name, kind, tail)
+                node_count += new_nodes
+                edge_count += new_edges
         return {
             "name": name,
             "kind": kind,
@@ -361,10 +424,10 @@ class GraphStore:
                 (name,),
             ):
                 counts[decode(label)] = count
-            for op, payload, _ in self._journal_tail(name):
-                if op == "add_edge":
-                    label = payload[3]
-                    counts[label] = counts.get(label, 0) + 1
+            added: dict = {}
+            fold_records(self._journal_tail(name), {}, added, None)
+            for _src, _tgt, label, _props in added.values():
+                counts[label] = counts.get(label, 0) + 1
         return counts
 
     def labels(self, name: str) -> frozenset:
@@ -380,40 +443,16 @@ class GraphStore:
         """
         with self._lock:
             self._check_open()
-            row = self._manifest_row(name)
-            is_property = row[1] == "property"
+            kind = self._manifest_row(name)[1]
             nodes: dict = {}
             for id_, label, props in self._conn.execute(
                 "SELECT id, label, props FROM nodes WHERE graph=?", (name,)
             ):
-                nodes[decode(id_)] = [
-                    decode(label) if label is not None else None,
-                    decode_props(props),
-                ]
-            default_label = PropertyGraph.DEFAULT_NODE_LABEL if is_property else None
-            for op, payload, _ in self._journal_tail(name):
-                if op == "add_node":
-                    node, label, props = payload
-                    entry = nodes.setdefault(node, [default_label, None])
-                    if label is not None:
-                        entry[0] = label
-                    elif entry[0] is None:
-                        entry[0] = default_label
-                    if props:
-                        merged = dict(entry[1] or {})
-                        merged.update(props)
-                        entry[1] = merged
-                elif op == "add_edge":
-                    for endpoint in (payload[1], payload[2]):
-                        nodes.setdefault(endpoint, [default_label, None])
-                elif op == "set_property":
-                    obj, prop_name, value = payload
-                    entry = nodes.get(obj)
-                    if entry is not None:
-                        merged = dict(entry[1] or {})
-                        merged[prop_name] = value
-                        entry[1] = merged
-        return [(node, entry[0], entry[1]) for node, entry in nodes.items()]
+                nodes[decode(id_)] = _node_entry(label, props)
+            fold_records(
+                self._journal_tail(name), nodes, {}, _default_node_label(kind)
+            )
+        return [(node, label, props) for node, (label, props) in nodes.items()]
 
     def read_segment(self, name: str, label) -> list[tuple]:
         """All ``(id, src, tgt, label, props)`` edges carrying ``label``.
@@ -429,22 +468,16 @@ class GraphStore:
                 "SELECT id, src, tgt, props FROM edges WHERE graph=? AND label=?",
                 (name, encode(label)),
             ):
-                edges[decode(id_)] = [decode(src), decode(tgt), decode_props(props)]
-            for op, payload, _ in self._journal_tail(name):
-                if op == "add_edge":
-                    edge, src, tgt, edge_label, props = payload
-                    if edge_label == label:
-                        edges[edge] = [src, tgt, dict(props) if props else None]
-                elif op == "set_property":
-                    obj, prop_name, value = payload
-                    entry = edges.get(obj)
-                    if entry is not None:
-                        merged = dict(entry[2] or {})
-                        merged[prop_name] = value
-                        entry[2] = merged
+                edges[decode(id_)] = [
+                    decode(src), decode(tgt), label, decode_props(props)
+                ]
+            # The journal's edges of other labels join the window and are
+            # filtered out again below (the tail is bounded).
+            fold_records(self._journal_tail(name), {}, edges, None)
         return [
-            (edge, entry[0], entry[1], label, entry[2])
-            for edge, entry in edges.items()
+            (edge, src, tgt, label, props)
+            for edge, (src, tgt, edge_label, props) in edges.items()
+            if edge_label == label
         ]
 
     # ------------------------------------------------------------------
@@ -519,6 +552,8 @@ class GraphStore:
                 )
             del buffer[:count]
             batches = next_seq + 1
+            self._counters["flushes"] += 1
+            self._counters["records_flushed"] += count
         if _compact and self.compact_every and batches >= self.compact_every:
             self.compact(name)
         return count
@@ -532,19 +567,57 @@ class GraphStore:
         return count
 
     def compact(self, name: str) -> dict:
-        """Fold the journal into a fresh snapshot (version unchanged).
+        """Fold the journal tail into the snapshot tables (version unchanged).
 
-        Records buffered *during* compaction survive: the journal buffer
-        object is never replaced, and ``put_graph`` only clears durable
-        journal rows — anything appended after the flush below simply lands
+        One transaction writes the node and edge rows the tail adds or
+        changes (untouched rows are not read, let alone rewritten), deletes
+        the journal rows and moves the manifest's counts and
+        ``snapshot_version`` forward: it commits whole or, on a failure or a
+        crash, not at all, and either way ``snapshot ⊕ journal`` is the
+        same graph.  The ``storage.compact`` fault site sits after the row
+        writes, before the journal is deleted.
+
+        Records buffered *during* compaction survive: the buffer is not
+        touched, so anything appended after the flush below simply lands
         in the next batch.
         """
         with self._lock:
             self._check_open()
             self.flush(name, _compact=False)
-            graph = self.load_graph(name)
-            self.put_graph(name, graph, _keep_buffer=True)
+            started = time.perf_counter()
+            _, kind, version, _, node_count, edge_count = self._manifest_row(name)
+            tail = self._journal_tail(name)
+            node_rows, edge_rows, new_nodes, new_edges = self._fold_tail(
+                name, kind, tail
+            )
+            with self._conn:
+                self._conn.executemany(
+                    "INSERT OR REPLACE INTO nodes VALUES (?,?,?,?)", node_rows
+                )
+                self._conn.executemany(
+                    "INSERT OR REPLACE INTO edges VALUES (?,?,?,?,?,?)", edge_rows
+                )
+                fault_point("storage.compact")
+                self._conn.execute("DELETE FROM journal WHERE graph=?", (name,))
+                self._conn.execute(
+                    "UPDATE graphs SET snapshot_version=?, nodes=?, edges=? "
+                    "WHERE name=?",
+                    (version, node_count + new_nodes, edge_count + new_edges, name),
+                )
+            seconds = time.perf_counter() - started
+            self._counters["compactions"] += 1
+            self._counters["records_folded"] += len(tail)
+            self._counters["compact_seconds_last"] = seconds
+            self._counters["compact_seconds_total"] += seconds
             return self.graph_info(name)
+
+    def counters(self) -> dict:
+        """What this process's store has written: committed journal batches
+        (``flushes``, ``records_flushed``), compactions (``compactions``,
+        ``records_folded``) and the wall seconds of the last and of all
+        compactions."""
+        with self._lock:
+            return dict(self._counters)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -580,6 +653,52 @@ class GraphStore:
         if row is None:
             raise StorageError(f"no graph named {name!r} in store {self.path}")
         return row
+
+    def _fold_tail(self, name: str, kind: str, records: list) -> tuple:
+        """Fold journal ``records`` over the snapshot rows they touch.
+
+        Returns ``(node_rows, edge_rows, new_nodes, new_edges)``: the table
+        rows the records add or change, ready to insert-or-replace, and how
+        many of them are additions.  Reads one row per id the records name,
+        never the whole table.
+        """
+        touched: set = set()
+        for op, payload, _version in records:
+            if op == "add_edge":
+                touched.update(payload[1:3])  # endpoints; the edge id is fresh
+            else:
+                touched.add(payload[0])  # add_node's node, set_property's object
+        nodes: dict = {}
+        edges: dict = {}
+        stored: dict = {}  # encoded id -> the table row the snapshot holds
+        for obj in touched:
+            key = encode(obj)
+            row = self._conn.execute(
+                "SELECT label, props FROM nodes WHERE graph=? AND id=?", (name, key)
+            ).fetchone()
+            if row is not None:
+                nodes[obj] = _node_entry(*row)
+            else:
+                row = self._conn.execute(
+                    "SELECT src, tgt, label, props FROM edges WHERE graph=? AND id=?",
+                    (name, key),
+                ).fetchone()
+                if row is None:
+                    continue  # not in the snapshot: a record creates it
+                src, tgt, label, props = row
+                edges[obj] = [
+                    decode(src), decode(tgt), decode(label), decode_props(props)
+                ]
+            stored[key] = (name, key, *row)
+        fold_records(records, nodes, edges, _default_node_label(kind))
+        node_rows = [_node_row(name, node, entry) for node, entry in nodes.items()]
+        edge_rows = [_edge_row(name, edge, entry) for edge, entry in edges.items()]
+        return (
+            [row for row in node_rows if stored.get(row[1]) != row],
+            [row for row in edge_rows if stored.get(row[1]) != row],
+            sum(row[1] not in stored for row in node_rows),
+            sum(row[1] not in stored for row in edge_rows),
+        )
 
     def _journal_tail(self, name: str) -> list[tuple]:
         records: list[tuple] = []

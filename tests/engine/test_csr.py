@@ -5,15 +5,18 @@ query exactly like the dict kernel; this module proves the *components*
 under it correct in isolation and locks in the lifecycle:
 
 * interner properties — round-trip, denseness, stability per graph
-  version, rebuild (with a fresh uid) after mutation;
+  version, extension after mutation (a fresh uid only when a label is
+  added);
 * CSR rows — exact agreement with the graph's adjacency per label and
   direction, multiplicity preserved, monotone offsets;
 * bytearray bitsets — set/test/count/indices round-trips;
 * the frontier invariant — walking the CSR rows with a bitset visited set
   discovers exactly the dict kernel's ``(node, state)`` seen set;
-* cache lifecycle — ``get_csr`` reuse within a version, rebuild after
-  mutation, a smuggled stale snapshot is never served (the staleness
-  regression), stale ``IntPlan``s are dropped on interner change;
+* cache lifecycle — ``get_csr`` reuse within a version, catch-up (a patch,
+  not a build) after mutation, a smuggled stale snapshot is never served
+  (the staleness regression), stale ``IntPlan``s are dropped on interner
+  change (``tests/engine/test_csr_catchup.py`` is the catch-up
+  differential);
 * kernel edge cases vs the dict oracle — empty alphabet, query-only
   labels, self-loops, isolated nodes, single-node graphs.
 """
@@ -103,13 +106,22 @@ class TestInterner:
         assert first.uid != second.uid
 
     def test_rebuilt_after_mutation(self):
+        """The uid names the label numbering: it survives a write that keeps
+        the label set and changes with the first edge of a new label."""
         graph = small_graph()
         before = get_interner(graph)
+        graph.add_edge("e8", "v", "fresh", "a")
+        same_labels = get_interner(graph)
+        assert same_labels is not before
+        assert same_labels.uid == before.uid
+        assert same_labels.version == graph.version > before.version
+        assert same_labels.node_id("fresh") == before.num_nodes
+        assert before.node_id("fresh") is None
         graph.add_edge("e9", "v", "u", "d")
         after = get_interner(graph)
         assert after.uid != before.uid
-        assert after.version == graph.version > before.version
-        assert after.label_id("d") is not None
+        assert after.version == graph.version > same_labels.version
+        assert after.label_id("d") == before.num_labels
         assert before.label_id("d") is None
 
     def test_foreign_objects_resolve_to_none(self):
@@ -282,6 +294,7 @@ class TestCSRLifecycle:
         assert stats.get("csr_reuses") == 1
 
     def test_rebuilt_after_mutation(self):
+        """A write costs a catch-up patch, never a second full build."""
         graph = small_graph()
         stats = EngineStats()
         before = get_csr(graph, stats)
@@ -289,11 +302,15 @@ class TestCSRLifecycle:
         after = get_csr(graph, stats)
         assert after is not before
         assert after.version == graph.version
-        assert stats.get("csr_builds") == 2
+        assert before.version < graph.version  # the old snapshot is untouched
+        assert stats.get("csr_builds") == 1
+        assert stats.get("csr_patches") == 1
+        assert get_csr(graph, stats) is after
+        assert stats.get("csr_reuses") == 1
 
     def test_smuggled_stale_snapshot_is_never_served(self):
-        """The version double-check: even a snapshot planted on the slot
-        after a mutation (bypassing ``_touch``) must be rebuilt."""
+        """The version check: a stale snapshot planted on the slot after a
+        mutation is caught up to the current version before it is served."""
         graph = small_graph()
         stale = get_csr(graph)
         graph.add_edge("e9", "u", "w", "z")

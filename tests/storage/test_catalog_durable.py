@@ -238,6 +238,36 @@ class TestDurableService:
             service.close()
         assert "storage" not in QueryService(GraphCatalog()).stats()
 
+    def test_stats_count_writes_and_csr_patches(self, tmp_path):
+        """The write path's counters reach the ``stats`` op: the store's
+        flushes and compactions under ``storage``, and the engine's one full
+        CSR build plus one catch-up patch per read-after-write."""
+        service = QueryService(GraphCatalog(str(tmp_path / "data")))
+        service.catalog.store.compact_every = 2
+        try:
+            service.catalog.register("bank", bank_graph())
+            read = Request(op="rpq", params={"graph": "bank", "query": "Transfer*"})
+            service.execute(read)
+            for number in range(2):
+                service.execute(Request(op="graphs.mutate", params={
+                    "graph": "bank",
+                    "edits": [{"kind": "add_edge", "id": f"w{number}", "src": "a1",
+                               "tgt": "a2", "label": "Transfer"}],
+                }))
+                service.execute(read)
+            stats = service.stats()
+            storage = stats["storage"]
+            assert storage["flushes"] == 2
+            assert storage["records_flushed"] == 2
+            assert storage["compactions"] == 1  # the second batch reached 2
+            assert storage["records_folded"] == 2
+            assert storage["compact_seconds_total"] > 0
+            counters = stats["metrics"]["counters"]
+            assert counters["engine_csr_builds"] == 1
+            assert counters["engine_csr_patches"] == 2
+        finally:
+            service.close()
+
 
 class TestServerRoundTrip:
     def test_client_mutate_round_trip(self, tmp_path):
