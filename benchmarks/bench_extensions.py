@@ -4,6 +4,8 @@ Two-way navigation (Remark 9), containment and treewidth (Section 7.1),
 naming/dedup quirk (Section 4.2), and delta enumeration.
 """
 
+from collections.abc import Set
+
 import pytest
 
 from repro.analysis.containment import rpq_contained, rpq_equivalent
@@ -28,7 +30,7 @@ def test_e31_two_way_on_network(benchmark, transfer_net):
     result = benchmark(
         lambda: evaluate_two_way_rpq("~Transfer . Transfer", base)
     )
-    assert isinstance(result, set)
+    assert isinstance(result, Set)  # the sweep's read-only PairRelation
 
 
 @pytest.mark.parametrize(

@@ -13,16 +13,22 @@ access path:
   backwards);
 * neither bound    -> the full ``[[R]]_G`` relation.
 
-Reachability calls are memoized per (expression, start), so star-shaped
-joins do not recompute the same BFS.
+Which of the three applies is a property of the atom and of the variables
+bound so far, not of any one binding, so it is decided once per atom:
+partial bindings are tuples over a schema (the variables in binding order)
+and an atom reads its bound terms by column position.  Reachability calls
+are memoized per (expression, start), so star-shaped joins do not recompute
+the same BFS.
 """
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import islice, repeat
+from operator import itemgetter
 
 from repro.crpq.ast import CRPQ, RPQAtom, Var
 from repro.crpq.planning import explain_steps, greedy_plan, make_plan
+from repro.engine import kernel
 from repro.engine.index import get_reversed
 from repro.engine.limits import BudgetExceeded
 from repro.engine.tracing import get_tracer
@@ -59,24 +65,29 @@ class _AtomAccess:
         self._forward: dict = {}
         self._backward: dict = {}
         self._full: dict = {}
-        self._nfa_cache: dict = {}
+        self._compiled_cache: dict = {}
 
-    def _nfa(self, regex, graph, direction: str):
+    def _compiled(self, regex, graph, direction: str):
         # Keyed on (expression, access direction, graph version) — never on
         # ``id(graph)``: a garbage-collected graph can recycle its id and
         # resurrect a stale automaton compiled over a different alphabet.
         key = (regex, direction, graph.version)
-        if key not in self._nfa_cache:
-            self._nfa_cache[key] = compile_for_graph(
-                regex, graph, cached=self.use_index, stats=self.stats
+        if key not in self._compiled_cache:
+            # Indexed runs keep the cache's CompiledQuery, whose lowered
+            # IntPlan is memoized on it: a bare NFA would be re-wrapped and
+            # re-lowered by every BFS that starts from it.
+            self._compiled_cache[key] = (
+                kernel.compile_query(regex, graph, stats=self.stats)
+                if self.use_index
+                else compile_for_graph(regex, graph, cached=False)
             )
-        return self._nfa_cache[key]
+        return self._compiled_cache[key]
 
     def forward(self, regex, source: ObjectId) -> set[ObjectId]:
         key = (regex, source)
         if key not in self._forward:
             self._forward[key] = reachable_by_rpq(
-                self._nfa(regex, self.graph, "forward"),
+                self._compiled(regex, self.graph, "forward"),
                 self.graph,
                 source,
                 use_index=self.use_index,
@@ -99,7 +110,7 @@ class _AtomAccess:
                     self.reversed_graph = self.graph.reversed_copy()
             reversed_regex = regex_reverse(regex)
             self._backward[key] = reachable_by_rpq(
-                self._nfa(reversed_regex, self.reversed_graph, "backward"),
+                self._compiled(reversed_regex, self.reversed_graph, "backward"),
                 self.reversed_graph,
                 target,
                 use_index=self.use_index,
@@ -118,27 +129,6 @@ class _AtomAccess:
                 use_csr=self.use_csr, stats=self.stats, budget=self.budget,
             )
         return self._full[regex]
-
-
-def _resolve(term, binding: dict) -> "ObjectId | None":
-    """The node a term denotes under the binding, or None if still free."""
-    if isinstance(term, Var):
-        return binding.get(term)
-    return term
-
-
-def _extend(
-    binding: dict, term, node: ObjectId
-) -> "dict | None":
-    """Bind ``term`` to ``node`` if consistent; constants must match."""
-    if isinstance(term, Var):
-        bound = binding.get(term)
-        if bound is None:
-            extended = dict(binding)
-            extended[term] = node
-            return extended
-        return binding if bound == node else None
-    return binding if term == node else None
 
 
 def evaluate_crpq_bindings(
@@ -176,6 +166,22 @@ def evaluate_crpq_bindings(
     Section 3.1.5 also starts from these homomorphisms before attaching list
     bindings per atom.
     """
+    schema, rows = _join(
+        query, graph, plan, use_index, use_csr, planner, stats, budget, access
+    )
+    return _as_dicts(schema, rows)
+
+
+def _as_dicts(schema: tuple, rows: list[tuple]) -> list[dict]:
+    return [dict(zip(schema, row)) for row in rows]
+
+
+def _join(
+    query: "CRPQ | str", graph, plan, use_index, use_csr, planner, stats,
+    budget, access,
+) -> "tuple[tuple[Var, ...], list[tuple]]":
+    """The homomorphisms as ``(schema, rows)``: ``rows[i][j]`` is the node
+    bound to variable ``schema[j]``, in the order the plan first binds them."""
     if isinstance(query, str):
         from repro.crpq.ast import parse_crpq
 
@@ -206,7 +212,8 @@ def evaluate_crpq_bindings(
                 graph, use_index=use_index, stats=stats, budget=budget,
                 use_csr=use_csr,
             )
-        bindings: list[dict] = [{}]
+        schema: tuple = ()
+        rows: list[tuple] = [()]
         try:
             for position, atom in enumerate(ordered):
                 if budget is not None:
@@ -221,65 +228,107 @@ def evaluate_crpq_bindings(
                         "estimated_pairs": round(step.estimated_pairs, 4),
                     }
                 with tracer.span("crpq.atom", **attributes) as atom_span:
-                    bindings = _apply_atom(atom, bindings, access, graph, budget)
+                    schema, rows = _apply_atom(
+                        atom, schema, rows, access, graph, budget
+                    )
                     if atom_span is not None:
-                        atom_span.set(actual_cardinality=len(bindings))
-                if not bindings:
+                        atom_span.set(actual_cardinality=len(rows))
+                if not rows:
                     break
         except BudgetExceeded as exc:
-            raise exc.attach_partial(list(bindings))
+            raise exc.attach_partial(_as_dicts(schema, rows))
         if query_span is not None:
-            query_span.set(bindings=len(bindings))
-    return bindings
+            query_span.set(bindings=len(rows))
+    return schema, rows
+
+
+def _bound_nodes(term, schema: tuple, rows: list[tuple]):
+    """The node ``term`` denotes in each row, as an iterable aligned with
+    ``rows`` — its column, or the constant itself over and over — or
+    ``None`` for a variable no earlier atom has bound."""
+    if not isinstance(term, Var):
+        return repeat(term)
+    if term in schema:
+        return map(itemgetter(schema.index(term)), rows)
+    return None
 
 
 def _apply_atom(
     atom: RPQAtom,
-    bindings: list[dict],
+    schema: tuple,
+    rows: list[tuple],
     access: _AtomAccess,
     graph: EdgeLabeledGraph,
     budget=None,
-) -> list[dict]:
-    """Join one atom's relation into the current partial bindings."""
-    next_bindings: list[dict] = []
+) -> "tuple[tuple, list[tuple]]":
+    """Join one atom's relation into the current rows.
+
+    The access path follows from the atom and the schema alone, so it is
+    picked here once; the loops below do no per-row case analysis.
+    """
     tick = budget.tick if budget is not None else None
-    for binding in bindings:
-        if tick is not None:
-            tick()
-        left = _resolve(atom.left, binding)
-        right = _resolve(atom.right, binding)
-        if left is not None and graph.has_node(left):
-            targets = access.forward(atom.regex, left)
-            if right is not None:
-                if right in targets:
-                    next_bindings.append(binding)
-            else:
-                for node in targets:
+    regex = atom.regex
+    lefts = _bound_nodes(atom.left, schema, rows)
+    rights = _bound_nodes(atom.right, schema, rows)
+    joined: list[tuple] = []
+    if lefts is None and rights is None:
+        pairs = access.full(regex)
+        if len(rows) > 1:
+            pairs = tuple(pairs)  # a cross product: decode once, not per row
+        if atom.left == atom.right:  # R(x, x): one new column, loops only
+            schema += (atom.left,)
+            for row in rows:
+                if tick is not None:
+                    tick()
+                for source, target in pairs:
                     if tick is not None:
                         tick()
-                    extended = _extend(binding, atom.right, node)
-                    if extended is not None:
-                        next_bindings.append(extended)
-        elif right is not None and graph.has_node(right):
-            sources = access.backward(atom.regex, right)
-            for node in sources:
+                    if source == target:
+                        joined.append(row + (source,))
+        else:
+            schema += (atom.left, atom.right)
+            for row in rows:
                 if tick is not None:
                     tick()
-                extended = _extend(binding, atom.left, node)
-                if extended is not None:
-                    next_bindings.append(extended)
-        elif left is None and right is None:
-            for source, target in access.full(atom.regex):
-                if tick is not None:
-                    tick()
-                extended = _extend(binding, atom.left, source)
-                if extended is None:
-                    continue
-                extended = _extend(extended, atom.right, target)
-                if extended is not None:
-                    next_bindings.append(extended)
-        # else: a bound term is not even a node of the graph -> no match
-    return next_bindings
+                for pair in pairs:
+                    if tick is not None:
+                        tick()
+                    joined.append(row + pair)
+        return schema, joined
+
+    if lefts is not None:
+        reach, starts, ends = access.forward, lefts, rights
+    else:
+        reach, starts, ends = access.backward, rights, None
+    #: start node -> nodes the atom reaches from it: the regex is hashed
+    #: (by the access object's own memo) once per distinct start, not once
+    #: per row; a bound term that is no node of the graph reaches nothing.
+    reached: dict = {}
+
+    def reached_from(start):
+        found = reached.get(start)
+        if found is None:
+            found = reached[start] = (
+                reach(regex, start) if graph.has_node(start) else ()
+            )
+        return found
+
+    if ends is not None:  # both terms bound: the atom only filters
+        for row, start, end in zip(rows, starts, ends):
+            if tick is not None:
+                tick()
+            if end in reached_from(start):
+                joined.append(row)
+        return schema, joined
+    schema += (atom.right if lefts is not None else atom.left,)
+    for row, start in zip(rows, starts):
+        if tick is not None:
+            tick()
+        for node in reached_from(start):
+            if tick is not None:
+                tick()
+            joined.append(row + (node,))
+    return schema, joined
 
 
 def evaluate_crpq(
@@ -311,13 +360,16 @@ def evaluate_crpq(
         query = parse_crpq(query)
     results: set[tuple] = set()
     try:
-        for binding in evaluate_crpq_bindings(
-            query, graph, plan=plan, use_index=use_index, use_csr=use_csr,
-            planner=planner, stats=stats, budget=budget, access=access,
-        ):
-            results.add(tuple(binding[var] for var in query.head))
-            if budget is not None:
-                budget.check_rows(len(results))
+        schema, rows = _join(
+            query, graph, plan, use_index, use_csr, planner, stats, budget,
+            access,
+        )
+        if rows:
+            head = [schema.index(var) for var in query.head]
+            for row in rows:
+                results.add(tuple([row[column] for column in head]))
+                if budget is not None:
+                    budget.check_rows(len(results))
     except BudgetExceeded as exc:
         if budget is not None and exc.limit == "max_rows" and budget.max_rows is not None:
             raise exc.attach_partial(set(islice(results, budget.max_rows)))

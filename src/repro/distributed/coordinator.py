@@ -58,6 +58,7 @@ import subprocess
 import sys
 import threading
 import time
+from collections.abc import Set
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor
 from concurrent.futures import wait as futures_wait
 from contextlib import nullcontext
@@ -73,6 +74,7 @@ from repro.engine.partition import (
     partition_graph,
     stable_hash,
 )
+from repro.engine.relation import PairRelation
 from repro.engine.stats import EngineStats
 from repro.engine.tracing import get_tracer
 from repro.distributed.frontier import (
@@ -817,13 +819,15 @@ class ShardCoordinator:
     # ------------------------------------------------------------------
     def evaluate_rpq(
         self, name: str, query: str, sources=None, *, budget=None
-    ) -> set[tuple]:
+    ) -> Set[tuple]:
         """``[[R]]_G`` over the partitioned graph ``name``.
 
         Answers are exactly :func:`repro.rpq.evaluation.evaluate_rpq` on
         the unpartitioned graph (the differential suites prove it); a
         budget bounds the whole exchange, its deadline propagating into
-        every shard round.
+        every shard round.  The partitioned gather hands back its origin
+        masks as a read-only :class:`~repro.engine.relation.PairRelation`
+        (decoded only when iterated); treat the result as immutable.
         """
         entry = self._entry(name)
         if entry.shard_map is None:
@@ -848,9 +852,10 @@ class ShardCoordinator:
                     limit="max_rows",
                     rows_so_far=len(cached),
                 ).attach_partial(set(islice(cached, budget.max_rows)))
-            return set(cached)
+            return cached
         pairs = self._scatter_gather(entry, query, sources, budget)
-        self.answer_cache.put(cache_key, frozenset(pairs))
+        # Immutable, so the cache and every caller share the one relation.
+        self.answer_cache.put(cache_key, pairs)
         return pairs
 
     def _replicated_pairs(self, entry, query, sources, budget) -> set[tuple]:
@@ -892,7 +897,7 @@ class ShardCoordinator:
                 degraded=True,
             )
 
-    def _scatter_gather(self, entry, query, sources, budget) -> set[tuple]:
+    def _scatter_gather(self, entry, query, sources, budget) -> PairRelation:
         stats = EngineStats()
         # The global alphabet every shard must compile over: graph labels
         # plus the query's own symbols (a symbol absent from the graph still
@@ -1028,7 +1033,9 @@ class ShardCoordinator:
                             time.perf_counter() - round_started,
                         )
         except BudgetExceeded as exc:
-            raise exc.attach_partial(_decode_answers(answer_masks, order))
+            raise exc.attach_partial(
+                PairRelation(order, order, answer_masks, pair_count)
+            )
         finally:
             self.rounds_total += rounds
             if self.metrics is not None:
@@ -1037,7 +1044,7 @@ class ShardCoordinator:
                     "coordinator_query_seconds",
                     time.perf_counter() - query_started,
                 )
-        return _decode_answers(answer_masks, order)
+        return PairRelation(order, order, answer_masks, pair_count)
 
     def _graft_shard_trees(
         self, round_span, result, shard, round_number,
@@ -1262,7 +1269,7 @@ class DistributedAtomAccess:
     The drop-in distributed twin of
     :class:`repro.crpq.evaluation._AtomAccess`: ``forward`` scatters from
     the bound node, ``full`` runs the broadcast sweep (or a shard-local
-    replica query), ``backward`` filters the memoized full relation — the
+    replica query), ``backward`` groups the memoized full relation — the
     reversed-graph trick stays single-node-only because shards only hold
     forward-partitioned edges.  Memoized per evaluation, like the local
     access object, and budgeted via ``budget.subquery()`` (atom relations
@@ -1288,13 +1295,14 @@ class DistributedAtomAccess:
         return self._forward[key]
 
     def backward(self, regex, target) -> set:
-        key = (regex, target)
-        if key not in self._backward:
-            self._backward[key] = {
-                source for source, candidate in self.full(regex)
-                if candidate == target
-            }
-        return self._backward[key]
+        by_target = self._backward.get(regex)
+        if by_target is None:
+            # One pass groups the whole relation: it decodes lazily, so a
+            # filter per bound target would decode it once per target.
+            by_target = self._backward[regex] = {}
+            for source, candidate in self.full(regex):
+                by_target.setdefault(candidate, set()).add(source)
+        return by_target.get(target, set())
 
     def full(self, regex) -> set:
         if regex not in self._full:
@@ -1308,15 +1316,3 @@ def _parse(query: str):
     from repro.engine.cache import DEFAULT_CACHE
 
     return DEFAULT_CACHE.parse(query)
-
-
-def _decode_answers(answer_masks: dict, order: list) -> set[tuple]:
-    """Unpack origin masks into (source, target) node pairs."""
-    pairs: set[tuple] = set()
-    for target_position, mask in answer_masks.items():
-        target = order[target_position]
-        while mask:
-            low = mask & -mask
-            pairs.add((order[low.bit_length() - 1], target))
-            mask ^= low
-    return pairs

@@ -15,6 +15,8 @@ One optimization layer under every language frontend in the library:
 * :mod:`repro.engine.kernel` — the cached-compile + indexed-product-BFS
   entry points the frontends delegate to, including the one-sweep
   multi-source evaluation of a full ``[[R]]_G`` relation;
+* :mod:`repro.engine.relation` — ``PairRelation``, the read-only set of
+  pairs that sweep returns: its origin masks, decoded only when iterated;
 * :mod:`repro.engine.cardinality` — per-label statistics plus
   first/last-label automaton selectivity, feeding the cost-based CRPQ
   planner;
@@ -54,6 +56,7 @@ from repro.engine.kernel import (
     reachable,
 )
 from repro.engine.metrics import Histogram, MetricsRegistry
+from repro.engine.relation import PairRelation
 from repro.engine.stats import EngineStats
 from repro.engine.tracing import (
     NULL_TRACER,
@@ -83,6 +86,7 @@ __all__ = [
     "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
+    "PairRelation",
     "Span",
     "Tracer",
     "alphabet_for",

@@ -16,7 +16,12 @@ once, properly:
   the transition table is lowered into the same int space
   (:class:`~repro.engine.cache.IntPlan`), and the worklists run over packed
   ``(node_int << k) | state_int`` codes with bytearray-bitset visited sets
-  and int-bitmask origin tracking — pure stdlib, no numpy;
+  and int-bitmask origin tracking (one bit per *source of the call*, so a
+  k-source sweep carries k-bit masks) — pure stdlib, no numpy;
+* the CSR sweep returns what it computed: one origin mask per target node,
+  wrapped undecoded in a read-only
+  :class:`~repro.engine.relation.PairRelation` (``len`` and ``in`` never
+  decode; iteration decodes lazily, so a ``max_rows`` trip decodes k rows);
 * every entry point threads an optional :class:`~repro.engine.stats.EngineStats`
   recording nodes expanded, edges relaxed, cache behaviour and phase times.
 
@@ -26,8 +31,9 @@ here when ``use_index=True`` (the default); their original linear-scan
 implementations remain available behind ``use_index=False`` and serve as the
 oracle for the differential tests in ``tests/engine/test_differential.py``.
 ``use_csr=False`` is the second escape hatch one layer down: it keeps the
-indexed *dict* kernel (tuple pairs, set-of-origins bookkeeping), which is the
-differential oracle for the CSR plane in ``tests/engine/test_csr.py`` and the
+indexed *dict* kernel (tuple pairs, set-of-origins bookkeeping, plain ``set``
+results), which is the differential oracle for the CSR plane in
+``tests/engine/test_csr.py`` and ``tests/engine/test_relation.py`` and the
 baseline of the ``bench_engine.py`` scale sweep.
 """
 
@@ -35,7 +41,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from collections.abc import Iterable
+from collections.abc import Iterable, Set
 from itertools import islice
 
 from repro.engine.cache import (
@@ -49,6 +55,7 @@ from repro.engine.csr import get_csr
 from repro.engine.faults import FAULTS, fault_point
 from repro.engine.index import get_index
 from repro.engine.limits import BudgetExceeded, QueryBudget
+from repro.engine.relation import PairRelation
 from repro.engine.stats import EngineStats
 from repro.engine.tracing import get_tracer
 from repro.graph.edge_labeled import EdgeLabeledGraph, ObjectId
@@ -414,14 +421,16 @@ def evaluate(
     multi_source: bool = True,
     budget: "QueryBudget | None" = None,
     use_csr: bool = True,
-) -> set[tuple[ObjectId, ObjectId]]:
+) -> Set[tuple[ObjectId, ObjectId]]:
     """``[[R]]_G`` over all (or the given) sources, sharing one index.
 
     With ``multi_source=True`` (default) the whole relation is computed in
     one origin-tracking frontier sweep (:func:`evaluate_sweep`); with
     ``multi_source=False`` the original per-source BFS loop runs instead
     (kept as the sweep's differential oracle).  ``use_csr`` picks the data
-    plane either way.
+    plane either way.  The result is a read-only set of pairs: the CSR
+    sweep's :class:`~repro.engine.relation.PairRelation`, a plain ``set``
+    from the oracle arms.
     """
     if multi_source:
         return evaluate_sweep(
@@ -455,7 +464,7 @@ def evaluate_sweep(
     stats: "EngineStats | None" = None,
     budget: "QueryBudget | None" = None,
     use_csr: bool = True,
-) -> set[tuple[ObjectId, ObjectId]]:
+) -> Set[tuple[ObjectId, ObjectId]]:
     """``[[R]]_G`` in **one** multi-source product-BFS sweep.
 
     Instead of one BFS per source node, every ``(v, q0)`` pair is seeded at
@@ -466,6 +475,11 @@ def evaluate_sweep(
     Work that per-source BFS repeats for every source — discovering the same
     product edges again and again — happens here once per pair, with origin
     bookkeeping done by C-level set operations on batches of sources.
+
+    ``sources`` may be any iterable (read once; non-nodes and repeats are
+    dropped).  On the CSR plane the answer comes back as the sweep holds it
+    — a :class:`~repro.engine.relation.PairRelation` over origin masks, a
+    snapshot of this graph version — and the dict oracle returns a ``set``.
     """
     tracer = get_tracer()
     if tracer.enabled:
@@ -487,21 +501,24 @@ def _evaluate_sweep(
     stats: "EngineStats | None" = None,
     budget: "QueryBudget | None" = None,
     use_csr: bool = True,
-) -> set[tuple[ObjectId, ObjectId]]:
+) -> Set[tuple[ObjectId, ObjectId]]:
     """The uninstrumented sweep body (also the tracing-overhead baseline)."""
     started = time.perf_counter()
-    if sources is None:
-        source_list = list(graph.iter_nodes())
-    else:
-        source_list = [s for s in sources if graph.has_node(s)]
-    if not source_list:
+    if sources is not None:
+        # Distinct nodes in first-seen order (the CSR sweep numbers its
+        # origin bits by position); a one-shot iterable is read once, here.
+        sources = list(dict.fromkeys(s for s in sources if graph.has_node(s)))
+        if not sources:
+            return set()
+    elif not graph.num_nodes:
         return set()
     fault_point("kernel.evaluate")
     tick, check_rows = _budget_hooks(budget)
     if use_csr:
         return _csr_sweep(
-            compiled, graph, source_list, tick, check_rows, stats, budget, started
+            compiled, graph, sources, tick, check_rows, stats, budget, started
         )
+    source_list = list(graph.iter_nodes()) if sources is None else sources
     index = get_index(graph, stats)
     delta = compiled.delta
     finals = compiled.finals
@@ -598,45 +615,36 @@ def _sweep_loop(
     return answers
 
 
-def _decode_answer_masks(answer_masks, nodes) -> set[tuple[ObjectId, ObjectId]]:
-    """``answer_masks[target_int] = origin bitmask`` -> ``{(origin, target)}``."""
-    answers: set[tuple[ObjectId, ObjectId]] = set()
-    add = answers.add
-    for target_int, mask in enumerate(answer_masks):
-        if mask:
-            target = nodes[target_int]
-            while mask:
-                low = mask & -mask
-                add((nodes[low.bit_length() - 1], target))
-                mask ^= low
-    return answers
-
-
 def _csr_sweep(
     compiled: CompiledQuery,
     graph: EdgeLabeledGraph,
-    source_list: list,
+    sources: "list | None",
     tick,
     check_rows,
     stats: "EngineStats | None",
     budget: "QueryBudget | None",
     started: float,
-) -> set[tuple[ObjectId, ObjectId]]:
+) -> PairRelation:
     """The multi-source origin-tracking sweep on the flat data plane.
 
-    Product pairs are packed codes; origin *sets* become origin *bitmasks*
-    (one bit per source node int), so the dict sweep's per-batch set algebra
-    turns into single big-int ``&``/``|``/``~`` operations.  ``pending``
-    doubles as the queued signal: a code is in the queue iff its pending
-    mask is nonzero, so the dict sweep's separate ``queued`` set disappears.
-    Answers accumulate as per-target origin masks with an incremental
-    ``bit_count`` row total, keeping ``check_rows`` cadence identical to the
-    dict sweep (checked once per batch of freshly arriving origins).
+    Product pairs are packed codes; origin *sets* become origin *bitmasks*,
+    so the dict sweep's per-batch set algebra turns into single big-int
+    ``&``/``|``/``~`` operations.  Bit ``i`` stands for the ``i``-th source
+    of the call (``sources``: distinct nodes; ``None``: the interner's own
+    node list, so bit == node id), which keeps a k-source sweep on k-bit
+    masks however large the graph is.  ``pending`` doubles as the queued
+    signal: a code is in the queue iff its pending mask is nonzero, so the
+    dict sweep's separate ``queued`` set disappears.  Answers accumulate as
+    per-target origin masks with an incremental ``bit_count`` row total,
+    keeping ``check_rows`` cadence identical to the dict sweep (checked
+    once per batch of freshly arriving origins) — and those masks *are* the
+    result: they are handed back as a :class:`PairRelation`, undecoded.
     """
     csr = get_csr(graph, stats)
     interner = csr.interner
     plan = compiled.int_plan(interner)
     node_ids = interner._node_ids
+    source_list = interner._nodes if sources is None else sources
     k = plan.state_bits
     state_mask = plan.state_mask
     finals_mask = plan.finals_mask
@@ -651,23 +659,18 @@ def _csr_sweep(
     queue = deque()
     append = queue.append
     initial = plan.initial
+    # Sources and initial states are both duplicate-free, so every seed code
+    # is new and starts with exactly its own origin bit.
+    bit = 1
     for source in source_list:
-        source_int = node_ids[source]
-        bit = 1 << source_int
-        base = source_int << k
+        base = node_ids[source] << k
         for state in initial:
             code = base | state
-            known = origins.get(code, 0)
-            if known & bit:
-                continue
-            origins[code] = known | bit
-            pend = pending.get(code, 0)
-            if pend:
-                pending[code] = pend | bit
-            else:
-                pending[code] = bit
-                append(code)
-    answer_masks = [0] * csr.num_nodes
+            origins[code] = pending[code] = bit
+            append(code)
+        bit <<= 1
+    #: target node int -> origins that reach it in a final state (nonzero)
+    answer_masks: dict[int, int] = {}
     answer_count = 0
     expanded = 0
     relaxed = 0
@@ -675,6 +678,7 @@ def _csr_sweep(
     pending_pop = pending.pop
     origins_get = origins.get
     pending_get = pending.get
+    answers_get = answer_masks.get
     try:
         while queue:
             code = popleft()
@@ -689,7 +693,7 @@ def _csr_sweep(
             state = code & state_mask
             node = code >> k
             if (finals_mask >> state) & 1:
-                prev = answer_masks[node]
+                prev = answers_get(node, 0)
                 new = fresh & ~prev
                 if new:
                     answer_masks[node] = prev | new
@@ -725,13 +729,14 @@ def _csr_sweep(
             stats.count("budget_exceeded")
             stats.add_time("bfs", time.perf_counter() - started)
         _raise_with_partial(
-            exc, _decode_answer_masks(answer_masks, interner._nodes), budget
+            exc,
+            PairRelation(source_list, interner._nodes, answer_masks, answer_count),
+            budget,
         )
-    answers = _decode_answer_masks(answer_masks, interner._nodes)
     if stats is not None:
         stats.count("sweep_sources", len(source_list))
         stats.count("nodes_expanded", expanded)
         stats.count("edges_relaxed", relaxed)
-        stats.count("answers", len(answers))
+        stats.count("answers", answer_count)
         stats.add_time("bfs", time.perf_counter() - started)
-    return answers
+    return PairRelation(source_list, interner._nodes, answer_masks, answer_count)

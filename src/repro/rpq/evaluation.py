@@ -20,7 +20,7 @@ Two implementations coexist:
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable
+from collections.abc import Iterable, Set
 
 from repro.automata.glushkov import compile_regex
 from repro.automata.nfa import NFA
@@ -140,7 +140,7 @@ def evaluate_rpq(
     multi_source: bool = True,
     stats: "EngineStats | None" = None,
     budget=None,
-) -> set[tuple[ObjectId, ObjectId]]:
+) -> Set[tuple[ObjectId, ObjectId]]:
     """``[[R]]_G`` — the full set of answer pairs (optionally restricted to
     the given source nodes).
 
@@ -150,6 +150,14 @@ def evaluate_rpq(
     CSR data plane unless ``use_csr=False`` asks for the dict oracle.  A
     ``budget`` bounds the indexed paths cooperatively (deadline, row and
     state ceilings, cancellation).
+
+    The result is a read-only set of ``(source, target)`` pairs.  The
+    default path returns the sweep's own compact
+    :class:`~repro.engine.relation.PairRelation` — O(1) ``len``, ``in``
+    without decoding, lazy iteration, ``== <= | & -`` against plain sets
+    (yielding plain sets) — which is a snapshot of the graph version it was
+    computed on; the oracle arms return a plain ``set``.  Call ``set(...)``
+    on it for a private mutable copy.
 
     Example 12: ``evaluate_rpq("Transfer*", figure2_graph())`` contains all
     36 pairs of accounts because the Transfer-subgraph is strongly connected.
@@ -179,7 +187,7 @@ def _evaluate_rpq(
     stats: "EngineStats | None" = None,
     budget=None,
     use_csr: bool = True,
-) -> set[tuple[ObjectId, ObjectId]]:
+) -> Set[tuple[ObjectId, ObjectId]]:
     if use_index:
         if isinstance(query, CompiledQuery):
             compiled = query

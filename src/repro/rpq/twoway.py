@@ -17,6 +17,7 @@ languages offer.
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass
 
 from repro.graph.edge_labeled import EdgeLabeledGraph, Label, ObjectId
@@ -87,9 +88,10 @@ def evaluate_two_way_rpq(
     query: "Regex | str",
     graph: EdgeLabeledGraph,
     sources=None,
-) -> set[tuple[ObjectId, ObjectId]]:
+) -> Set[tuple[ObjectId, ObjectId]]:
     """``[[R]]_G`` for a two-way RPQ: node pairs connected by a walk whose
-    forward/backward label word matches the expression."""
+    forward/backward label word matches the expression (a read-only set,
+    as :func:`~repro.rpq.evaluation.evaluate_rpq` returns it)."""
     regex = parse_two_way_regex(query) if isinstance(query, str) else query
     return evaluate_rpq(regex, completed_graph(graph), sources=sources)
 

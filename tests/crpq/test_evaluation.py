@@ -116,6 +116,35 @@ class TestGeneralEvaluation:
         assert evaluate_crpq(q, g) == evaluate_rpq("a.a", g)
 
 
+    def test_bound_atoms_lower_their_automaton_once(self, monkeypatch):
+        """Example 17's shape runs one BFS per bound node; the int-space
+        transition table is built per (expression, direction), not per BFS."""
+        from repro.engine import kernel
+        from repro.engine.cache import IntPlan
+
+        graph = random_graph(60, 240, labels=("a", "b"), seed=5)
+        query = parse_crpq("q(x1, x2) :- a(y1, x1), a(y2, x2), b+(y1, y2)")
+        lowered, traversals = [], []
+        lower, reachable = IntPlan.__init__, kernel.reachable
+
+        def counting_lower(plan, compiled, interner):
+            lowered.append(compiled)
+            lower(plan, compiled, interner)
+
+        def counting_reachable(compiled, graph, source, **kwargs):
+            traversals.append(source)
+            return reachable(compiled, graph, source, **kwargs)
+
+        monkeypatch.setattr(IntPlan, "__init__", counting_lower)
+        monkeypatch.setattr(kernel, "reachable", counting_reachable)
+        assert evaluate_crpq(query, graph) == evaluate_crpq(
+            query, graph, use_index=False
+        )
+        assert len(traversals) > 10 * len(query.atoms)
+        # each atom reads one expression in one direction
+        assert len(lowered) <= len(query.atoms)
+
+
 class TestPlanning:
     def test_label_statistics(self, fig2):
         stats = label_statistics(fig2)

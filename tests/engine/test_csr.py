@@ -427,6 +427,32 @@ class TestKernelEdgeCases:
         assert self.both("a", graph, sources=["u", "ghost"]) == {("u", "v")}
         assert self.both("a", graph, sources=["ghost"]) == set()
 
+    def test_duplicate_unknown_and_one_shot_sources(self):
+        # Origin bits are numbered by source position, so repeats and
+        # strangers must be gone before numbering — and a generator can
+        # only be walked once.
+        graph = small_graph()
+        sources = ["u", "u", "ghost", "w", "u", "w"]
+        oracle = evaluate_rpq("_*", graph, sources=sources, use_csr=False)
+        assert oracle == {("u", "u"), ("u", "v"), ("u", "w"), ("w", "w")}
+        for use_csr in (True, False):
+            stats = EngineStats()
+            consumed = []
+
+            def one_shot():
+                for source in sources:
+                    consumed.append(source)
+                    yield source
+
+            pairs = evaluate_rpq(
+                "_*", graph, sources=one_shot(), use_csr=use_csr, stats=stats
+            )
+            assert consumed == sources
+            rows = list(pairs)
+            assert len(pairs) == len(rows) == len(set(rows)) == 4
+            assert pairs == oracle
+            assert stats.get("sweep_sources") == 2
+
     @settings(max_examples=40, deadline=None)
     @given(graph=graphs(max_nodes=3, max_edges=3))
     def test_tiny_graphs_all_orders(self, graph):
