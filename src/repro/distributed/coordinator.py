@@ -6,11 +6,13 @@ serve`` process) and evaluates RPQs over a graph partitioned by
 :mod:`repro.engine.partition`:
 
 1. **Seed** — every requested source node becomes ``(source, q0)`` product
-   codes with a one-bit origin mask, routed to the shard owning the source.
+   codes with a one-bit origin mask (bit ``i`` for the ``i``-th distinct
+   source, so a k-source query exchanges k-bit masks), routed to the shard
+   owning the source.
 2. **Scatter** — each shard with a non-empty frontier gets one
-   ``frontier_step`` request (all shards in parallel on a thread pool);
-   the shard advances the frontier to a *local* fixpoint and returns
-   answers plus cross-shard pairs.
+   ``frontier_step`` request (in parallel: all but one on a thread pool,
+   the last on the calling thread); the shard advances the frontier to a
+   *local* fixpoint and returns answers plus cross-shard pairs.
 3. **Gather** — the coordinator merges answers, filters cross pairs
    against the global ``known`` mask map (only *novel* origin bits travel
    again), and routes the novel bits to their owners as the next round's
@@ -23,9 +25,10 @@ shipped per round as each ``frontier_step``'s ``timeout`` param, so a
 straggler shard trips *inside* the round instead of the coordinator
 waiting out the stragglers.  **Fault handling**: a dead shard (connection
 loss or a shard-side ``internal``/``shutting_down`` envelope) raises the
-typed :class:`~repro.server.protocol.ShardUnavailableError` — a partial
-distributed answer is only ever surfaced as a *typed* budget trip, never
-as a silently-short result set.
+typed :class:`~repro.server.protocol.ShardUnavailableError`, and so does a
+shard that bounces codes back as not its own (its ownership and the
+coordinator's disagree) — a partial distributed answer is only ever
+surfaced as a *typed* budget trip, never as a silently-short result set.
 
 **Replicas**: :meth:`ShardCoordinator.replicate_graph` uploads full copies
 to a rendezvous-hashed subset of shards; :meth:`rpq`/:meth:`crpq` route
@@ -62,6 +65,7 @@ from collections.abc import Set
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor
 from concurrent.futures import wait as futures_wait
 from contextlib import nullcontext
+from functools import partial
 from itertools import islice
 
 from repro.distributed.breaker import BreakerOpenError, CircuitBreaker
@@ -832,6 +836,13 @@ class ShardCoordinator:
         entry = self._entry(name)
         if entry.shard_map is None:
             return self._replicated_pairs(entry, query, sources, budget)
+        if sources is not None:
+            # Read once, here: the distinct graph nodes in first-seen order
+            # are both the cache key and the origin-bit numbering.
+            order_index = entry.order_index
+            sources = list(
+                dict.fromkeys(s for s in sources if s in order_index)
+            )
         source_key = (
             None if sources is None
             else repr(sorted(sources, key=repr))
@@ -909,21 +920,21 @@ class ShardCoordinator:
         order_index = entry.order_index
         shard_of = entry.shard_map.shard_of
 
-        # Seed: (source, q0) codes, one origin bit per source, owner-routed.
+        # Seed: (source, q0) codes, owner-routed.  Origin bit i stands for
+        # the i-th seed node (``sources`` arrives distinct, see
+        # ``evaluate_rpq``), so a k-source query ships k-bit masks however
+        # large the graph is; with no sources bit == node position.
         known: dict[int, int] = {}
         pending: list[dict[int, int]] = [{} for _ in range(self.num_shards)]
-        seed_nodes = order if sources is None else [
-            source for source in sources if source in order_index
-        ]
+        seed_nodes = order if sources is None else sources
+        bit = 1
         for source in seed_nodes:
-            position = order_index[source]
-            bit = 1 << position
-            owner = shard_of(source)
-            shard_pending = pending[owner]
+            base = order_index[source] << bits
+            shard_pending = pending[shard_of(source)]
             for initial_state in plan.initial:
-                code = (position << bits) | initial_state
-                shard_pending[code] = shard_pending.get(code, 0) | bit
-                known[code] = known.get(code, 0) | bit
+                shard_pending[base | initial_state] = bit
+                known[base | initial_state] = bit
+            bit <<= 1
 
         answer_masks: dict[int, int] = {}
         pair_count = 0
@@ -964,17 +975,19 @@ class ShardCoordinator:
                         # frontier calls run on have empty span stacks, so
                         # the round span's context must ride in explicitly.
                         trace_ctx = tracer.trace_context()
-                        futures = [
-                            (
-                                shard,
-                                len(frontier),
-                                self._pool.submit(
-                                    self._frontier_call, shard, entry, query,
-                                    alphabet, bits, frontier, round_timeout,
-                                    rounds, trace_ctx,
-                                ),
-                            )
-                            for shard, frontier in calls
+                        step = partial(
+                            self._frontier_call, entry, query, alphabet, bits,
+                            round_timeout, rounds, trace_ctx,
+                        )
+                        # Every call but the last goes to the pool; the last
+                        # runs here, first, while the pool works — a round
+                        # with one call (any single-source query's first)
+                        # pays no thread hand-off.
+                        *pooled, last = calls
+                        fetches = [(last, partial(step, *last))]
+                        fetches += [
+                            (call, self._pool.submit(step, *call).result)
+                            for call in pooled
                         ]
                         frontier_codes = sum(len(f) for _, f in calls)
                         novel_bits = sum(
@@ -983,21 +996,35 @@ class ShardCoordinator:
                             for mask in frontier.values()
                         )
                         latencies: list[float] = []
-                        bytes_sent = bytes_received = bounced = 0
-                        for shard, frontier_size, future in futures:
-                            envelope = self._collect(shard, future, rounds)
+                        bytes_sent = bytes_received = 0
+                        for (shard, frontier), fetch in fetches:
+                            envelope = self._collect(shard, fetch, rounds)
                             result = envelope["result"]
                             latencies.append(envelope["elapsed"])
-                            received = len(json.dumps(result["answers"])) + len(
-                                json.dumps(result["cross"])
-                            )
                             bytes_sent += envelope["sent_bytes"]
-                            bytes_received += received
-                            bounced += result.get("bounced", 0) or 0
+                            bytes_received += envelope["received_bytes"]
+                            if result.get("bounced"):
+                                # The shard was sent codes it does not own:
+                                # its ownership and ours disagree.  The
+                                # bounced bits are already in ``known`` and
+                                # would be dropped below, for a short answer.
+                                if self.metrics is not None:
+                                    self.metrics.inc(
+                                        "coordinator_bounced_codes",
+                                        result["bounced"],
+                                    )
+                                raise ShardUnavailableError(
+                                    f"shard {shard} desynchronized mid-round: "
+                                    f"it bounced {result['bounced']} codes of "
+                                    f"frontier round {rounds} as not its own",
+                                    shard=shard,
+                                    round=rounds,
+                                    bounced=result["bounced"],
+                                )
                             if round_span is not None:
                                 self._graft_shard_trees(
                                     round_span, result, shard, rounds,
-                                    frontier_size, envelope, received,
+                                    len(frontier), envelope,
                                 )
                             for position, mask in decode_pairs(
                                 result["answers"]
@@ -1028,13 +1055,13 @@ class ShardCoordinator:
                                 )
                         self._record_round(
                             round_span, rounds, entry.name, len(calls),
-                            frontier_codes, novel_bits, bounced,
+                            frontier_codes, novel_bits,
                             bytes_sent, bytes_received, latencies,
                             time.perf_counter() - round_started,
                         )
         except BudgetExceeded as exc:
             raise exc.attach_partial(
-                PairRelation(order, order, answer_masks, pair_count)
+                PairRelation(seed_nodes, order, answer_masks, pair_count)
             )
         finally:
             self.rounds_total += rounds
@@ -1044,11 +1071,10 @@ class ShardCoordinator:
                     "coordinator_query_seconds",
                     time.perf_counter() - query_started,
                 )
-        return PairRelation(order, order, answer_masks, pair_count)
+        return PairRelation(seed_nodes, order, answer_masks, pair_count)
 
     def _graft_shard_trees(
-        self, round_span, result, shard, round_number,
-        frontier_size, envelope, received,
+        self, round_span, result, shard, round_number, frontier_size, envelope,
     ) -> None:
         """Attach a shard's returned span subtree under the round span.
 
@@ -1068,13 +1094,13 @@ class ShardCoordinator:
             attributes["round"] = round_number
             attributes["frontier"] = frontier_size
             attributes["wire_bytes_sent"] = envelope["sent_bytes"]
-            attributes["wire_bytes_received"] = received
+            attributes["wire_bytes_received"] = envelope["received_bytes"]
             attributes["latency_ms"] = round(envelope["elapsed"] * 1000, 3)
             round_span.graft(tree)
 
     def _record_round(
         self, round_span, round_number, graph, shard_count,
-        frontier_codes, novel_bits, bounced,
+        frontier_codes, novel_bits,
         bytes_sent, bytes_received, latencies, elapsed,
     ) -> None:
         """Per-round telemetry: span attributes, registry, slow-round log."""
@@ -1088,7 +1114,6 @@ class ShardCoordinator:
                 shards=shard_count,
                 frontier=frontier_codes,
                 novel_bits=novel_bits,
-                bounced=bounced,
                 wire_bytes_sent=bytes_sent,
                 wire_bytes_received=bytes_received,
                 straggler_gap_ms=round(gap * 1000, 3),
@@ -1098,8 +1123,6 @@ class ShardCoordinator:
             metrics.inc("coordinator_rounds_total")
             metrics.inc("coordinator_frontier_codes", frontier_codes)
             metrics.inc("coordinator_novel_bits_routed", novel_bits)
-            if bounced:
-                metrics.inc("coordinator_bounced_codes", bounced)
             metrics.inc("coordinator_wire_bytes_sent", bytes_sent)
             metrics.inc("coordinator_wire_bytes_received", bytes_received)
             metrics.observe("coordinator_round_seconds", elapsed)
@@ -1142,14 +1165,17 @@ class ShardCoordinator:
         return max(remaining - self.rtt_slack, 0.001)
 
     def _frontier_call(
-        self, shard, entry, query, alphabet, bits, frontier, round_timeout,
-        round_number=None, trace=None,
+        self, entry, query, alphabet, bits, round_timeout, round_number,
+        trace, shard, frontier,
     ) -> dict:
-        """One shard's round, on a pool thread.
+        """One shard's round, on a pool thread or the caller's.
 
-        Returns an envelope ``{result, elapsed, sent_bytes}`` — the
-        latency is clocked here (around the RPC alone) and *recorded* on
-        the coordinator thread, because the registry is not thread-safe.
+        Returns an envelope ``{result, elapsed, sent_bytes,
+        received_bytes}`` — the latency is clocked here (around the RPC
+        alone) and *recorded* on the coordinator thread, because the
+        registry is not thread-safe.  The byte counts are the lengths of
+        the request line the client wrote and the response line it read,
+        envelope included.
         """
         self.frontier_calls += 1
         breaker = self.breakers[shard]
@@ -1157,15 +1183,15 @@ class ShardCoordinator:
         # microseconds instead of a transport timeout per round, and the
         # caller surfaces it as a typed shard_unavailable with retry_after.
         breaker.check()
-        encoded = encode_pairs(frontier)
+        client = self._clients[shard]
         started = time.perf_counter()
         try:
             if fault_point("shard.crash"):
                 raise ConnectionLost("injected shard death (dropped)")
-            result = self._clients[shard].frontier_step(
+            result = client.frontier_step(
                 entry.name,
                 query,
-                frontier=encoded,
+                frontier=encode_pairs(frontier),
                 owned=entry.owned_hex[shard],
                 state_bits=bits,
                 alphabet=alphabet,
@@ -1188,13 +1214,15 @@ class ShardCoordinator:
         return {
             "result": result,
             "elapsed": time.perf_counter() - started,
-            "sent_bytes": len(json.dumps(encoded)),
+            "sent_bytes": client.last_request_bytes,
+            "received_bytes": client.last_response_bytes,
         }
 
-    def _collect(self, shard: int, future, round_number: int) -> dict:
+    def _collect(self, shard: int, fetch, round_number: int) -> dict:
+        """``fetch()``'s envelope, its failures mapped to typed errors."""
         host, port = self.addresses[shard]
         try:
-            return future.result()
+            return fetch()
         except BreakerOpenError as exc:
             raise ShardUnavailableError(
                 f"shard {shard} ({host}:{port}) refused by its open "

@@ -1,8 +1,8 @@
-"""Frontier wire codec and the shard-side product-BFS step.
+"""Frontier wire codec and the shard-side step of the partitioned sweep.
 
 The distributed RPQ evaluation (DESIGN.md §11) is the kernel's
 origin-tracking sweep cut along shard boundaries.  A product pair
-``(node, state)`` is a **packed int code** ``(order_index << state_bits) |
+``(node, state)`` is a **packed int code** ``(position << state_bits) |
 state_int`` over two *shared* orderings every process derives
 independently:
 
@@ -10,22 +10,26 @@ independently:
   :mod:`repro.graph.serialize` writes, identical in the coordinator and in
   every shard because each shard subgraph holds the full node set;
 * the **state order**: the trimmed Glushkov NFA's states sorted by
-  ``repr`` (the :class:`~repro.engine.cache.IntPlan` numbering).  The
-  automaton itself is a pure function of (regex text, alphabet), so the
-  coordinator ships the *global* alphabet in every request — a shard
-  compiling over only its local labels would trim differently and
-  misnumber states.
+  ``repr`` (:func:`repro.engine.cache.number_states`, the one numbering the
+  coordinator's :func:`automaton_plan` and a shard's
+  :class:`~repro.engine.cache.IntPlan` both use).  The automaton itself is
+  a pure function of (regex text, alphabet), so the coordinator ships the
+  *global* alphabet in every request — a shard compiling over only its
+  local labels would trim differently and misnumber states.
 
 A **frontier** maps codes to **origin bitmasks** (bit ``i`` = "reachable
-from the ``i``-th node in the shared order"), exactly the kernel's
-multi-source sweep state.  On the wire, a frontier is the sorted code list
-delta-encoded (small ints, cheap JSON) plus a parallel list of hex masks.
+from the ``i``-th source of the query"; the coordinator numbers them and a
+shard only ever ORs and forwards them), exactly the kernel's multi-source
+sweep state.  On the wire, a frontier is the sorted code list delta-encoded
+(small ints, cheap JSON) plus a parallel list of hex masks.
 
 :func:`local_frontier_step` is what the ``frontier_step`` protocol op runs
-on a shard: advance the received frontier to a *local* fixpoint over the
-edges this shard owns, record answers for owned final-state pairs, and
-return the cross-shard pairs (codes whose node another shard owns) for the
-coordinator to route.
+on a shard.  It owns no search of its own: it translates the received
+codes from shared positions to the interner ids of the graph's CSR
+snapshot, runs :func:`repro.engine.kernel.csr_worklist` — the loop the
+single-node sweep runs — with this shard's ownership table, and translates
+the answers and the cross-shard pairs back.  The translation tables are
+derived once per snapshot (:func:`_numbering`), not per step.
 """
 
 from __future__ import annotations
@@ -33,9 +37,10 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple
 
-from repro.engine.cache import DEFAULT_CACHE, CompiledQuery
+from repro.engine.cache import DEFAULT_CACHE, CompiledQuery, number_states
+from repro.engine.csr import CSRGraph, get_csr
 from repro.engine.faults import fault_point
-from repro.engine.index import get_index
+from repro.engine.kernel import csr_worklist
 from repro.graph.edge_labeled import EdgeLabeledGraph, ObjectId
 
 
@@ -50,46 +55,25 @@ def node_order(graph: EdgeLabeledGraph) -> list[ObjectId]:
 
 
 class AutomatonPlan(NamedTuple):
-    """A compiled query plus the shared int numbering of its states."""
+    """A compiled query plus what the coordinator packs seed codes with."""
 
     compiled: CompiledQuery
-    state_ids: dict
     state_bits: int
     initial: tuple[int, ...]
-    finals: frozenset[int]
-    #: state int -> tuple of (symbol, (next state ints, ...)) rows
-    delta: tuple
 
 
 def automaton_plan(query: str, alphabet, stats=None) -> AutomatonPlan:
     """Compile ``query`` over exactly ``alphabet`` with shared numbering.
 
-    Every participant (coordinator and all shards) calls this with the same
-    query text and the same alphabet, so the resulting state ints agree
-    bit-for-bit; ``state_bits`` travels in each request as a cheap
+    Every participant (coordinator and all shards) compiles the same query
+    text over the same alphabet and numbers the states through
+    :func:`~repro.engine.cache.number_states`, so the resulting state ints
+    agree bit-for-bit; ``state_bits`` travels in each request as a cheap
     divergence check.
     """
-    sigma = frozenset(alphabet)
-    compiled = DEFAULT_CACHE.compile(query, sigma, stats=stats)
-    states = sorted(compiled.nfa.states, key=repr)
-    state_ids = {state: index for index, state in enumerate(states)}
-    state_bits = (len(states) - 1).bit_length() if states else 0
-    delta = []
-    for state in states:
-        rows = [
-            (symbol, tuple(state_ids[s] for s in successors))
-            for symbol, successors in compiled.delta.get(state, {}).items()
-        ]
-        rows.sort(key=lambda row: repr(row[0]))
-        delta.append(tuple(rows))
-    return AutomatonPlan(
-        compiled=compiled,
-        state_ids=state_ids,
-        state_bits=state_bits,
-        initial=tuple(sorted(state_ids[s] for s in compiled.initial)),
-        finals=frozenset(state_ids[s] for s in compiled.finals),
-        delta=tuple(delta),
-    )
+    compiled = DEFAULT_CACHE.compile(query, frozenset(alphabet), stats=stats)
+    _, state_bits, initial = number_states(compiled)
+    return AutomatonPlan(compiled, state_bits, initial)
 
 
 # ----------------------------------------------------------------------
@@ -147,6 +131,43 @@ def decode_mask(text) -> int:
 # ----------------------------------------------------------------------
 # the shard-side step
 # ----------------------------------------------------------------------
+class _Numbering(NamedTuple):
+    """One snapshot's shared node numbering against its interner ids."""
+
+    owned_mask: int
+    #: shared position -> interner id
+    id_of: list[int]
+    #: interner id -> shared position
+    position_of: list[int]
+    #: interner id -> 1 where this shard owns the node
+    owned: bytes
+
+
+def _numbering(csr: CSRGraph, owned_mask: int) -> _Numbering:
+    """The numbering held with ``csr``, derived when absent.
+
+    The ``repr`` sort of every node is most of what a step on a light
+    frontier would cost, and it depends only on the snapshot's node list:
+    it is computed once and kept on the snapshot, so it lasts exactly as
+    long as the snapshot does (:func:`~repro.engine.csr.get_csr` makes a
+    new one when the graph is written) and every partitioned graph a
+    process holds has its own.  A shard is only ever sent its own
+    ownership mask; a different one simply derives again.  Racing requests
+    compute equal values and publish with one assignment.
+    """
+    held = csr.shard_numbering
+    if held is not None and held.owned_mask == owned_mask:
+        return held
+    nodes = csr.interner.nodes
+    id_of = sorted(range(len(nodes)), key=lambda node: repr(nodes[node]))
+    position_of = [0] * len(nodes)
+    for position, node in enumerate(id_of):
+        position_of[node] = position
+    owned = bytes((owned_mask >> position) & 1 for position in position_of)
+    held = csr.shard_numbering = _Numbering(owned_mask, id_of, position_of, owned)
+    return held
+
+
 def local_frontier_step(
     graph: EdgeLabeledGraph,
     query: str,
@@ -161,82 +182,79 @@ def local_frontier_step(
     """Advance ``frontier`` to a local fixpoint over this shard's edges.
 
     ``frontier`` maps packed codes (owned by this shard) to the origin
-    masks the coordinator found *novel*; expansion stays within the owned
-    node set — a successor owned elsewhere is accumulated as a cross pair
-    instead of being queued.  Returns ``answers`` (node order index ->
-    origin mask for final-state pairs), ``cross`` (code -> novel origin
-    mask for other shards), and expansion counters.
+    masks the coordinator found *novel*.  The kernel's worklist runs from
+    them over the graph's CSR rows with this shard's ownership table, so
+    expansion stays within the owned node set: a successor owned elsewhere
+    leaves the loop as a cross pair instead of being expanded.  A seed this
+    shard does not own never enters the loop: it is an answer if its state
+    is final, bounced back in ``cross``, and counted in ``bounced`` (the
+    coordinator treats any as a desynchronized exchange).  Returns
+    ``answers`` (node position -> origin mask for final-state pairs),
+    ``cross`` (code -> origin mask for other shards), and expansion
+    counters; the origin bits are opaque here.
 
     Raises ValueError when ``state_bits`` disagrees with the automaton this
     shard compiles — the divergence tripwire for a coordinator and shard
-    that somehow built different automata.
+    that somehow built different automata — or when a code names a node
+    position or a state that does not exist.
     """
     fault_point("shard.frontier_step")
-    plan = automaton_plan(query, alphabet, stats=stats)
+    compiled = DEFAULT_CACHE.compile(query, frozenset(alphabet), stats=stats)
+    csr = get_csr(graph, stats)
+    plan = compiled.int_plan(csr.interner)
     if plan.state_bits != state_bits:
         raise ValueError(
             f"automaton mismatch: coordinator packed {state_bits} state bits, "
             f"shard compiled {plan.state_bits}"
         )
-    order = node_order(graph)
-    index_of = {node: position for position, node in enumerate(order)}
-    index = get_index(graph, stats)
-    state_mask = (1 << state_bits) - 1
-    finals = plan.finals
-    delta = plan.delta
-    out_edges = index.out_edges
-    tick = budget.tick if budget is not None else None
+    _, id_of, position_of, owned = _numbering(csr, owned_mask)
+    state_mask = plan.state_mask
+    num_nodes = len(id_of)
+    num_states = plan.num_states
+    finals_mask = plan.finals_mask
 
-    #: code -> union of origin bits already seen at that pair this step
-    known = dict(frontier)
-    pending = dict(frontier)
-    queue = deque(pending)
-    answers: dict[int, int] = {}
+    # Everything between here and the encoding is in interner-id space.
+    origins: dict[int, int] = {}
+    pending: dict[int, int] = {}
+    queue = deque()
+    answer_masks: dict[int, int] = {}
     cross: dict[int, int] = {}
-    expanded = 0
-    relaxed = 0
     bounced = 0
-    while queue:
-        code = queue.popleft()
-        fresh = pending.pop(code, 0)
-        if not fresh:
-            continue
-        if tick is not None:
-            tick()
-        expanded += 1
-        node_idx = code >> state_bits
+    for code, mask in frontier.items():
+        position = code >> state_bits
         state = code & state_mask
-        if state in finals:
-            recorded = answers.get(node_idx, 0)
-            if fresh & ~recorded:
-                answers[node_idx] = recorded | fresh
-        if not (owned_mask >> node_idx) & 1:
-            # A mis-routed seed: never expand another shard's node; bounce
-            # it back as a cross pair and let the coordinator re-route.
-            cross[code] = cross.get(code, 0) | fresh
-            bounced += 1
+        if not 0 <= position < num_nodes:
+            raise ValueError(
+                f"frontier code {code} names node position {position}; "
+                f"the graph has {num_nodes} nodes"
+            )
+        if state >= num_states:
+            raise ValueError(
+                f"frontier code {code} names state {state}; "
+                f"the automaton has {num_states} states"
+            )
+        if not mask:
             continue
-        node = order[node_idx]
-        for symbol, next_states in delta[state]:
-            for _edge, target in out_edges(node, symbol):
-                relaxed += 1
-                target_idx = index_of[target]
-                base = target_idx << state_bits
-                target_owned = (owned_mask >> target_idx) & 1
-                for next_state in next_states:
-                    successor = base | next_state
-                    seen = known.get(successor, 0)
-                    novel = fresh & ~seen
-                    if not novel:
-                        continue
-                    known[successor] = seen | novel
-                    if target_owned:
-                        queued = pending.get(successor, 0)
-                        pending[successor] = queued | novel
-                        if not queued:
-                            queue.append(successor)
-                    else:
-                        cross[successor] = cross.get(successor, 0) | novel
+        node = id_of[position]
+        seed = (node << state_bits) | state
+        if owned[node]:
+            origins[seed] = pending[seed] = mask
+            queue.append(seed)
+        else:
+            if (finals_mask >> state) & 1:
+                answer_masks[node] = answer_masks.get(node, 0) | mask
+            cross[seed] = mask
+            bounced += 1
+    expanded, relaxed, _rows = csr_worklist(
+        plan, csr.out_rows, origins, pending, queue, answer_masks,
+        budget.tick if budget is not None else None, None,
+        owned=owned, cross=cross,
+    )
+    answers = {position_of[node]: mask for node, mask in answer_masks.items()}
+    cross = {
+        (position_of[code >> state_bits] << state_bits) | (code & state_mask): mask
+        for code, mask in cross.items()
+    }
     if stats is not None:
         stats.count("frontier_steps")
         stats.count("frontier_expanded", expanded)

@@ -97,11 +97,31 @@ class CompiledQuery:
         return f"<CompiledQuery states={self.nfa.num_states} alphabet={len(self.alphabet)}>"
 
 
+def number_states(compiled: "CompiledQuery") -> tuple[dict, int, tuple]:
+    """The dense int numbering of ``compiled``'s states, and what packs by it.
+
+    ``(state_ids, state_bits, initial)``: each state's position among the
+    states sorted by ``repr`` (the dict iterates in that order), the width
+    of the state field in a packed product code, and the initial states'
+    ints in increasing order.  A pure
+    function of the automaton, so every process that compiles the same
+    query over the same alphabet packs the same codes: :class:`IntPlan`
+    (the kernel, a shard's step) and
+    :func:`repro.distributed.frontier.automaton_plan` (the coordinator's
+    seeding) both number through here.
+    """
+    states = sorted(compiled.nfa.states, key=repr)
+    state_ids = {state: index for index, state in enumerate(states)}
+    state_bits = (len(states) - 1).bit_length() if states else 0
+    initial = tuple(sorted(state_ids[state] for state in compiled.initial))
+    return state_ids, state_bits, initial
+
+
 class IntPlan:
     """A :class:`CompiledQuery` lowered into one interner's int space.
 
     This is the automaton half of the flat data plane: states become dense
-    ints ``0..m-1`` (deterministic ``repr``-sorted numbering), symbols
+    ints ``0..m-1`` (:func:`number_states`), symbols
     become the interner's label ints, finals become a bitmask, and the
     transition function becomes a per-state tuple of
     ``(label_int, next_state_ints)`` rows — exactly what the CSR kernel
@@ -129,21 +149,16 @@ class IntPlan:
 
     def __init__(self, compiled: "CompiledQuery", interner):
         self.interner_uid = interner.uid
-        states = sorted(compiled.nfa.states, key=repr)
-        self.state_ids = {state: index for index, state in enumerate(states)}
-        self.num_states = len(states)
-        self.state_bits = (self.num_states - 1).bit_length() if states else 0
+        self.state_ids, self.state_bits, self.initial = number_states(compiled)
+        self.num_states = len(self.state_ids)
         self.state_mask = (1 << self.state_bits) - 1
-        self.initial = tuple(
-            sorted(self.state_ids[state] for state in compiled.initial)
-        )
         finals_mask = 0
         for state in compiled.finals:
             finals_mask |= 1 << self.state_ids[state]
         self.finals_mask = finals_mask
         label_id = interner.label_id
         delta = []
-        for state in states:
+        for state in self.state_ids:
             rows = []
             for symbol, successors in compiled.delta.get(state, {}).items():
                 label_int = label_id(symbol)

@@ -125,10 +125,16 @@ class CSRGraph:
 
     The kernel sweeps read ``out_rows`` only, so that is what a build and a
     catch-up maintain; ``in_rows`` is derived from it on first use.
+
+    ``shard_numbering`` is a slot for :mod:`repro.distributed.frontier`: the
+    node numbering a partitioned graph's processes share is a function of
+    this snapshot's node list, so it is kept here (as the snapshot is kept
+    on the graph) and goes when a write replaces the snapshot.
     """
 
     __slots__ = (
         "version", "interner", "num_nodes", "num_edges", "out_rows", "_in_rows",
+        "shard_numbering",
     )
 
     def __init__(self, graph: EdgeLabeledGraph, interner: "Interner | None" = None):
@@ -152,6 +158,7 @@ class CSRGraph:
             _pack_rows(srcs[li], tgts[li], n) for li in range(num_labels)
         ]
         self._in_rows = None
+        self.shard_numbering = None
 
     def caught_up(self, graph: EdgeLabeledGraph) -> "CSRGraph":
         """The snapshot of ``graph``'s current version, derived from this one.
@@ -196,6 +203,7 @@ class CSRGraph:
             for li, row in enumerate(self.out_rows + [unseen] * len(new_labels))
         ]
         caught._in_rows = None
+        caught.shard_numbering = None
         return caught
 
     @property

@@ -18,6 +18,10 @@ once, properly:
   ``(node_int << k) | state_int`` codes with bytearray-bitset visited sets
   and int-bitmask origin tracking (one bit per *source of the call*, so a
   k-source sweep carries k-bit masks) — pure stdlib, no numpy;
+* the multi-source sweep's worklist is one loop (:func:`csr_worklist`)
+  that also takes an ownership table, so a shard of a partitioned graph
+  (:mod:`repro.distributed.frontier`) steps on the same code with the same
+  fault site and budget ticks — all-owned is the single-node sweep;
 * the CSR sweep returns what it computed: one origin mask per target node,
   wrapped undecoded in a read-only
   :class:`~repro.engine.relation.PairRelation` (``len`` and ``in`` never
@@ -632,13 +636,10 @@ def _csr_sweep(
     ``&``/``|``/``~`` operations.  Bit ``i`` stands for the ``i``-th source
     of the call (``sources``: distinct nodes; ``None``: the interner's own
     node list, so bit == node id), which keeps a k-source sweep on k-bit
-    masks however large the graph is.  ``pending`` doubles as the queued
-    signal: a code is in the queue iff its pending mask is nonzero, so the
-    dict sweep's separate ``queued`` set disappears.  Answers accumulate as
-    per-target origin masks with an incremental ``bit_count`` row total,
-    keeping ``check_rows`` cadence identical to the dict sweep (checked
-    once per batch of freshly arriving origins) — and those masks *are* the
-    result: they are handed back as a :class:`PairRelation`, undecoded.
+    masks however large the graph is.  The seeded worklist runs in
+    :func:`csr_worklist` with every node owned; the per-target answer masks
+    it leaves *are* the result: they are handed back as a
+    :class:`PairRelation`, undecoded.
     """
     csr = get_csr(graph, stats)
     interner = csr.interner
@@ -646,11 +647,6 @@ def _csr_sweep(
     node_ids = interner._node_ids
     source_list = interner._nodes if sources is None else sources
     k = plan.state_bits
-    state_mask = plan.state_mask
-    finals_mask = plan.finals_mask
-    delta = plan.delta
-    out_rows = csr.out_rows
-    fire = FAULTS.fire if FAULTS.enabled else None
     #: code -> every origin (as a bitmask) that ever reached the pair
     origins: dict[int, int] = {}
     #: code -> origins not yet pushed to the pair's successors (nonzero
@@ -671,63 +667,16 @@ def _csr_sweep(
         bit <<= 1
     #: target node int -> origins that reach it in a final state (nonzero)
     answer_masks: dict[int, int] = {}
-    answer_count = 0
-    expanded = 0
-    relaxed = 0
-    popleft = queue.popleft
-    pending_pop = pending.pop
-    origins_get = origins.get
-    pending_get = pending.get
-    answers_get = answer_masks.get
     try:
-        while queue:
-            code = popleft()
-            fresh = pending_pop(code, 0)
-            if not fresh:
-                continue
-            expanded += 1
-            if fire is not None:
-                fire("kernel.step")
-            if tick is not None:
-                tick()
-            state = code & state_mask
-            node = code >> k
-            if (finals_mask >> state) & 1:
-                prev = answers_get(node, 0)
-                new = fresh & ~prev
-                if new:
-                    answer_masks[node] = prev | new
-                    answer_count += new.bit_count()
-                    if check_rows is not None:
-                        check_rows(answer_count)
-            rows = delta[state]
-            if not rows:
-                continue
-            for label_int, next_states in rows:
-                offsets, targets = out_rows[label_int]
-                lo = offsets[node]
-                hi = offsets[node + 1]
-                if lo == hi:
-                    continue
-                relaxed += hi - lo
-                for target in targets[lo:hi]:
-                    base = target << k
-                    for next_state in next_states:
-                        succ = base | next_state
-                        known = origins_get(succ, 0)
-                        novel = fresh & ~known
-                        if novel:
-                            origins[succ] = known | novel
-                            pend = pending_get(succ, 0)
-                            if pend:
-                                pending[succ] = pend | novel
-                            else:
-                                pending[succ] = novel
-                                append(succ)
+        expanded, relaxed, answer_count = csr_worklist(
+            plan, csr.out_rows, origins, pending, queue, answer_masks,
+            tick, check_rows,
+        )
     except BudgetExceeded as exc:
         if stats is not None:
             stats.count("budget_exceeded")
             stats.add_time("bfs", time.perf_counter() - started)
+        answer_count = sum(mask.bit_count() for mask in answer_masks.values())
         _raise_with_partial(
             exc,
             PairRelation(source_list, interner._nodes, answer_masks, answer_count),
@@ -740,3 +689,91 @@ def _csr_sweep(
         stats.count("answers", answer_count)
         stats.add_time("bfs", time.perf_counter() - started)
     return PairRelation(source_list, interner._nodes, answer_masks, answer_count)
+
+
+def csr_worklist(
+    plan, out_rows, origins, pending, queue, answer_masks, tick, check_rows,
+    owned=None, cross=None,
+) -> tuple[int, int, int]:
+    """Run a seeded origin-mask worklist over CSR rows to its fixpoint.
+
+    The one product-BFS loop of the flat data plane: the single-node sweep
+    above and a shard's frontier step
+    (:func:`repro.distributed.frontier.local_frontier_step`) both seed
+    ``origins``/``pending``/``queue`` and call it.  ``pending`` doubles as
+    the queued signal: a code is in the queue iff its pending mask is
+    nonzero, so the dict sweep's separate ``queued`` set disappears.
+    Answers accumulate in ``answer_masks`` as per-target origin masks with
+    an incremental ``bit_count`` row total, keeping ``check_rows`` cadence
+    identical to the dict sweep (checked once per batch of freshly arriving
+    origins).
+
+    ``owned`` (indexed by node int, truthy where this process owns the
+    node) cuts the sweep along a partition: a popped code whose node is not
+    owned hands its fresh origins to ``cross[code]`` and is neither
+    expanded nor recorded as an answer.  The test runs once per pop, never
+    per edge; ``owned=None`` owns everything and is the single-node sweep.
+    Returns ``(expanded, relaxed, answer rows added)``.
+    """
+    k = plan.state_bits
+    state_mask = plan.state_mask
+    finals_mask = plan.finals_mask
+    delta = plan.delta
+    fire = FAULTS.fire if FAULTS.enabled else None
+    answer_count = 0
+    expanded = 0
+    relaxed = 0
+    append = queue.append
+    popleft = queue.popleft
+    pending_pop = pending.pop
+    origins_get = origins.get
+    pending_get = pending.get
+    answers_get = answer_masks.get
+    while queue:
+        code = popleft()
+        fresh = pending_pop(code, 0)
+        if not fresh:
+            continue
+        node = code >> k
+        if owned is not None and not owned[node]:
+            cross[code] = cross.get(code, 0) | fresh
+            continue
+        expanded += 1
+        if fire is not None:
+            fire("kernel.step")
+        if tick is not None:
+            tick()
+        state = code & state_mask
+        if (finals_mask >> state) & 1:
+            prev = answers_get(node, 0)
+            new = fresh & ~prev
+            if new:
+                answer_masks[node] = prev | new
+                answer_count += new.bit_count()
+                if check_rows is not None:
+                    check_rows(answer_count)
+        rows = delta[state]
+        if not rows:
+            continue
+        for label_int, next_states in rows:
+            offsets, targets = out_rows[label_int]
+            lo = offsets[node]
+            hi = offsets[node + 1]
+            if lo == hi:
+                continue
+            relaxed += hi - lo
+            for target in targets[lo:hi]:
+                base = target << k
+                for next_state in next_states:
+                    succ = base | next_state
+                    known = origins_get(succ, 0)
+                    novel = fresh & ~known
+                    if novel:
+                        origins[succ] = known | novel
+                        pend = pending_get(succ, 0)
+                        if pend:
+                            pending[succ] = pend | novel
+                        else:
+                            pending[succ] = novel
+                            append(succ)
+    return expanded, relaxed, answer_count

@@ -153,6 +153,11 @@ class ServerClient:
         self.control_timeout = control_timeout
         self.retry = retry
         self.reconnects = 0
+        #: length of the last request line written and of the last response
+        #: line read (a caller that accounts for wire bytes reads them right
+        #: after the call, instead of serializing the payloads again).
+        self.last_request_bytes = 0
+        self.last_response_bytes = 0
         self._generation = -1
         self._connect()
 
@@ -257,8 +262,10 @@ class ServerClient:
 
     def _exchange(self, op: str, **params: Any) -> Any:
         request_id = self._next_id()
+        request_line = encode_request(op, id=request_id, **params)
+        self.last_request_bytes = len(request_line)
         try:
-            self._file.write(encode_request(op, id=request_id, **params))
+            self._file.write(request_line)
             self._file.flush()
         except (BrokenPipeError, ConnectionResetError, OSError) as exc:
             raise self._lost(f"request write failed: {exc}") from exc
@@ -274,6 +281,7 @@ class ServerClient:
             # A half-closed connection: the server died mid-line and the
             # socket returned a prefix of the response.
             raise self._lost("connection lost mid-response (truncated line)")
+        self.last_response_bytes = len(line)
         response = decode_response(line)
         if response.get("id") != request_id:
             raise self._lost(
@@ -468,9 +476,9 @@ class ServerClient:
         ownership mask, ``alphabet`` the *global* label alphabet the
         automaton must be compiled over.  ``round`` (annotation only) and
         an explicit ``trace`` context let the coordinator attribute the
-        shard's spans: the coordinator calls this from pool threads whose
-        own span stacks are empty, so auto-injection cannot see the round
-        span and the context must ride in explicitly.
+        shard's spans: the coordinator calls this mostly from pool threads
+        whose own span stacks are empty, so auto-injection cannot see the
+        round span and the context must ride in explicitly.
         """
         params: dict = {
             "graph": graph,

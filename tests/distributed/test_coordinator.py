@@ -220,3 +220,79 @@ class TestBudgetsAndCache:
 
         with pytest.raises(GraphNotFoundError):
             cluster.evaluate_rpq("never-distributed", "a")
+
+
+class TestSources:
+    """Origin bit ``i`` is the ``i``-th distinct source that is a node: the
+    iterable is read once, and what is left of it keys the cache."""
+
+    QUERY = "a (a + b)*"
+
+    @pytest.fixture(scope="class")
+    def partitioned(self, cluster):
+        graph = random_graph(50, 150, labels=("a", "b"), seed=17)
+        name = fresh_name("s")
+        cluster.partition_graph(name, graph)
+        return name, graph
+
+    def test_repeats_and_non_nodes_are_dropped(self, cluster, partitioned):
+        name, graph = partitioned
+        sources = ["v9", "v9", "nope", "v3"]
+        assert cluster.evaluate_rpq(
+            name, self.QUERY, sources=sources
+        ) == evaluate_rpq(self.QUERY, graph, sources=["v9", "v3"])
+
+    def test_one_shot_iterable_is_read_once_and_cached_by_content(
+        self, cluster, partitioned
+    ):
+        name, graph = partitioned
+        sources = ["v1", "v20", "v41"]
+        expected = evaluate_rpq(self.QUERY, graph, sources=sources)
+        assert expected
+        assert cluster.evaluate_rpq(
+            name, self.QUERY, sources=(source for source in sources)
+        ) == expected
+        hits_before = cluster.answer_cache.hits
+        assert cluster.evaluate_rpq(name, self.QUERY, sources=sources) == expected
+        assert cluster.answer_cache.hits == hits_before + 1
+
+    def test_more_sources_than_a_machine_word(self, cluster, partitioned):
+        name, graph = partitioned
+        sources = [f"v{index}" for index in range(49, 9, -1)]
+        assert cluster.evaluate_rpq(
+            name, self.QUERY, sources=sources
+        ) == evaluate_rpq(self.QUERY, graph, sources=sources)
+
+    def test_no_sources_means_every_node(self, cluster, partitioned):
+        name, graph = partitioned
+        assert cluster.evaluate_rpq(name, self.QUERY, sources=None) == (
+            evaluate_rpq(self.QUERY, graph)
+        )
+
+
+class TestOwnershipDisagreement:
+    def test_bounced_codes_raise_instead_of_shortening_the_answer(self, cluster):
+        # A shard that is told it owns nothing bounces every code it is
+        # sent.  The coordinator already knows those bits, so re-routing
+        # them is a no-op: it must fail typed, and cache nothing.
+        from repro.server.protocol import ShardUnavailableError
+
+        graph = random_graph(30, 90, labels=("a", "b"), seed=21)
+        name = fresh_name()
+        cluster.partition_graph(name, graph)
+        entry = cluster._entry(name)
+        honest = entry.owned_hex[0]
+        entry.owned_hex[0] = "0"
+        with pytest.raises(ShardUnavailableError) as excinfo:
+            cluster.evaluate_rpq(name, "(a + b)*")
+        assert "desynchronized mid-round" in str(excinfo.value)
+        details = excinfo.value.details
+        assert details["shard"] == 0
+        assert details["round"] == 1
+        assert details["bounced"] > 0
+        entry.owned_hex[0] = honest
+        hits_before = cluster.answer_cache.hits
+        assert cluster.evaluate_rpq(name, "(a + b)*") == evaluate_rpq(
+            "(a + b)*", graph
+        )
+        assert cluster.answer_cache.hits == hits_before
