@@ -10,7 +10,7 @@ relation.
   exactly the pre-engine pipeline (``run_query_log_sequential``);
 * **batch path** — :class:`~repro.engine.batch.BatchExecutor` with the
   default thread pool: structural deduplication, one warm compile per
-  unique expression, one label index, one multi-source sweep per unique
+  unique expression, one CSR snapshot, one multi-source sweep per unique
   query (``run_query_log``).
 
 Both paths must produce identical answer sets; the speedup gate asserts
@@ -78,49 +78,6 @@ def test_batch_executor_vs_sequential_seed(workload_records):
             "engine_stats": batch.stats.as_dict() if batch.stats else None,
         }
     )
-
-
-def test_csr_batch_vs_dict_batch(workload_records):
-    """The same batch workload on the two kernel data planes.
-
-    Everything else is held equal — dedup, warm compile cache, thread pool,
-    multi-source sweep — so the ratio isolates the CSR plane's traversal
-    win across a realistic query-log mix (short words dominate, stars in
-    the tail, so the aggregate ratio sits well below the pure-sweep gate of
-    ``bench_engine.py``; the bar here is only that CSR must not lose).
-    """
-    graph = random_graph(NUM_NODES, NUM_EDGES, labels=LABELS, seed=11)
-    log = generate_query_log(NUM_QUERIES, labels=LABELS, seed=3)
-
-    warm_csr = run_query_log(graph, log, use_csr=True)
-    warm_dict = run_query_log(graph, log, use_csr=False)
-    assert warm_csr.results == warm_dict.results, "planes must agree exactly"
-
-    def med(use_csr):
-        samples = []
-        for _ in range(BATCH_REPEATS):
-            start = time.perf_counter()
-            run_query_log(graph, log, use_csr=use_csr)
-            samples.append(time.perf_counter() - start)
-        return statistics.median(samples)
-
-    csr_s = med(True)
-    dict_s = med(False)
-    ratio = dict_s / csr_s if csr_s > 0 else float("inf")
-    workload_records.append(
-        {
-            "workload": "querylog_csr_vs_dict_plane",
-            "smoke": SMOKE,
-            "num_queries": NUM_QUERIES,
-            "num_edges": NUM_EDGES,
-            "csr_median_s": csr_s,
-            "dict_median_s": dict_s,
-            "speedup": ratio,
-        }
-    )
-    # Conservative bar: workloads are dominated by tiny queries where both
-    # planes are fast; CSR must at minimum hold parity within noise.
-    assert ratio >= 0.85, f"CSR plane lost to the dict plane: {ratio:.2f}x"
 
 
 def test_batch_speedup_gate(workload_records):

@@ -36,13 +36,12 @@ def _load_graph(spec: str) -> EdgeLabeledGraph:
 
 
 def _engine_options(args: argparse.Namespace):
-    """The (use_index, use_csr, stats) triple the engine commands share."""
+    """The (use_index, stats) pair the engine commands share."""
     from repro.engine.stats import EngineStats
 
     use_index = not getattr(args, "no_index", False)
-    use_csr = not getattr(args, "no_csr", False)
     stats = EngineStats() if getattr(args, "stats", False) else None
-    return use_index, use_csr, stats
+    return use_index, stats
 
 
 def _report_stats(stats) -> None:
@@ -78,11 +77,11 @@ def _cmd_rpq(args: argparse.Namespace) -> int:
 
     graph = _load_graph(args.graph)
     sources = [args.source] if args.source else None
-    use_index, use_csr, stats = _engine_options(args)
+    use_index, stats = _engine_options(args)
     try:
         pairs = evaluate_rpq(
             args.query, graph, sources=sources, use_index=use_index,
-            use_csr=use_csr, stats=stats, budget=_make_budget(args),
+            stats=stats, budget=_make_budget(args),
         )
     except BudgetExceeded as exc:
         for source, target in sorted(exc.partial or (), key=repr):
@@ -100,11 +99,11 @@ def _cmd_crpq(args: argparse.Namespace) -> int:
     from repro.engine.limits import BudgetExceeded
 
     graph = _load_graph(args.graph)
-    use_index, use_csr, stats = _engine_options(args)
+    use_index, stats = _engine_options(args)
     try:
         rows = evaluate_crpq(
-            args.query, graph, use_index=use_index, use_csr=use_csr,
-            stats=stats, budget=_make_budget(args),
+            args.query, graph, use_index=use_index, stats=stats,
+            budget=_make_budget(args),
         )
     except BudgetExceeded as exc:
         for row in sorted(exc.partial or (), key=repr):
@@ -122,9 +121,7 @@ def _cmd_paths(args: argparse.Namespace) -> int:
     from repro.rpq.path_modes import matching_paths
 
     graph = _load_graph(args.graph)
-    # Path enumeration walks paths object-by-object and never enters the
-    # kernel relation loops, so the CSR flag is irrelevant here.
-    use_index, _use_csr, stats = _engine_options(args)
+    use_index, stats = _engine_options(args)
     count = 0
     try:
         # Paths stream out as they are found, so everything printed before
@@ -326,7 +323,6 @@ def _cmd_workload_run(args: argparse.Namespace) -> int:
                 log,
                 jobs=args.jobs,
                 fork=args.fork,
-                multi_source=not args.per_source,
                 slow_log=args.slow_log,
                 stats=stats,
                 budget=_make_budget(args),
@@ -863,14 +859,8 @@ def build_parser() -> argparse.ArgumentParser:
         subparser.add_argument(
             "--no-index",
             action="store_true",
-            help="bypass the label index and compilation cache (the naive "
-            "seed evaluator; the differential-testing oracle)",
-        )
-        subparser.add_argument(
-            "--no-csr",
-            action="store_true",
-            help="run the kernel on the dict data plane instead of the flat "
-            "int-encoded CSR rows (the CSR differential-testing oracle)",
+            help="bypass the engine's indexes and compilation cache (the "
+            "naive seed evaluator; the differential-testing oracle)",
         )
 
     def add_budget_flags(subparser: argparse.ArgumentParser) -> None:
@@ -1030,11 +1020,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--fork",
         action="store_true",
         help="use a process pool instead of threads",
-    )
-    wrun.add_argument(
-        "--per-source",
-        action="store_true",
-        help="disable the multi-source sweep (per-source BFS oracle)",
     )
     wrun.add_argument(
         "--baseline",

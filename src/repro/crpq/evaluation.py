@@ -9,8 +9,9 @@ access path:
 
 * left term bound  -> forward reachability from the bound node;
 * right term bound -> reachability of the *reversed* expression over the
-  reversed graph (Section 6.2's product construction runs equally well
-  backwards);
+  reversed edges (Section 6.2's product construction runs equally well
+  backwards): the kernel walks the CSR snapshot's reversed rows, the seed
+  evaluator a reversed copy of the graph;
 * neither bound    -> the full ``[[R]]_G`` relation.
 
 Which of the three applies is a property of the atom and of the variables
@@ -29,7 +30,6 @@ from operator import itemgetter
 from repro.crpq.ast import CRPQ, RPQAtom, Var
 from repro.crpq.planning import explain_steps, greedy_plan, make_plan
 from repro.engine import kernel
-from repro.engine.index import get_reversed
 from repro.engine.limits import BudgetExceeded
 from repro.engine.tracing import get_tracer
 from repro.graph.edge_labeled import EdgeLabeledGraph, ObjectId
@@ -43,7 +43,7 @@ class _AtomAccess:
     With ``use_index=True`` compilation additionally goes through the
     engine's process-wide LRU cache (keyed on the *alphabet*, so a graph
     mutated between runs never resurrects a stale wildcard automaton) and
-    reachability runs on the label index.
+    reachability runs on the CSR snapshot, in either direction.
     """
 
     def __init__(
@@ -52,11 +52,9 @@ class _AtomAccess:
         use_index: bool = True,
         stats=None,
         budget=None,
-        use_csr: bool = True,
     ):
         self.graph = graph
         self.use_index = use_index
-        self.use_csr = use_csr
         self.stats = stats
         # Atom relations are *intermediate* results: they share the query's
         # deadline/cancellation but are exempt from its answer-row ceiling.
@@ -67,19 +65,21 @@ class _AtomAccess:
         self._full: dict = {}
         self._compiled_cache: dict = {}
 
-    def _compiled(self, regex, graph, direction: str):
-        # Keyed on (expression, access direction, graph version) — never on
-        # ``id(graph)``: a garbage-collected graph can recycle its id and
-        # resurrect a stale automaton compiled over a different alphabet.
-        key = (regex, direction, graph.version)
+    def _compiled(self, regex):
+        # Keyed on (expression, graph version) — never on ``id(graph)``: a
+        # garbage-collected graph can recycle its id and resurrect a stale
+        # automaton compiled over a different alphabet.  A reversed copy
+        # has the graph's labels, hence its Remark 11 alphabet, so both
+        # access directions compile over the graph itself.
+        key = (regex, self.graph.version)
         if key not in self._compiled_cache:
             # Indexed runs keep the cache's CompiledQuery, whose lowered
             # IntPlan is memoized on it: a bare NFA would be re-wrapped and
             # re-lowered by every BFS that starts from it.
             self._compiled_cache[key] = (
-                kernel.compile_query(regex, graph, stats=self.stats)
+                kernel.compile_query(regex, self.graph, stats=self.stats)
                 if self.use_index
-                else compile_for_graph(regex, graph, cached=False)
+                else compile_for_graph(regex, self.graph, cached=False)
             )
         return self._compiled_cache[key]
 
@@ -87,11 +87,10 @@ class _AtomAccess:
         key = (regex, source)
         if key not in self._forward:
             self._forward[key] = reachable_by_rpq(
-                self._compiled(regex, self.graph, "forward"),
+                self._compiled(regex),
                 self.graph,
                 source,
                 use_index=self.use_index,
-                use_csr=self.use_csr,
                 stats=self.stats,
                 budget=self.budget,
             )
@@ -100,24 +99,19 @@ class _AtomAccess:
     def backward(self, regex, target: ObjectId) -> set[ObjectId]:
         key = (regex, target)
         if key not in self._backward:
-            if self.reversed_graph is None:
-                # Indexed runs share one reversed copy per graph version
-                # across every evaluation (and every batch worker); the
-                # naive oracle keeps the seed's build-per-run behaviour.
-                if self.use_index:
-                    self.reversed_graph = get_reversed(self.graph, self.stats)
-                else:
+            compiled = self._compiled(regex_reverse(regex))
+            if self.use_index:
+                self._backward[key] = kernel.reachable(
+                    compiled, self.graph, target,
+                    stats=self.stats, budget=self.budget, backward=True,
+                )
+            else:
+                # The reference keeps the seed's build-per-run behaviour.
+                if self.reversed_graph is None:
                     self.reversed_graph = self.graph.reversed_copy()
-            reversed_regex = regex_reverse(regex)
-            self._backward[key] = reachable_by_rpq(
-                self._compiled(reversed_regex, self.reversed_graph, "backward"),
-                self.reversed_graph,
-                target,
-                use_index=self.use_index,
-                use_csr=self.use_csr,
-                stats=self.stats,
-                budget=self.budget,
-            )
+                self._backward[key] = reachable_by_rpq(
+                    compiled, self.reversed_graph, target, use_index=False
+                )
         return self._backward[key]
 
     def full(self, regex) -> set[tuple[ObjectId, ObjectId]]:
@@ -126,7 +120,7 @@ class _AtomAccess:
         if regex not in self._full:
             self._full[regex] = evaluate_rpq(
                 regex, self.graph, use_index=self.use_index,
-                use_csr=self.use_csr, stats=self.stats, budget=self.budget,
+                stats=self.stats, budget=self.budget,
             )
         return self._full[regex]
 
@@ -137,7 +131,6 @@ def evaluate_crpq_bindings(
     plan: "list[RPQAtom] | None" = None,
     *,
     use_index: bool = True,
-    use_csr: bool = True,
     planner: "str | None" = None,
     stats=None,
     budget=None,
@@ -167,7 +160,7 @@ def evaluate_crpq_bindings(
     bindings per atom.
     """
     schema, rows = _join(
-        query, graph, plan, use_index, use_csr, planner, stats, budget, access
+        query, graph, plan, use_index, planner, stats, budget, access
     )
     return _as_dicts(schema, rows)
 
@@ -177,8 +170,7 @@ def _as_dicts(schema: tuple, rows: list[tuple]) -> list[dict]:
 
 
 def _join(
-    query: "CRPQ | str", graph, plan, use_index, use_csr, planner, stats,
-    budget, access,
+    query: "CRPQ | str", graph, plan, use_index, planner, stats, budget, access,
 ) -> "tuple[tuple[Var, ...], list[tuple]]":
     """The homomorphisms as ``(schema, rows)``: ``rows[i][j]`` is the node
     bound to variable ``schema[j]``, in the order the plan first binds them."""
@@ -209,8 +201,7 @@ def _join(
             query_span.set(atoms=len(ordered))
         if access is None:
             access = _AtomAccess(
-                graph, use_index=use_index, stats=stats, budget=budget,
-                use_csr=use_csr,
+                graph, use_index=use_index, stats=stats, budget=budget
             )
         schema: tuple = ()
         rows: list[tuple] = [()]
@@ -337,7 +328,6 @@ def evaluate_crpq(
     plan: "list[RPQAtom] | None" = None,
     *,
     use_index: bool = True,
-    use_csr: bool = True,
     planner: "str | None" = None,
     stats=None,
     budget=None,
@@ -361,8 +351,7 @@ def evaluate_crpq(
     results: set[tuple] = set()
     try:
         schema, rows = _join(
-            query, graph, plan, use_index, use_csr, planner, stats, budget,
-            access,
+            query, graph, plan, use_index, planner, stats, budget, access
         )
         if rows:
             head = [schema.index(var) for var in query.head]

@@ -11,7 +11,7 @@ an open practical problem.  Two planners implement it here:
   :class:`~repro.engine.cardinality.CardinalityModel` *given the variables
   already bound by the plan so far*, so an atom whose endpoint becomes
   bound is re-priced as cheap forward/backward reachability instead of a
-  full-relation sweep.  Estimates use the label index's per-label edge and
+  full-relation sweep.  Estimates use the CSR snapshot's per-label edge and
   distinct-endpoint counts plus the first/last-label selectivity of the
   compiled automaton (compiled through the engine's LRU cache, so planning
   warms the very automata evaluation will run).

@@ -1,28 +1,30 @@
-"""The shared query-execution kernel (index + cache + stats).
+"""The shared query-execution kernel (CSR data plane + cache + stats).
 
 One optimization layer under every language frontend in the library:
 
-* :mod:`repro.engine.index` — lazy, mutation-invalidated label-indexed
-  adjacency (``label -> (src -> edge ids)``) replacing linear edge scans;
 * :mod:`repro.engine.intern` / :mod:`repro.engine.csr` — the flat
   int-encoded data plane: dense node/label interning and label-partitioned
-  CSR adjacency in ``array('i')`` rows, the default substrate of the kernel
-  relation loops (``use_csr=False`` keeps the dict oracle);
+  CSR adjacency in ``array('i')`` rows, forward and reversed, kept current
+  across writes; the one substrate of every relation query;
+* :mod:`repro.engine.index` — lazy, mutation-invalidated label-indexed
+  adjacency *with edge ids* (``label -> (src -> (edge, tgt))``) for the two
+  evaluators whose answers name edges (product-graph paths, GQL patterns);
 * :mod:`repro.engine.cache` — LRU compilation cache keyed on
   ``(regex AST, alphabet)`` so repeated queries skip parsing and Glushkov;
 * :mod:`repro.engine.stats` — ``EngineStats`` counters/timers threaded
   through the evaluators and surfaced via the CLI's ``--stats``;
-* :mod:`repro.engine.kernel` — the cached-compile + indexed-product-BFS
-  entry points the frontends delegate to, including the one-sweep
-  multi-source evaluation of a full ``[[R]]_G`` relation;
+* :mod:`repro.engine.kernel` — the cached-compile + product-BFS entry
+  points the frontends delegate to: one start node's answers (forward or
+  backward, or one pair with early exit) and the one-sweep multi-source
+  evaluation of a full ``[[R]]_G`` relation;
 * :mod:`repro.engine.relation` — ``PairRelation``, the read-only set of
   pairs that sweep returns: its origin masks, decoded only when iterated;
-* :mod:`repro.engine.cardinality` — per-label statistics plus
-  first/last-label automaton selectivity, feeding the cost-based CRPQ
-  planner;
+* :mod:`repro.engine.cardinality` — per-label statistics (read off the
+  CSR rows, once per snapshot) plus first/last-label automaton selectivity,
+  feeding the cost-based CRPQ planner;
 * :mod:`repro.engine.batch` — the workload driver: deduplicate
-  structurally-equal queries, pre-warm the cache, share the index, fan out
-  over a thread or process pool;
+  structurally-equal queries, pre-warm the cache, share the snapshot, fan
+  out over a thread or process pool;
 * :mod:`repro.engine.tracing` — hierarchical span tracer (thread-local
   current-span stacks, zero-cost no-op singleton when disabled) behind
   ``repro profile`` and workload trace files;
@@ -31,7 +33,8 @@ One optimization layer under every language frontend in the library:
 * :mod:`repro.engine.explain` — EXPLAIN/PROFILE reports for the CLI.
 
 Every frontend keeps its original naive implementation behind
-``use_index=False``; the differential tests compare the two.
+``use_index=False``; that seed evaluator is the one reference the
+differential tests compare the engine against.
 """
 
 from repro.engine.batch import BatchExecutor, BatchResult, default_jobs
@@ -46,11 +49,10 @@ from repro.engine.cache import (
 from repro.engine.cache import IntPlan
 from repro.engine.cardinality import CardinalityModel
 from repro.engine.csr import CSRGraph, get_csr
-from repro.engine.index import GraphIndex, get_index, get_reversed
+from repro.engine.index import GraphIndex, get_index
 from repro.engine.intern import Interner, get_interner
 from repro.engine.kernel import (
     compile_query,
-    evaluate,
     evaluate_sweep,
     holds,
     reachable,
@@ -94,12 +96,10 @@ __all__ = [
     "compile_uncached",
     "default_cache",
     "default_jobs",
-    "evaluate",
     "evaluate_sweep",
     "get_csr",
     "get_index",
     "get_interner",
-    "get_reversed",
     "get_tracer",
     "holds",
     "reachable",

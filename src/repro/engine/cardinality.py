@@ -1,9 +1,10 @@
-"""Cardinality estimation over the label index (Section 7.1).
+"""Cardinality estimation over the CSR snapshot (Section 7.1).
 
 The paper singles out cardinality estimation for (C)RPQs as an open
 practical problem; this module is the engine's deliberately simple,
-documented answer.  All statistics come straight from the
-:class:`~repro.engine.index.GraphIndex` that evaluation will use anyway:
+documented answer.  All statistics are read off the label-partitioned rows
+of the :class:`~repro.engine.csr.CSRGraph` that evaluation runs on, once
+per snapshot:
 
 * per-label **edge counts** ``|E_a|``,
 * per-label **distinct source / target counts** (how many nodes have an
@@ -25,7 +26,7 @@ one regular expression at a time, given which endpoints are bound.
 from __future__ import annotations
 
 from repro.engine.cache import CompiledQuery
-from repro.engine.index import get_index
+from repro.engine.csr import CSRGraph, get_csr
 from repro.graph.edge_labeled import EdgeLabeledGraph, Label
 from repro.regex.ast import (
     Concat,
@@ -65,11 +66,32 @@ def accepts_epsilon(compiled: CompiledQuery) -> bool:
     return bool(set(compiled.initial) & set(compiled.finals))
 
 
+def _label_statistics(csr: CSRGraph) -> "tuple[dict[Label, int], ...]":
+    """``(edge count, distinct sources, distinct targets)`` per label.
+
+    A function of the snapshot alone, so it is computed once and held with
+    it (a model is built per planned query).  Each count is one C-level
+    pass over a row: a label's targets array has one entry per edge, and a
+    node's run is non-empty exactly where the offsets step.  Racing callers
+    compute equal values and publish with one assignment.
+    """
+    held = csr.label_statistics
+    if held is None:
+        rows = list(zip(csr.interner.labels, csr.out_rows))
+        held = csr.label_statistics = (
+            {label: len(targets) for label, (_offsets, targets) in rows},
+            {label: len(set(offsets)) - 1 for label, (offsets, _targets) in rows},
+            {label: len(set(targets)) for label, (_offsets, targets) in rows},
+        )
+    return held
+
+
 class CardinalityModel:
     """Per-label statistics of one graph snapshot, with RPQ estimators.
 
-    Building the model forces the label index (which evaluation needs
-    anyway), so it is effectively free on a warm engine.
+    Building the model forces the CSR snapshot (which evaluation needs
+    anyway); the three dicts are shared by every model of that snapshot and
+    must not be written.
     """
 
     __slots__ = (
@@ -81,16 +103,11 @@ class CardinalityModel:
     )
 
     def __init__(self, graph: EdgeLabeledGraph, stats=None):
-        index = get_index(graph, stats)
         self.num_nodes = max(graph.num_nodes, 1)
         self.num_edges = max(graph.num_edges, 1)
-        self.label_counts: dict[Label, int] = {}
-        self.distinct_sources: dict[Label, int] = {}
-        self.distinct_targets: dict[Label, int] = {}
-        for label in index.labels:
-            self.label_counts[label] = len(index.edges_with_label(label))
-            self.distinct_sources[label] = len(index.out_map(label))
-            self.distinct_targets[label] = len(index.in_map(label))
+        self.label_counts, self.distinct_sources, self.distinct_targets = (
+            _label_statistics(get_csr(graph, stats))
+        )
 
     # ------------------------------------------------------------------
     # structural size estimate (over the regex AST)

@@ -1,9 +1,7 @@
 """Flat int-encoded CSR adjacency, label-partitioned, forward and reversed.
 
-This is the raw-speed data plane under the kernel's product BFS: where the
-dict kernel answers *"edges leaving u with label a"* through two dict
-lookups and a tuple of ``(edge, target)`` pairs, the CSR plane answers it
-with one list index and an ``array('i')`` slice —
+This is the data plane under the kernel's product BFS: *"edges leaving u
+with label a"* is one list index and an ``array('i')`` slice —
 
 ``out_rows[label_int] = (offsets, targets)`` where the targets of node
 ``u`` (as a dense int from :class:`~repro.engine.intern.Interner`) occupy
@@ -14,7 +12,8 @@ Layout notes:
 * one ``(offsets, targets)`` pair per label and direction, built by a
   counting sort over the edge records (O(|E| + |labels|·|N|), no numpy);
   the reversed direction is packed from the forward one when first asked
-  for, since the kernel sweeps only walk forward;
+  for — by a backward :func:`repro.engine.kernel.reachable`, which is how
+  a CRPQ atom with a bound right term runs; sweeps only walk forward;
 * parallel edges are preserved — the rows store one entry per *edge*, so
   multiplicity survives even though edge ids do not (the relation kernels
   never need them);
@@ -30,8 +29,7 @@ Layout notes:
 
 The module also hosts the bytearray bitset helpers the flat kernel loops
 inline: packed ``(node_int << k) | state_int`` codes index into a bitset of
-``num_nodes << k`` bits, replacing the dict kernel's set-of-tuples visited
-bookkeeping.
+``num_nodes << k`` bits, the visited set of the single-source BFS.
 """
 
 from __future__ import annotations
@@ -123,18 +121,22 @@ class CSRGraph:
     interner knows has a row (labels exist only because some edge carries
     them), and every node int indexes validly into every ``offsets`` row.
 
-    The kernel sweeps read ``out_rows`` only, so that is what a build and a
-    catch-up maintain; ``in_rows`` is derived from it on first use.
+    Sweeps and forward searches read ``out_rows``, so that is what a build
+    and a catch-up maintain; ``in_rows`` (backward searches) is derived
+    from it on first use.  Two threads racing to derive it compute equal
+    rows and publish with one assignment.
 
-    ``shard_numbering`` is a slot for :mod:`repro.distributed.frontier`: the
-    node numbering a partitioned graph's processes share is a function of
-    this snapshot's node list, so it is kept here (as the snapshot is kept
-    on the graph) and goes when a write replaces the snapshot.
+    Two slots hold values other modules derive from this snapshot alone, so
+    they are kept here (as the snapshot is kept on the graph) and go when a
+    write replaces the snapshot: ``shard_numbering``, the node numbering a
+    partitioned graph's processes share (:mod:`repro.distributed.frontier`),
+    and ``label_statistics``, the planner's per-label counts
+    (:mod:`repro.engine.cardinality`).
     """
 
     __slots__ = (
         "version", "interner", "num_nodes", "num_edges", "out_rows", "_in_rows",
-        "shard_numbering",
+        "shard_numbering", "label_statistics",
     )
 
     def __init__(self, graph: EdgeLabeledGraph, interner: "Interner | None" = None):
@@ -159,6 +161,7 @@ class CSRGraph:
         ]
         self._in_rows = None
         self.shard_numbering = None
+        self.label_statistics = None
 
     def caught_up(self, graph: EdgeLabeledGraph) -> "CSRGraph":
         """The snapshot of ``graph``'s current version, derived from this one.
@@ -204,13 +207,14 @@ class CSRGraph:
         ]
         caught._in_rows = None
         caught.shard_numbering = None
+        caught.label_statistics = None
         return caught
 
     @property
     def in_rows(self) -> list:
         """The reversed rows: ``in_rows[label][node]`` runs hold the sources
         of the edges into ``node``.  Packed from ``out_rows`` on first use
-        and kept; nothing on the query path reads them."""
+        and kept."""
         if self._in_rows is None:
             n = self.num_nodes
             rows = []

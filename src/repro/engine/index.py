@@ -1,9 +1,16 @@
-"""Per-graph label-indexed adjacency (the kernel's data layout).
+"""Per-graph label-indexed adjacency *with edge ids*.
 
-The product-graph BFS of Section 6.2 repeatedly asks one question: *"which
-edges leave node ``u`` with label ``a``?"*.  The seed evaluators answered it
-by scanning every outgoing edge of ``u`` and comparing labels — O(out-degree)
-per automaton transition, O(|E|) per BFS level on dense nodes.  The
+Relation queries (RPQ, CRPQ, the batch executor, the planner's statistics)
+run on the int-encoded CSR snapshot of :mod:`repro.engine.csr` and never
+build this index.  The CSR deliberately stores no edge ids — a relation is
+node pairs — so the two evaluators whose answers *name edges* keep a
+dict-of-dicts index that does: ``rpq/product_graph.py`` (product edges are
+``(edge, transition)`` pairs, the input of every path mode) and
+``gql/semantics.py`` (an edge pattern binds its variable to the edge).
+
+The question both ask is *"which edges leave node ``u`` with label ``a``?"*.
+The seed evaluators answer it by scanning every outgoing edge of ``u`` and
+comparing labels — O(out-degree) per automaton transition.  The
 :class:`GraphIndex` answers it in one dict lookup:
 
 ``label -> (src -> ((edge, tgt), ...))``
@@ -11,12 +18,11 @@ per automaton transition, O(|E|) per BFS level on dense nodes.  The
 plus a flat ``label -> ((edge, src, tgt), ...)`` listing for pattern
 evaluators (GQL edge patterns filter by label before anything else).
 
-Indexes are built **lazily** — the first kernel call on a graph pays the
-single O(|E|) build — and **invalidated on mutation** via the graph's
-monotone ``version`` counter (every ``add_node``/``add_edge``/property
-mutation bumps it).  :func:`get_index` returns the cached index while the
-version matches and transparently rebuilds otherwise, so callers never see
-stale adjacency.
+Indexes are built **lazily** — the first call on a graph pays the single
+O(|E|) build — and **invalidated on mutation** via the graph's monotone
+``version`` counter (every ``add_node``/``add_edge``/property mutation bumps
+it).  :func:`get_index` returns the cached index while the version matches
+and transparently rebuilds otherwise, so callers never see stale adjacency.
 """
 
 from __future__ import annotations
@@ -110,25 +116,3 @@ def get_index(graph: EdgeLabeledGraph, stats=None) -> GraphIndex:
     if stats is not None:
         stats.count("index_builds")
     return index
-
-
-def get_reversed(graph: EdgeLabeledGraph, stats=None) -> EdgeLabeledGraph:
-    """The edge-reversed view of ``graph``, cached per graph version.
-
-    Backward access paths (an RPQ atom whose *target* is bound) run the
-    reversed expression over the reversed graph; across a batch of queries
-    that is the same graph over and over, so re-running ``reversed_copy()``
-    per evaluation is pure waste.  The copy is cached on the graph alongside
-    the label index and invalidated by the same ``_touch()`` — a mutated
-    graph never serves a stale reversal.
-    """
-    cached = graph._engine_reversed
-    if cached is not None and cached[0] == graph.version:
-        if stats is not None:
-            stats.count("reversed_reuses")
-        return cached[1]
-    flipped = graph.reversed_copy()
-    graph._engine_reversed = (graph.version, flipped)
-    if stats is not None:
-        stats.count("reversed_builds")
-    return flipped

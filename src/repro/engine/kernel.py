@@ -1,28 +1,32 @@
-"""The shared query-execution kernel: cached compile + indexed product BFS.
+"""The shared query-execution kernel: cached compile + product BFS on the CSR.
 
 Section 6 of the paper makes the product construction ``G x A`` the common
 core of RPQ, CRPQ and GQL evaluation; Figueira & Lin's complexity analysis
 shows this core dominates evaluation cost.  This module is that core, done
-once, properly:
+once, on one data plane:
 
 * queries compile through the LRU :mod:`repro.engine.cache` (repeat queries
   skip parsing and Glushkov entirely);
-* the BFS walks the lazily-built label index of :mod:`repro.engine.index`
-  (O(out-degree-by-label) per step instead of O(out-degree));
-* with ``use_csr=True`` (the default) the relation kernels run on the flat
-  int-encoded data plane instead: nodes, labels and automaton states are
-  interned to dense ints (:mod:`repro.engine.intern`), adjacency is
-  label-partitioned CSR rows in ``array('i')`` (:mod:`repro.engine.csr`),
-  the transition table is lowered into the same int space
-  (:class:`~repro.engine.cache.IntPlan`), and the worklists run over packed
-  ``(node_int << k) | state_int`` codes with bytearray-bitset visited sets
-  and int-bitmask origin tracking (one bit per *source of the call*, so a
-  k-source sweep carries k-bit masks) — pure stdlib, no numpy;
-* the multi-source sweep's worklist is one loop (:func:`csr_worklist`)
-  that also takes an ownership table, so a shard of a partitioned graph
-  (:mod:`repro.distributed.frontier`) steps on the same code with the same
-  fault site and budget ticks — all-owned is the single-node sweep;
-* the CSR sweep returns what it computed: one origin mask per target node,
+* nodes, labels and automaton states are interned to dense ints
+  (:mod:`repro.engine.intern`), adjacency is label-partitioned CSR rows in
+  ``array('i')`` (:mod:`repro.engine.csr`), the transition table is lowered
+  into the same int space (:class:`~repro.engine.cache.IntPlan`), and the
+  searches run over packed ``(node_int << k) | state_int`` codes, so each
+  automaton transition out of a state inspects only the edges that carry
+  its symbol — pure stdlib, no numpy;
+* there are two search loops, chosen by what the caller asks for.  *One
+  start node's answers* (:func:`reachable`, and :func:`holds` as the same
+  loop with a target to stop at) is a BFS with a bytearray-bitset visited
+  set; it walks ``out_rows`` forward or ``in_rows`` backward.  *A relation*
+  (:func:`evaluate_sweep`) is the origin-mask worklist
+  :func:`csr_worklist`: one bit per source of the call, so a k-source sweep
+  carries k-bit masks.  The bitset loop is not the worklist with one seed:
+  it keeps no per-code origin dicts, and a CRPQ with a bound atom runs
+  thousands of these;
+* the worklist also takes an ownership table, so a shard of a partitioned
+  graph (:mod:`repro.distributed.frontier`) steps on the same code with the
+  same fault site and budget ticks — all-owned is the single-node sweep;
+* the sweep returns what it computed: one origin mask per target node,
   wrapped undecoded in a read-only
   :class:`~repro.engine.relation.PairRelation` (``len`` and ``in`` never
   decode; iteration decodes lazily, so a ``max_rows`` trip decodes k rows);
@@ -31,14 +35,9 @@ once, properly:
 
 The language frontends (``rpq.evaluation``, ``rpq.path_modes``,
 ``crpq.evaluation``, ``coregql.semantics``, ``gql.semantics``) all call into
-here when ``use_index=True`` (the default); their original linear-scan
-implementations remain available behind ``use_index=False`` and serve as the
-oracle for the differential tests in ``tests/engine/test_differential.py``.
-``use_csr=False`` is the second escape hatch one layer down: it keeps the
-indexed *dict* kernel (tuple pairs, set-of-origins bookkeeping, plain ``set``
-results), which is the differential oracle for the CSR plane in
-``tests/engine/test_csr.py`` and ``tests/engine/test_relation.py`` and the
-baseline of the ``bench_engine.py`` scale sweep.
+here when ``use_index=True`` (the default).  Their original linear-scan
+implementations remain behind ``use_index=False``; that seed evaluator is
+the one reference every differential test compares this module against.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ from repro.engine.cache import (
 )
 from repro.engine.csr import get_csr
 from repro.engine.faults import FAULTS, fault_point
-from repro.engine.index import get_index
 from repro.engine.limits import BudgetExceeded, QueryBudget
 from repro.engine.relation import PairRelation
 from repro.engine.stats import EngineStats
@@ -166,24 +164,25 @@ def reachable(
     *,
     stats: "EngineStats | None" = None,
     budget: "QueryBudget | None" = None,
-    use_csr: bool = True,
+    backward: bool = False,
 ) -> set[ObjectId]:
-    """All nodes ``v`` with ``(source, v)`` in ``[[R]]_G`` — indexed BFS.
+    """All nodes ``v`` with ``(source, v)`` in ``[[R]]_G`` — one BFS.
 
-    One BFS over ``(node, state)`` pairs; successor edges come from the
-    label index (``use_csr=False``) or the flat CSR rows (default), so each
-    automaton transition out of a state inspects only the edges that
-    actually carry its symbol.
+    With ``backward=True`` the BFS walks the reversed rows of the same
+    snapshot: the automaton reads the labels of a path from its last edge
+    to its first, so ``reachable(compile(reverse(R)), G, v, backward=True)``
+    is every ``u`` with ``(u, v)`` in ``[[R]]_G`` — what the seed gets from
+    a reversed copy of the graph.
     """
     tracer = get_tracer()
     if tracer.enabled:
         with tracer.span(
             "kernel.reachable", query=query_text(compiled), source=str(source)
         ) as span:
-            answers = _reachable(compiled, graph, source, stats, budget, use_csr)
+            answers = _reachable(compiled, graph, source, stats, budget, backward)
             span.set(answers=len(answers))
             return answers
-    return _reachable(compiled, graph, source, stats, budget, use_csr)
+    return _reachable(compiled, graph, source, stats, budget, backward)
 
 
 def _reachable(
@@ -192,92 +191,55 @@ def _reachable(
     source: ObjectId,
     stats: "EngineStats | None" = None,
     budget: "QueryBudget | None" = None,
-    use_csr: bool = True,
+    backward: bool = False,
 ) -> set[ObjectId]:
     """The uninstrumented BFS body (also the tracing-overhead baseline)."""
     if not graph.has_node(source):
         return set()
-    fault_point("kernel.evaluate")
-    tick, check_rows = _budget_hooks(budget)
-    started = time.perf_counter()
-    if use_csr:
-        return _csr_reachable(
-            compiled, graph, source, tick, check_rows, stats, budget, started
-        )
-    index = get_index(graph, stats)
-    delta = compiled.delta
-    finals = compiled.finals
-    fire = FAULTS.fire if FAULTS.enabled else None
-    start = {(source, state) for state in compiled.initial}
-    seen = set(start)
-    queue = deque(start)
-    answers = {node for node, state in start if state in finals}
-    expanded = 0
-    relaxed = 0
-    try:
-        while queue:
-            node, state = queue.popleft()
-            expanded += 1
-            if fire is not None:
-                fire("kernel.step")
-            if tick is not None:
-                tick()
-            by_symbol = delta.get(state)
-            if not by_symbol:
-                continue
-            for symbol, next_states in by_symbol.items():
-                for _edge, target in index.out_edges(node, symbol):
-                    relaxed += 1
-                    for next_state in next_states:
-                        pair = (target, next_state)
-                        if pair not in seen:
-                            seen.add(pair)
-                            queue.append(pair)
-                            if next_state in finals:
-                                answers.add(target)
-                                if check_rows is not None:
-                                    check_rows(len(answers))
-    except BudgetExceeded as exc:
-        if stats is not None:
-            stats.count("nodes_expanded", expanded)
-            stats.count("edges_relaxed", relaxed)
-            stats.count("budget_exceeded")
-            stats.add_time("bfs", time.perf_counter() - started)
-        _raise_with_partial(exc, answers, budget)
+    answers = _csr_reachable(compiled, graph, source, stats, budget, backward)
     if stats is not None:
-        stats.count("nodes_expanded", expanded)
-        stats.count("edges_relaxed", relaxed)
         stats.count("answers", len(answers))
-        stats.add_time("bfs", time.perf_counter() - started)
     return answers
+
+
+class _TargetReached(Exception):
+    """Leaves the BFS loops at the answer :func:`holds` asked about."""
 
 
 def _csr_reachable(
     compiled: CompiledQuery,
     graph: EdgeLabeledGraph,
     source: ObjectId,
-    tick,
-    check_rows,
     stats: "EngineStats | None",
     budget: "QueryBudget | None",
-    started: float,
+    backward: bool = False,
+    stop_at: "ObjectId | None" = None,
 ) -> set[ObjectId]:
     """Single-source BFS on the flat data plane.
 
     The product state is a packed code ``(node_int << k) | state_int``; the
     visited set is a bytearray bitset over ``num_nodes << k`` bits; answers
-    accumulate as node ints and decode once at the end.  Semantics (seed
-    handling, tick cadence, row accounting, partial attach) mirror the dict
-    body above — the differential tests hold the two to identical answers.
+    accumulate as node ints and decode once at the end.  ``stop_at`` (a
+    node of the graph) ends the search the moment that node becomes an
+    answer; the test sits where a newly visited code is final, so it runs
+    per answer, never per edge.  What comes back then is one boolean, so
+    the budget's row ceiling does not apply.
     """
+    fault_point("kernel.evaluate")
+    tick, check_rows = _budget_hooks(budget)
+    if stop_at is not None:
+        check_rows = None
+    started = time.perf_counter()
     csr = get_csr(graph, stats)
     plan = compiled.int_plan(csr.interner)
-    source_int = csr.interner._node_ids[source]
+    node_ids = csr.interner._node_ids
+    source_int = node_ids[source]
+    stop_int = -1 if stop_at is None else node_ids[stop_at]
     k = plan.state_bits
     state_mask = plan.state_mask
     finals_mask = plan.finals_mask
     delta = plan.delta
-    out_rows = csr.out_rows
+    adjacency = csr.in_rows if backward else csr.out_rows
     fire = FAULTS.fire if FAULTS.enabled else None
     visited = bytearray(((csr.num_nodes << k) + 7) >> 3)
     queue = deque()
@@ -291,8 +253,11 @@ def _csr_reachable(
             queue.append(code)
             if (finals_mask >> state) & 1:
                 answer_ints.add(source_int)
+    if stop_int in answer_ints:
+        queue.clear()
     expanded = 0
     relaxed = 0
+    tripped = None
     try:
         while queue:
             code = queue.popleft()
@@ -306,7 +271,7 @@ def _csr_reachable(
                 continue
             node = code >> k
             for label_int, next_states in rows:
-                offsets, targets = out_rows[label_int]
+                offsets, targets = adjacency[label_int]
                 lo = offsets[node]
                 hi = offsets[node + 1]
                 if lo == hi:
@@ -323,23 +288,25 @@ def _csr_reachable(
                             queue.append(succ)
                             if (finals_mask >> next_state) & 1:
                                 answer_ints.add(target)
+                                if target == stop_int:
+                                    raise _TargetReached
                                 if check_rows is not None:
                                     check_rows(len(answer_ints))
+    except _TargetReached:
+        pass
     except BudgetExceeded as exc:
-        if stats is not None:
-            stats.count("nodes_expanded", expanded)
-            stats.count("edges_relaxed", relaxed)
-            stats.count("budget_exceeded")
-            stats.add_time("bfs", time.perf_counter() - started)
-        nodes = csr.interner._nodes
-        _raise_with_partial(exc, {nodes[i] for i in answer_ints}, budget)
+        tripped = exc
     if stats is not None:
         stats.count("nodes_expanded", expanded)
         stats.count("edges_relaxed", relaxed)
-        stats.count("answers", len(answer_ints))
         stats.add_time("bfs", time.perf_counter() - started)
     nodes = csr.interner._nodes
-    return {nodes[i] for i in answer_ints}
+    answers = {nodes[i] for i in answer_ints}
+    if tripped is not None:
+        if stats is not None:
+            stats.count("budget_exceeded")
+        _raise_with_partial(tripped, answers, budget)
+    return answers
 
 
 def holds(
@@ -376,88 +343,9 @@ def _holds(
 ) -> bool:
     if not (graph.has_node(source) and graph.has_node(target)):
         return False
-    fault_point("kernel.evaluate")
-    tick, _ = _budget_hooks(budget)
-    started = time.perf_counter()
-    index = get_index(graph, stats)
-    delta = compiled.delta
-    finals = compiled.finals
-    start = {(source, state) for state in compiled.initial}
-    found = any(node == target and state in finals for node, state in start)
-    seen = set(start)
-    queue = deque(start)
-    expanded = 0
-    relaxed = 0
-    while queue and not found:
-        node, state = queue.popleft()
-        expanded += 1
-        if tick is not None:
-            tick()
-        by_symbol = delta.get(state)
-        if not by_symbol:
-            continue
-        for symbol, next_states in by_symbol.items():
-            for _edge, successor in index.out_edges(node, symbol):
-                relaxed += 1
-                for next_state in next_states:
-                    pair = (successor, next_state)
-                    if pair in seen:
-                        continue
-                    if successor == target and next_state in finals:
-                        found = True
-                    seen.add(pair)
-                    queue.append(pair)
-            if found:
-                break
-    if stats is not None:
-        stats.count("nodes_expanded", expanded)
-        stats.count("edges_relaxed", relaxed)
-        stats.add_time("bfs", time.perf_counter() - started)
-    return found
-
-
-def evaluate(
-    compiled: CompiledQuery,
-    graph: EdgeLabeledGraph,
-    sources: "Iterable[ObjectId] | None" = None,
-    *,
-    stats: "EngineStats | None" = None,
-    multi_source: bool = True,
-    budget: "QueryBudget | None" = None,
-    use_csr: bool = True,
-) -> Set[tuple[ObjectId, ObjectId]]:
-    """``[[R]]_G`` over all (or the given) sources, sharing one index.
-
-    With ``multi_source=True`` (default) the whole relation is computed in
-    one origin-tracking frontier sweep (:func:`evaluate_sweep`); with
-    ``multi_source=False`` the original per-source BFS loop runs instead
-    (kept as the sweep's differential oracle).  ``use_csr`` picks the data
-    plane either way.  The result is a read-only set of pairs: the CSR
-    sweep's :class:`~repro.engine.relation.PairRelation`, a plain ``set``
-    from the oracle arms.
-    """
-    if multi_source:
-        return evaluate_sweep(
-            compiled, graph, sources, stats=stats, budget=budget, use_csr=use_csr
-        )
-    source_nodes = sources if sources is not None else graph.iter_nodes()
-    answers: set[tuple[ObjectId, ObjectId]] = set()
-    # Per-source reachability bounds its own rows ceiling wrong for the
-    # joined relation, so the row check runs out here over the union; the
-    # per-source traversals still honor deadline/cancellation/max_states.
-    per_source = budget.subquery() if budget is not None else None
-    try:
-        for source in source_nodes:
-            for target in reachable(
-                compiled, graph, source,
-                stats=stats, budget=per_source, use_csr=use_csr,
-            ):
-                answers.add((source, target))
-                if budget is not None:
-                    budget.check_rows(len(answers))
-    except BudgetExceeded as exc:
-        _raise_with_partial(exc, answers, budget)
-    return answers
+    return target in _csr_reachable(
+        compiled, graph, source, stats, budget, stop_at=target
+    )
 
 
 def evaluate_sweep(
@@ -467,7 +355,6 @@ def evaluate_sweep(
     *,
     stats: "EngineStats | None" = None,
     budget: "QueryBudget | None" = None,
-    use_csr: bool = True,
 ) -> Set[tuple[ObjectId, ObjectId]]:
     """``[[R]]_G`` in **one** multi-source product-BFS sweep.
 
@@ -478,24 +365,23 @@ def evaluate_sweep(
     each visit propagates just the not-yet-propagated origins (``pending``).
     Work that per-source BFS repeats for every source — discovering the same
     product edges again and again — happens here once per pair, with origin
-    bookkeeping done by C-level set operations on batches of sources.
+    bookkeeping done by big-int operations on batches of sources.
 
     ``sources`` may be any iterable (read once; non-nodes and repeats are
-    dropped).  On the CSR plane the answer comes back as the sweep holds it
-    — a :class:`~repro.engine.relation.PairRelation` over origin masks, a
-    snapshot of this graph version — and the dict oracle returns a ``set``.
+    dropped).  The answer comes back as the sweep holds it — a
+    :class:`~repro.engine.relation.PairRelation` over origin masks, a
+    snapshot of this graph version (a plain empty ``set`` when there is
+    nothing to start from).
     """
     tracer = get_tracer()
     if tracer.enabled:
         with tracer.span(
             "kernel.evaluate_sweep", query=query_text(compiled)
         ) as span:
-            answers = _evaluate_sweep(
-                compiled, graph, sources, stats, budget, use_csr
-            )
+            answers = _evaluate_sweep(compiled, graph, sources, stats, budget)
             span.set(answers=len(answers))
             return answers
-    return _evaluate_sweep(compiled, graph, sources, stats, budget, use_csr)
+    return _evaluate_sweep(compiled, graph, sources, stats, budget)
 
 
 def _evaluate_sweep(
@@ -504,13 +390,22 @@ def _evaluate_sweep(
     sources: "Iterable[ObjectId] | None" = None,
     stats: "EngineStats | None" = None,
     budget: "QueryBudget | None" = None,
-    use_csr: bool = True,
 ) -> Set[tuple[ObjectId, ObjectId]]:
-    """The uninstrumented sweep body (also the tracing-overhead baseline)."""
+    """The uninstrumented sweep body (also the tracing-overhead baseline).
+
+    Product pairs are packed codes and origin *sets* are origin *bitmasks*,
+    so the per-batch set algebra is single big-int ``&``/``|``/``~``
+    operations.  Bit ``i`` stands for the ``i``-th source of the call
+    (``sources``: distinct nodes; ``None``: the interner's own node list,
+    so bit == node id), which keeps a k-source sweep on k-bit masks however
+    large the graph is.  The seeded worklist runs in :func:`csr_worklist`
+    with every node owned; the per-target answer masks it leaves *are* the
+    result: they are handed back as a :class:`PairRelation`, undecoded.
+    """
     started = time.perf_counter()
     if sources is not None:
-        # Distinct nodes in first-seen order (the CSR sweep numbers its
-        # origin bits by position); a one-shot iterable is read once, here.
+        # Distinct nodes in first-seen order (the sweep numbers its origin
+        # bits by position); a one-shot iterable is read once, here.
         sources = list(dict.fromkeys(s for s in sources if graph.has_node(s)))
         if not sources:
             return set()
@@ -518,129 +413,6 @@ def _evaluate_sweep(
         return set()
     fault_point("kernel.evaluate")
     tick, check_rows = _budget_hooks(budget)
-    if use_csr:
-        return _csr_sweep(
-            compiled, graph, sources, tick, check_rows, stats, budget, started
-        )
-    source_list = list(graph.iter_nodes()) if sources is None else sources
-    index = get_index(graph, stats)
-    delta = compiled.delta
-    finals = compiled.finals
-    answers: set[tuple[ObjectId, ObjectId]] = set()
-    #: (node, state) -> every origin that ever reached the pair
-    origins: dict[tuple, set] = {}
-    #: (node, state) -> origins not yet pushed to the pair's successors
-    pending: dict[tuple, set] = {}
-    queue = deque()
-    queued: set[tuple] = set()
-    for source in source_list:
-        for state in compiled.initial:
-            pair = (source, state)
-            bucket = origins.get(pair)
-            if bucket is None:
-                origins[pair] = {source}
-                pending[pair] = {source}
-                queued.add(pair)
-                queue.append(pair)
-            elif source not in bucket:
-                bucket.add(source)
-                pending.setdefault(pair, set()).add(source)
-                if pair not in queued:
-                    queued.add(pair)
-                    queue.append(pair)
-    try:
-        return _sweep_loop(
-            index, delta, finals, answers, origins, pending, queue, queued,
-            tick, check_rows, stats, started, source_list,
-        )
-    except BudgetExceeded as exc:
-        if stats is not None:
-            stats.count("budget_exceeded")
-            stats.add_time("bfs", time.perf_counter() - started)
-        _raise_with_partial(exc, answers, budget)
-
-
-def _sweep_loop(
-    index, delta, finals, answers, origins, pending, queue, queued,
-    tick, check_rows, stats, started, source_list,
-):
-    expanded = 0
-    relaxed = 0
-    fire = FAULTS.fire if FAULTS.enabled else None
-    while queue:
-        pair = queue.popleft()
-        queued.discard(pair)
-        fresh = pending.pop(pair, None)
-        if not fresh:
-            continue
-        expanded += 1
-        if fire is not None:
-            fire("kernel.step")
-        if tick is not None:
-            tick()
-        node, state = pair
-        if state in finals:
-            for origin in fresh:
-                answers.add((origin, node))
-            if check_rows is not None:
-                check_rows(len(answers))
-        by_symbol = delta.get(state)
-        if not by_symbol:
-            continue
-        for symbol, next_states in by_symbol.items():
-            for _edge, target in index.out_edges(node, symbol):
-                relaxed += 1
-                for next_state in next_states:
-                    successor = (target, next_state)
-                    known = origins.get(successor)
-                    if known is None:
-                        origins[successor] = set(fresh)
-                        pending[successor] = set(fresh)
-                        queued.add(successor)
-                        queue.append(successor)
-                    else:
-                        novel = fresh - known
-                        if novel:
-                            known |= novel
-                            extra = pending.get(successor)
-                            if extra is None:
-                                pending[successor] = set(novel)
-                            else:
-                                extra |= novel
-                            if successor not in queued:
-                                queued.add(successor)
-                                queue.append(successor)
-    if stats is not None:
-        stats.count("sweep_sources", len(source_list))
-        stats.count("nodes_expanded", expanded)
-        stats.count("edges_relaxed", relaxed)
-        stats.count("answers", len(answers))
-        stats.add_time("bfs", time.perf_counter() - started)
-    return answers
-
-
-def _csr_sweep(
-    compiled: CompiledQuery,
-    graph: EdgeLabeledGraph,
-    sources: "list | None",
-    tick,
-    check_rows,
-    stats: "EngineStats | None",
-    budget: "QueryBudget | None",
-    started: float,
-) -> PairRelation:
-    """The multi-source origin-tracking sweep on the flat data plane.
-
-    Product pairs are packed codes; origin *sets* become origin *bitmasks*,
-    so the dict sweep's per-batch set algebra turns into single big-int
-    ``&``/``|``/``~`` operations.  Bit ``i`` stands for the ``i``-th source
-    of the call (``sources``: distinct nodes; ``None``: the interner's own
-    node list, so bit == node id), which keeps a k-source sweep on k-bit
-    masks however large the graph is.  The seeded worklist runs in
-    :func:`csr_worklist` with every node owned; the per-target answer masks
-    it leaves *are* the result: they are handed back as a
-    :class:`PairRelation`, undecoded.
-    """
     csr = get_csr(graph, stats)
     interner = csr.interner
     plan = compiled.int_plan(interner)
@@ -697,16 +469,14 @@ def csr_worklist(
 ) -> tuple[int, int, int]:
     """Run a seeded origin-mask worklist over CSR rows to its fixpoint.
 
-    The one product-BFS loop of the flat data plane: the single-node sweep
-    above and a shard's frontier step
+    The relation loop of the flat data plane: the single-node sweep above
+    and a shard's frontier step
     (:func:`repro.distributed.frontier.local_frontier_step`) both seed
     ``origins``/``pending``/``queue`` and call it.  ``pending`` doubles as
     the queued signal: a code is in the queue iff its pending mask is
-    nonzero, so the dict sweep's separate ``queued`` set disappears.
-    Answers accumulate in ``answer_masks`` as per-target origin masks with
-    an incremental ``bit_count`` row total, keeping ``check_rows`` cadence
-    identical to the dict sweep (checked once per batch of freshly arriving
-    origins).
+    nonzero.  Answers accumulate in ``answer_masks`` as per-target origin
+    masks with an incremental ``bit_count`` row total; ``check_rows`` runs
+    once per batch of freshly arriving origins.
 
     ``owned`` (indexed by node int, truthy where this process owns the
     node) cuts the sweep along a partition: a popped code whose node is not

@@ -31,8 +31,6 @@ KNOWN_COUNTERS = (
     "parse_misses",
     "index_builds",
     "index_reuses",
-    "reversed_builds",
-    "reversed_reuses",
     "csr_builds",
     "csr_patches",
     "csr_reuses",

@@ -55,7 +55,6 @@ class EdgeLabeledGraph:
         "_version",
         "_journal",
         "_engine_index",
-        "_engine_reversed",
         "_engine_csr",
     )
 
@@ -78,7 +77,6 @@ class EdgeLabeledGraph:
         # emit exactly one record per observable state change.
         self._journal = None
         self._engine_index = None
-        self._engine_reversed = None
         self._engine_csr = None
 
     # ------------------------------------------------------------------
@@ -90,7 +88,7 @@ class EdgeLabeledGraph:
         return self._version
 
     def _touch(self) -> None:
-        """Record a mutation, invalidating the cached dict-plane structures.
+        """Record a mutation, dropping the cached edge-id index.
 
         The CSR snapshot is kept: every mutator is append-only (nodes and
         edges are only ever added, ``_edges`` keeps insertion order), so
@@ -101,7 +99,6 @@ class EdgeLabeledGraph:
         """
         self._version += 1
         self._engine_index = None
-        self._engine_reversed = None
 
     def attach_journal(self, sink) -> None:
         """Install a mutation sink called as ``sink(op, payload, version)``.

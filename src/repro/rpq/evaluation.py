@@ -10,11 +10,13 @@ the full answer set.
 Two implementations coexist:
 
 * ``use_index=True`` (default) delegates to :mod:`repro.engine.kernel`:
-  compilation goes through the LRU cache and the BFS walks the label index
-  (O(out-degree-by-label) per automaton transition).
+  compilation goes through the LRU cache and the BFS walks the
+  label-partitioned CSR rows (O(out-degree-by-label) per automaton
+  transition).
 * ``use_index=False`` is the seed's naive pipeline kept verbatim — fresh
-  parse + Glushkov per call, linear ``out_edges`` scans — and serves as the
-  oracle in ``tests/engine/test_differential.py``.
+  parse + Glushkov per call, linear ``out_edges`` scans.  It is the one
+  reference implementation: every differential test and the repo benchmark
+  compare the kernel against it.
 """
 
 from __future__ import annotations
@@ -60,13 +62,28 @@ def compile_for_graph(
     return kernel.compile_query(query, graph, stats=stats).nfa
 
 
+def _compiled(query, graph: EdgeLabeledGraph, stats) -> CompiledQuery:
+    """``query`` in the form the kernel runs."""
+    if isinstance(query, NFA):
+        return CompiledQuery.from_nfa(query)
+    return kernel.compile_query(query, graph, stats=stats)
+
+
+def _seed_nfa(query, graph: EdgeLabeledGraph) -> NFA:
+    """``query`` in the form the seed evaluator runs."""
+    if isinstance(query, CompiledQuery):
+        return query.nfa
+    if isinstance(query, NFA):
+        return query
+    return compile_for_graph(query, graph, cached=False)
+
+
 def reachable_by_rpq(
     query: "Regex | str | NFA | CompiledQuery",
     graph: EdgeLabeledGraph,
     source: ObjectId,
     *,
     use_index: bool = True,
-    use_csr: bool = True,
     stats: "EngineStats | None" = None,
     budget=None,
 ) -> set[ObjectId]:
@@ -74,30 +91,14 @@ def reachable_by_rpq(
 
     A single BFS over (node, state) pairs starting from ``(source, q0)``.
     ``budget`` (a :class:`repro.engine.limits.QueryBudget`) bounds the
-    indexed traversal; the naive oracle ignores it by design.  ``use_csr``
-    picks the kernel's data plane (flat int-encoded CSR by default, the
-    dict oracle with ``False``); it is meaningless when ``use_index=False``.
+    indexed traversal; the naive oracle ignores it by design.
     """
-    if isinstance(query, CompiledQuery):
-        if use_index:
-            return kernel.reachable(
-                query, graph, source, stats=stats, budget=budget, use_csr=use_csr
-            )
-        return _naive_reachable(query.nfa, graph, source)
-    if isinstance(query, NFA):
-        if use_index:
-            return kernel.reachable(
-                CompiledQuery.from_nfa(query), graph, source,
-                stats=stats, budget=budget, use_csr=use_csr,
-            )
-        return _naive_reachable(query, graph, source)
     if use_index:
-        compiled = kernel.compile_query(query, graph, stats=stats)
         return kernel.reachable(
-            compiled, graph, source, stats=stats, budget=budget, use_csr=use_csr
+            _compiled(query, graph, stats), graph, source,
+            stats=stats, budget=budget,
         )
-    nfa = compile_for_graph(query, graph, cached=False)
-    return _naive_reachable(nfa, graph, source)
+    return _naive_reachable(_seed_nfa(query, graph), graph, source)
 
 
 def _naive_reachable(
@@ -136,8 +137,6 @@ def evaluate_rpq(
     sources: Iterable[ObjectId] | None = None,
     *,
     use_index: bool = True,
-    use_csr: bool = True,
-    multi_source: bool = True,
     stats: "EngineStats | None" = None,
     budget=None,
 ) -> Set[tuple[ObjectId, ObjectId]]:
@@ -145,19 +144,17 @@ def evaluate_rpq(
     the given source nodes).
 
     With ``use_index=True`` the relation is computed by the kernel's
-    origin-tracking multi-source sweep (``multi_source=False`` falls back to
-    the per-source BFS loop, the sweep's differential oracle), on the flat
-    CSR data plane unless ``use_csr=False`` asks for the dict oracle.  A
-    ``budget`` bounds the indexed paths cooperatively (deadline, row and
-    state ceilings, cancellation).
+    origin-tracking multi-source sweep on the CSR snapshot.  A ``budget``
+    bounds it cooperatively (deadline, row and state ceilings,
+    cancellation).
 
     The result is a read-only set of ``(source, target)`` pairs.  The
     default path returns the sweep's own compact
     :class:`~repro.engine.relation.PairRelation` — O(1) ``len``, ``in``
     without decoding, lazy iteration, ``== <= | & -`` against plain sets
     (yielding plain sets) — which is a snapshot of the graph version it was
-    computed on; the oracle arms return a plain ``set``.  Call ``set(...)``
-    on it for a private mutable copy.
+    computed on; the seed evaluator returns a plain ``set``.  Call
+    ``set(...)`` on it for a private mutable copy.
 
     Example 12: ``evaluate_rpq("Transfer*", figure2_graph())`` contains all
     36 pairs of accounts because the Transfer-subgraph is strongly connected.
@@ -168,14 +165,11 @@ def evaluate_rpq(
             "rpq.evaluate", query=kernel.query_text(query), use_index=use_index
         ) as span:
             answers = _evaluate_rpq(
-                query, graph, sources, use_index, multi_source, stats, budget,
-                use_csr,
+                query, graph, sources, use_index, stats, budget
             )
             span.set(answers=len(answers))
             return answers
-    return _evaluate_rpq(
-        query, graph, sources, use_index, multi_source, stats, budget, use_csr
-    )
+    return _evaluate_rpq(query, graph, sources, use_index, stats, budget)
 
 
 def _evaluate_rpq(
@@ -183,28 +177,15 @@ def _evaluate_rpq(
     graph: EdgeLabeledGraph,
     sources: Iterable[ObjectId] | None = None,
     use_index: bool = True,
-    multi_source: bool = True,
     stats: "EngineStats | None" = None,
     budget=None,
-    use_csr: bool = True,
 ) -> Set[tuple[ObjectId, ObjectId]]:
     if use_index:
-        if isinstance(query, CompiledQuery):
-            compiled = query
-        elif isinstance(query, NFA):
-            compiled = CompiledQuery.from_nfa(query)
-        else:
-            compiled = kernel.compile_query(query, graph, stats=stats)
-        return kernel.evaluate(
-            compiled, graph, sources, stats=stats, multi_source=multi_source,
-            budget=budget, use_csr=use_csr,
+        return kernel.evaluate_sweep(
+            _compiled(query, graph, stats), graph, sources,
+            stats=stats, budget=budget,
         )
-    if isinstance(query, CompiledQuery):
-        nfa = query.nfa
-    elif isinstance(query, NFA):
-        nfa = query
-    else:
-        nfa = compile_for_graph(query, graph, cached=False)
+    nfa = _seed_nfa(query, graph)
     source_nodes = sources if sources is not None else graph.iter_nodes()
     answers: set[tuple[ObjectId, ObjectId]] = set()
     for source in source_nodes:
@@ -223,7 +204,8 @@ def rpq_holds(
     stats: "EngineStats | None" = None,
     budget=None,
 ) -> bool:
-    """Whether ``(source, target)`` answers the RPQ, with early exit.
+    """Whether ``(source, target)`` answers the RPQ (the kernel stops at the
+    first witness; the seed evaluator computes the source's whole answer).
 
     This is the paper's single-pair decision problem: non-emptiness of the
     intersection of ``G`` (seen as an NFA with initial ``source`` and final
@@ -233,26 +215,6 @@ def rpq_holds(
         compiled = kernel.compile_query(query, graph, stats=stats)
         return kernel.holds(compiled, graph, source, target, stats=stats, budget=budget)
     nfa = compile_for_graph(query, graph, cached=False)
-    if not graph.has_node(source) or not graph.has_node(target):
+    if not (graph.has_node(source) and graph.has_node(target)):
         return False
-    by_state_symbol: dict = {}
-    for state_from, symbol, state_to in nfa.transitions():
-        by_state_symbol.setdefault((state_from, symbol), []).append(state_to)
-    start = {(source, state) for state in nfa.initial}
-    if any(node == target and state in nfa.finals for node, state in start):
-        return True
-    seen = set(start)
-    queue = deque(start)
-    while queue:
-        node, state = queue.popleft()
-        for edge in graph.out_edges(node):
-            label = graph.label(edge)
-            for next_state in by_state_symbol.get((state, label), ()):
-                pair = (graph.tgt(edge), next_state)
-                if pair in seen:
-                    continue
-                if pair[0] == target and next_state in nfa.finals:
-                    return True
-                seen.add(pair)
-                queue.append(pair)
-    return False
+    return target in _naive_reachable(nfa, graph, source)

@@ -146,33 +146,47 @@ def _shortest_paths(
 def _all_paths(
     product: ProductGraph, limit: int | None, budget=None
 ) -> Iterator[Path]:
-    """Every matching path, in length order; errors out on infinite sets."""
+    """Every matching path, in length order; errors out on infinite sets.
+
+    The queue holds one entry per (graph path, product node it ends in),
+    not one per product path.  An ambiguous expression gives one graph path
+    many runs (``(a+a)*`` gives a path of length k 2^k of them, Section
+    6.1), but two runs that project to the same graph path and end in the
+    same product node have the same extensions, so the later one could only
+    repeat paths; the search is breadth-first, so dropping it leaves every
+    path at the position the first run yields it.
+    """
     if limit is None and product.has_accepting_cycle_path():
         raise InfiniteResultError(
             "infinitely many matching paths; pass a limit or use a path mode"
         )
     graph = product.graph
-    emitted: set[Path] = set()
+    emitted: set[tuple] = set()
     count = 0
     tick = budget.tick if budget is not None else None
-    queue: deque[tuple] = deque()
-    for start in sorted(product.sources, key=repr):
-        queue.append((start,))
+    #: (projected graph path, last product node), each entry once
+    queue: deque[tuple] = deque(
+        ((start[0],), start) for start in sorted(product.sources, key=repr)
+    )
+    queued = set(queue)
     while queue:
         if tick is not None:
             tick()
-        product_objects = queue.popleft()
-        node = product_objects[-1]
-        if node in product.targets:
-            path = product.project_path(Path(graph, product_objects))
-            if path not in emitted:
-                emitted.add(path)
-                yield path
-                count += 1
-                if limit is not None and count >= limit:
-                    return
+        entry = queue.popleft()
+        queued.discard(entry)  # its extensions are longer: it cannot recur
+        objects, node = entry
+        if node in product.targets and objects not in emitted:
+            emitted.add(objects)
+            yield Path(product.base, objects)
+            count += 1
+            if limit is not None and count >= limit:
+                return
         for edge in sorted(graph.out_edges(node), key=repr):
-            queue.append(product_objects + (edge, graph.tgt(edge)))
+            successor = graph.tgt(edge)
+            extended = (objects + (edge[0], successor[0]), successor)
+            if extended not in queued:
+                queued.add(extended)
+                queue.append(extended)
 
 
 def _constrained_paths(

@@ -130,8 +130,6 @@ def run_query_log(
     *,
     jobs: "int | None" = None,
     fork: bool = False,
-    multi_source: bool = True,
-    use_csr: bool = True,
     stats: "EngineStats | None" = None,
     slow_log: int = 0,
     budget=None,
@@ -139,14 +137,10 @@ def run_query_log(
     """Evaluate every log expression's full relation via the batch executor.
 
     A ``budget`` applies batch-wide: one shared deadline, per-item forked
-    counters (see :meth:`BatchExecutor.run`).  ``use_csr=False`` drops the
-    kernel to the dict data plane (the CSR benchmarks' baseline).
+    counters (see :meth:`BatchExecutor.run`).
     """
     expressions = _expressions(log)
-    executor = BatchExecutor(
-        jobs=jobs, fork=fork, multi_source=multi_source, use_csr=use_csr,
-        slow_log=slow_log,
-    )
+    executor = BatchExecutor(jobs=jobs, fork=fork, slow_log=slow_log)
     stats = stats if stats is not None else EngineStats()
     batch = executor.run(graph, expressions, stats=stats, budget=budget)
     return WorkloadReport(
@@ -168,28 +162,22 @@ def run_query_log(
 
 
 def run_query_log_sequential(
-    graph: EdgeLabeledGraph,
-    log: Sequence[LogEntry],
-    *,
-    use_index: bool = False,
+    graph: EdgeLabeledGraph, log: Sequence[LogEntry]
 ) -> WorkloadReport:
     """The per-query seed path: no sharing between queries whatsoever.
 
-    With ``use_index=False`` (default) each query re-parses, re-runs
-    Glushkov, and BFSes with linear edge scans — the exact pre-engine
-    pipeline.  ``use_index=True`` gives the intermediate ablation: warm
-    kernel, but still one per-source evaluation per query with no
-    deduplication or fan-out.
+    Each query re-parses, re-runs Glushkov, and BFSes per source with
+    linear edge scans — the exact pre-engine pipeline.
     """
     expressions = _expressions(log)
     started = time.perf_counter()
     results = [
-        evaluate_rpq(expression, graph, use_index=use_index, multi_source=False)
+        evaluate_rpq(expression, graph, use_index=False)
         for expression in expressions
     ]
     wall = time.perf_counter() - started
     return WorkloadReport(
-        mode="sequential-indexed" if use_index else "sequential-seed",
+        mode="sequential-seed",
         results=results,
         wall_seconds=wall,
         num_queries=len(expressions),

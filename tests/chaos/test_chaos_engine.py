@@ -32,30 +32,37 @@ class TestKernelFault:
 
 
 class TestKernelStepFault:
-    """The mid-traversal site: fires per product-pair expansion, on both
-    data planes, so chaos coverage reaches *inside* the BFS loops."""
+    """The mid-traversal site: fires per product-pair expansion in both of
+    the kernel's loops, so chaos coverage reaches *inside* them."""
 
     def test_csr_and_dict_planes_raise_the_same_typed_fault(self, faults, cycle):
-        for use_csr in (True, False):
-            faults.arm("kernel.step")
-            with pytest.raises(FaultError) as excinfo:
-                evaluate_rpq("a+", cycle, use_csr=use_csr)
-            assert excinfo.value.site == "kernel.step"
-        # clean reruns on both planes recover and agree exactly
-        fast = evaluate_rpq("a+", cycle, use_csr=True)
-        slow = evaluate_rpq("a+", cycle, use_csr=False)
-        assert fast == slow and fast
+        # (named for the dict kernel that once carried the site too)
+        faults.arm("kernel.step")
+        with pytest.raises(FaultError) as excinfo:
+            evaluate_rpq("a+", cycle)
+        assert excinfo.value.site == "kernel.step"
+        # a clean rerun recovers and agrees with the seed evaluator exactly
+        fast = evaluate_rpq("a+", cycle)
+        assert fast == evaluate_rpq("a+", cycle, use_index=False) and fast
 
     def test_single_source_paths_also_carry_the_site(self, faults, cycle):
-        from repro.rpq.evaluation import reachable_by_rpq
+        from repro.engine import kernel
+        from repro.rpq.evaluation import reachable_by_rpq, rpq_holds
 
         node = next(iter(cycle.iter_nodes()))
-        for use_csr in (True, False):
+        compiled = kernel.compile_query("a+", cycle)
+        for search in (
+            lambda: reachable_by_rpq("a+", cycle, node),
+            lambda: kernel.reachable(compiled, cycle, node, backward=True),
+            lambda: rpq_holds("a+", cycle, node, node),
+        ):
             faults.arm("kernel.step")
-            with pytest.raises(FaultError):
-                reachable_by_rpq("a+", cycle, node, use_csr=use_csr)
-        assert reachable_by_rpq("a+", cycle, node, use_csr=True) == \
-            reachable_by_rpq("a+", cycle, node, use_csr=False)
+            with pytest.raises(FaultError) as excinfo:
+                search()
+            assert excinfo.value.site == "kernel.step"
+        assert reachable_by_rpq("a+", cycle, node) == \
+            reachable_by_rpq("a+", cycle, node, use_index=False)
+        assert rpq_holds("a+", cycle, node, node)
 
     def test_repeated_faults_leave_no_stale_state(self, faults, cycle):
         """Three consecutive mid-sweep crashes must not poison the cached

@@ -12,7 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 from repro.engine.batch import BatchExecutor
 from repro.engine.cache import CompilationCache
 from repro.engine.index import get_index
-from repro.engine.kernel import compile_query, evaluate
+from repro.engine.kernel import compile_query, evaluate_sweep
 from repro.graph.datasets import figure2_graph
 
 QUERIES = [
@@ -60,13 +60,13 @@ class TestCompilationCacheThreadSafety:
         graph = figure2_graph()
         cache = CompilationCache()
         expected = {
-            query: evaluate(compile_query(query, graph, cache=cache), graph)
+            query: evaluate_sweep(compile_query(query, graph, cache=cache), graph)
             for query in QUERIES
         }
 
         def worker(query):
             compiled = compile_query(query, graph, cache=cache)
-            return query, evaluate(compiled, graph)
+            return query, evaluate_sweep(compiled, graph)
 
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(worker, QUERIES * 8))

@@ -1,7 +1,7 @@
 """The flat int-encoded data plane: interning, CSR rows, bitsets, IntPlan.
 
 ``tests/engine/test_differential.py`` proves the CSR kernel answers every
-query exactly like the dict kernel; this module proves the *components*
+query exactly like the seed evaluator; this module proves the *components*
 under it correct in isolation and locks in the lifecycle:
 
 * interner properties — round-trip, denseness, stability per graph
@@ -11,13 +11,14 @@ under it correct in isolation and locks in the lifecycle:
   direction, multiplicity preserved, monotone offsets;
 * bytearray bitsets — set/test/count/indices round-trips;
 * the frontier invariant — walking the CSR rows with a bitset visited set
-  discovers exactly the dict kernel's ``(node, state)`` seen set;
+  discovers exactly the ``(node, state)`` seen set of a BFS over the graph
+  object itself, and the kernel's two loops expand the same pairs;
 * cache lifecycle — ``get_csr`` reuse within a version, catch-up (a patch,
   not a build) after mutation, a smuggled stale snapshot is never served
   (the staleness regression), stale ``IntPlan``s are dropped on interner
   change (``tests/engine/test_csr_catchup.py`` is the catch-up
   differential);
-* kernel edge cases vs the dict oracle — empty alphabet, query-only
+* kernel edge cases vs the seed evaluator — empty alphabet, query-only
   labels, self-loops, isolated nodes, single-node graphs.
 """
 
@@ -207,7 +208,7 @@ class TestBitsets:
 
 
 # ----------------------------------------------------------------------
-# the frontier invariant: CSR + IntPlan + bitset == dict kernel's seen set
+# the frontier invariant: CSR + IntPlan + bitset == a plain BFS's seen set
 # ----------------------------------------------------------------------
 class TestFrontierInvariant:
     @settings(max_examples=50, deadline=None)
@@ -219,7 +220,7 @@ class TestFrontierInvariant:
             return
         compiled = kernel.compile_query("a.(b+c)*.a", graph)
 
-        # reference: the dict kernel's (node, state) seen set
+        # reference: the (node, state) seen set of a BFS over the graph object
         from collections import deque
 
         seen = {(node, state) for state in compiled.initial}
@@ -265,19 +266,20 @@ class TestFrontierInvariant:
     @settings(max_examples=30, deadline=None)
     @given(graph=graphs(), source=st.integers(0, 5))
     def test_kernels_expand_equal_pair_counts(self, graph, source):
-        """BFS pops every discovered pair once, so ``nodes_expanded`` must
-        agree across the planes regardless of visit order."""
+        """The kernel's two loops agree on one start node: the bitset BFS
+        and a one-source sweep pop every discovered pair once, so answers,
+        ``nodes_expanded`` and ``edges_relaxed`` match whatever the visit
+        order."""
         node = f"v{source}"
         if not graph.has_node(node):
             return
         compiled = kernel.compile_query("(a+b)*.c", graph)
-        csr_stats, dict_stats = EngineStats(), EngineStats()
-        fast = kernel.reachable(compiled, graph, node, stats=csr_stats)
-        slow = kernel.reachable(
-            compiled, graph, node, stats=dict_stats, use_csr=False
-        )
-        assert fast == slow
-        assert csr_stats.get("nodes_expanded") == dict_stats.get("nodes_expanded")
+        bfs_stats, sweep_stats = EngineStats(), EngineStats()
+        reached = kernel.reachable(compiled, graph, node, stats=bfs_stats)
+        swept = kernel.evaluate_sweep(compiled, graph, [node], stats=sweep_stats)
+        assert reached == {target for _source, target in swept}
+        for counter in ("nodes_expanded", "edges_relaxed"):
+            assert bfs_stats.get(counter) == sweep_stats.get(counter)
 
 
 # ----------------------------------------------------------------------
@@ -376,12 +378,12 @@ class TestIntPlan:
 
 
 # ----------------------------------------------------------------------
-# kernel edge cases vs the dict oracle
+# kernel edge cases vs the seed evaluator
 # ----------------------------------------------------------------------
 class TestKernelEdgeCases:
     def both(self, query, graph, **kwargs):
-        fast = evaluate_rpq(query, graph, use_csr=True, **kwargs)
-        slow = evaluate_rpq(query, graph, use_csr=False, **kwargs)
+        fast = evaluate_rpq(query, graph, **kwargs)
+        slow = evaluate_rpq(query, graph, use_index=False, **kwargs)
         assert fast == slow
         return fast
 
@@ -433,25 +435,22 @@ class TestKernelEdgeCases:
         # only be walked once.
         graph = small_graph()
         sources = ["u", "u", "ghost", "w", "u", "w"]
-        oracle = evaluate_rpq("_*", graph, sources=sources, use_csr=False)
+        oracle = evaluate_rpq("_*", graph, sources=sources, use_index=False)
         assert oracle == {("u", "u"), ("u", "v"), ("u", "w"), ("w", "w")}
-        for use_csr in (True, False):
-            stats = EngineStats()
-            consumed = []
+        stats = EngineStats()
+        consumed = []
 
-            def one_shot():
-                for source in sources:
-                    consumed.append(source)
-                    yield source
+        def one_shot():
+            for source in sources:
+                consumed.append(source)
+                yield source
 
-            pairs = evaluate_rpq(
-                "_*", graph, sources=one_shot(), use_csr=use_csr, stats=stats
-            )
-            assert consumed == sources
-            rows = list(pairs)
-            assert len(pairs) == len(rows) == len(set(rows)) == 4
-            assert pairs == oracle
-            assert stats.get("sweep_sources") == 2
+        pairs = evaluate_rpq("_*", graph, sources=one_shot(), stats=stats)
+        assert consumed == sources
+        rows = list(pairs)
+        assert len(pairs) == len(rows) == len(set(rows)) == 4
+        assert pairs == oracle
+        assert stats.get("sweep_sources") == 2
 
     @settings(max_examples=40, deadline=None)
     @given(graph=graphs(max_nodes=3, max_edges=3))

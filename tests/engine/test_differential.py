@@ -14,19 +14,20 @@ interaction) and pits the two pipelines against each other for:
 * ``matching_paths`` under shortest / trail / simple modes (sequence
   equality — same paths in the same order),
 * ``evaluate_crpq`` / ``evaluate_crpq_bindings`` (joins of RPQ relations),
-* the multi-source sweep (``multi_source=True``) vs the per-source BFS loop
-  vs the naive oracle, including restricted source sets,
+* the kernel's two loops against each other and the naive oracle: the
+  multi-source sweep vs one single-source BFS per node, including
+  restricted source sets,
 * the cost-based planner vs the greedy planner vs the naive oracle — plans
   may differ, answer sets must not,
 * the batch executor vs per-query naive evaluation,
-* the flat int-encoded **CSR data plane** (``use_csr=True``, the default)
-  vs the dict kernel (``use_csr=False``) vs the naive oracle, for the
-  sweep, the per-source loop, single-source reachability, restricted
-  source sets and CRPQ joins,
+* the flat int-encoded **CSR data plane** vs the naive oracle, for the
+  sweep, single-source reachability, restricted source sets and CRPQ joins
+  (these compared against a dict-of-dicts kernel until it was deleted; the
+  seed evaluator is the one reference now),
 * all four evaluators — rpq, crpq, coregql, gql — pinned to one answer on
   label-word patterns (the fragment they all implement),
-* budget-trip equivalence: both data planes trip the same typed limit and
-  attach comparable partial answers.
+* budget trips: the kernel raises the typed limit and attaches a partial
+  answer that is a true subset of the oracle's.
 
 Across the suite well over 200 (graph, query) cases are exercised per run.
 """
@@ -36,6 +37,7 @@ from hypothesis import strategies as st
 
 from repro.crpq.ast import CRPQ, RPQAtom, Var
 from repro.crpq.evaluation import evaluate_crpq, evaluate_crpq_bindings
+from repro.engine import kernel
 from repro.engine.limits import BudgetExceeded, make_budget
 from repro.engine.stats import EngineStats
 from repro.graph.edge_labeled import EdgeLabeledGraph
@@ -180,17 +182,20 @@ def test_crpq_indexed_equals_naive(graph, query):
 
 
 # ----------------------------------------------------------------------
-# multi-source sweep vs per-source BFS vs naive
+# multi-source sweep vs one single-source BFS per node vs naive
 # ----------------------------------------------------------------------
 @settings(max_examples=60, deadline=None)
 @given(graph=graphs(), regex=regexes())
-def test_sweep_equals_per_source_and_naive(graph, regex):
-    sweep = evaluate_rpq(
-        regex, graph, use_index=True, multi_source=True, stats=EngineStats()
-    )
-    per_source = evaluate_rpq(regex, graph, use_index=True, multi_source=False)
+def test_sweep_equals_single_source_loop_and_naive(graph, regex):
+    sweep = evaluate_rpq(regex, graph, use_index=True, stats=EngineStats())
+    compiled = kernel.compile_query(regex, graph)
+    one_by_one = {
+        (source, target)
+        for source in graph.iter_nodes()
+        for target in kernel.reachable(compiled, graph, source)
+    }
     oracle = evaluate_rpq(regex, graph, use_index=False)
-    assert sweep == per_source == oracle
+    assert sweep == one_by_one == oracle
 
 
 @settings(max_examples=40, deadline=None)
@@ -202,7 +207,7 @@ def test_sweep_equals_per_source_and_naive(graph, regex):
 def test_sweep_restricted_sources_equals_naive(graph, regex, picks):
     # Source lists may name nodes outside the graph; both paths must skip them.
     sources = [f"v{i}" for i in sorted(picks)]
-    sweep = evaluate_rpq(regex, graph, sources, use_index=True, multi_source=True)
+    sweep = evaluate_rpq(regex, graph, sources, use_index=True)
     oracle = evaluate_rpq(regex, graph, sources, use_index=False)
     assert sweep == oracle
 
@@ -240,30 +245,25 @@ def test_batch_executor_equals_naive(graph, workload):
 
 
 # ----------------------------------------------------------------------
-# CSR data plane vs dict kernel vs naive — the int encoding must be
-# observationally invisible
+# CSR data plane vs naive — the int encoding must be observationally
+# invisible.  (The test names predate the deletion of the dict kernel these
+# once compared against as well; its leg of each assert went with it.)
 # ----------------------------------------------------------------------
 @settings(max_examples=80, deadline=None)
 @given(graph=graphs(), regex=regexes())
 def test_csr_sweep_equals_dict_kernel_and_naive(graph, regex):
-    csr = evaluate_rpq(
-        regex, graph, use_index=True, use_csr=True, stats=EngineStats()
-    )
-    dict_kernel = evaluate_rpq(regex, graph, use_index=True, use_csr=False)
+    csr = evaluate_rpq(regex, graph, use_index=True, stats=EngineStats())
     oracle = evaluate_rpq(regex, graph, use_index=False)
-    assert csr == dict_kernel == oracle
+    assert csr == oracle
 
 
 @settings(max_examples=80, deadline=None)
 @given(graph=graphs(), regex=regexes(), source=st.integers(0, 4))
 def test_csr_reachable_equals_dict_kernel_and_naive(graph, regex, source):
     node = f"v{source}"
-    csr = reachable_by_rpq(regex, graph, node, use_index=True, use_csr=True)
-    dict_kernel = reachable_by_rpq(
-        regex, graph, node, use_index=True, use_csr=False
-    )
+    csr = reachable_by_rpq(regex, graph, node, use_index=True)
     oracle = reachable_by_rpq(regex, graph, node, use_index=False)
-    assert csr == dict_kernel == oracle
+    assert csr == oracle
 
 
 @settings(max_examples=40, deadline=None)
@@ -273,41 +273,24 @@ def test_csr_reachable_equals_dict_kernel_and_naive(graph, regex, source):
     picks=st.sets(st.integers(0, 6), max_size=4),
 )
 def test_csr_restricted_sources_equals_dict_kernel(graph, regex, picks):
-    # Source lists may name nodes outside the graph; both planes must skip
-    # them before seeding (the CSR plane would otherwise KeyError interning).
+    # Source lists may name nodes outside the graph; the kernel must skip
+    # them before seeding (it would otherwise KeyError interning).
     sources = [f"v{i}" for i in sorted(picks)]
-    csr = evaluate_rpq(regex, graph, sources, use_index=True, use_csr=True)
-    dict_kernel = evaluate_rpq(
-        regex, graph, sources, use_index=True, use_csr=False
-    )
-    assert csr == dict_kernel
-
-
-@settings(max_examples=30, deadline=None)
-@given(graph=graphs(), regex=regexes())
-def test_csr_per_source_loop_equals_dict_kernel(graph, regex):
-    # multi_source=False exercises the CSR single-source BFS per node.
-    csr = evaluate_rpq(
-        regex, graph, use_index=True, use_csr=True, multi_source=False
-    )
-    dict_kernel = evaluate_rpq(
-        regex, graph, use_index=True, use_csr=False, multi_source=False
-    )
-    assert csr == dict_kernel
+    csr = evaluate_rpq(regex, graph, sources, use_index=True)
+    oracle = evaluate_rpq(regex, graph, sources, use_index=False)
+    assert csr == oracle
 
 
 @settings(max_examples=40, deadline=None)
 @given(graph=graphs(max_nodes=4, max_edges=6), query=crpqs())
 def test_csr_crpq_equals_dict_kernel(graph, query):
-    csr = evaluate_crpq(query, graph, use_index=True, use_csr=True)
-    dict_kernel = evaluate_crpq(query, graph, use_index=True, use_csr=False)
-    assert csr == dict_kernel
+    csr = evaluate_crpq(query, graph, use_index=True)
+    oracle = evaluate_crpq(query, graph, use_index=False)
+    assert csr == oracle
     freeze = lambda bindings: {tuple(sorted(b.items(), key=repr)) for b in bindings}
     assert freeze(
-        evaluate_crpq_bindings(query, graph, use_index=True, use_csr=True)
-    ) == freeze(
-        evaluate_crpq_bindings(query, graph, use_index=True, use_csr=False)
-    )
+        evaluate_crpq_bindings(query, graph, use_index=True)
+    ) == freeze(evaluate_crpq_bindings(query, graph, use_index=False))
 
 
 # ----------------------------------------------------------------------
@@ -341,7 +324,7 @@ def word_cases(draw):
 @settings(max_examples=60, deadline=None)
 @given(case=word_cases())
 def test_four_evaluators_agree_on_label_words(case):
-    """rpq (CSR and dict), crpq, coregql and gql pin one endpoint relation.
+    """rpq (kernel and seed), crpq, coregql and gql pin one endpoint relation.
 
     A label word ``l1 ... lk`` is expressible in every language of the
     library: as the concat regex, as a one-atom CRPQ, and as the pattern
@@ -358,13 +341,13 @@ def test_four_evaluators_agree_on_label_words(case):
         regex = Concat(tuple(Symbol(label) for label in word))
     else:
         regex = Epsilon()
-    expected = evaluate_rpq(regex, graph, use_index=True, use_csr=True)
-    assert expected == evaluate_rpq(regex, graph, use_index=True, use_csr=False)
+    expected = evaluate_rpq(regex, graph, use_index=True)
+    assert expected == evaluate_rpq(regex, graph, use_index=False)
 
     query = CRPQ(
         head=(Var("x"), Var("y")), atoms=(RPQAtom(regex, Var("x"), Var("y")),)
     )
-    assert evaluate_crpq(query, graph, use_index=True, use_csr=True) == expected
+    assert evaluate_crpq(query, graph, use_index=True) == expected
 
     pattern_text = "()" + "".join(f" -[:{label}]-> ()" for label in word)
     core_endpoints = {
@@ -382,58 +365,52 @@ def test_four_evaluators_agree_on_label_words(case):
 
 
 # ----------------------------------------------------------------------
-# budget-trip equivalence across the two data planes
+# budget trips on the CSR plane, judged against the seed evaluator's answer
 # ----------------------------------------------------------------------
 @settings(max_examples=40, deadline=None)
 @given(graph=graphs(), regex=regexes(), ceiling=st.integers(1, 6))
 def test_max_rows_trip_equivalent_across_planes(graph, regex, ceiling):
-    """Both planes trip ``max_rows`` on the same inputs, with true partials.
+    """``max_rows`` trips exactly when the full answer is larger, with a
+    true partial.
 
     The attached partial must be *exactly* the ceiling and a subset of the
-    full answer on either plane (the subsets themselves may differ — answer
-    discovery order is an implementation detail the bound does not fix).
+    seed evaluator's full answer (which subset is not fixed — answer
+    discovery order is an implementation detail the bound does not pin).
     """
-    full = evaluate_rpq(regex, graph, use_index=True, use_csr=False)
-    for use_csr in (True, False):
-        budget = make_budget(max_rows=ceiling)
-        if len(full) > ceiling:
-            try:
-                evaluate_rpq(
-                    regex, graph, use_index=True, use_csr=use_csr, budget=budget
-                )
-            except BudgetExceeded as exc:
-                assert exc.limit == "max_rows"
-                assert len(exc.partial) == ceiling
-                assert exc.partial <= full
-            else:
-                raise AssertionError(f"use_csr={use_csr} did not trip")
+    full = evaluate_rpq(regex, graph, use_index=False)
+    budget = make_budget(max_rows=ceiling)
+    if len(full) > ceiling:
+        try:
+            evaluate_rpq(regex, graph, use_index=True, budget=budget)
+        except BudgetExceeded as exc:
+            assert exc.limit == "max_rows"
+            assert len(exc.partial) == ceiling
+            assert exc.partial <= full
         else:
-            assert (
-                evaluate_rpq(
-                    regex, graph, use_index=True, use_csr=use_csr, budget=budget
-                )
-                == full
-            )
+            raise AssertionError("max_rows did not trip")
+    else:
+        assert evaluate_rpq(regex, graph, use_index=True, budget=budget) == full
 
 
 @settings(max_examples=40, deadline=None)
 @given(graph=graphs(), regex=regexes(), source=st.integers(0, 4), ceiling=st.integers(1, 8))
 def test_max_states_trip_equivalent_across_planes(graph, regex, source, ceiling):
-    """``max_states`` (stride=1) trips identically: the planes expand the
-    same number of product pairs, each exactly once."""
+    """``max_states`` (stride=1) either lets the search finish with the
+    seed evaluator's answer or trips typed, attaching a subset of it; the
+    same call trips the same way twice (each product pair expands once)."""
     node = f"v{source}"
+    full = reachable_by_rpq(regex, graph, node, use_index=False)
     outcomes = []
-    for use_csr in (True, False):
+    for _ in range(2):
         budget = make_budget(max_states=ceiling, stride=1)
         try:
             answers = reachable_by_rpq(
-                regex, graph, node, use_index=True, use_csr=use_csr,
-                budget=budget,
+                regex, graph, node, use_index=True, budget=budget
             )
-            outcomes.append(("ok", answers))
+            assert answers == full
+            outcomes.append("ok")
         except BudgetExceeded as exc:
             assert exc.limit == "max_states"
-            outcomes.append(("trip", None))
-    assert outcomes[0][0] == outcomes[1][0]
-    if outcomes[0][0] == "ok":
-        assert outcomes[0][1] == outcomes[1][1]
+            assert exc.partial <= full
+            outcomes.append("trip")
+    assert outcomes[0] == outcomes[1]

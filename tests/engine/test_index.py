@@ -145,37 +145,3 @@ class TestPropertyGraphInvalidation:
         index = get_index(graph)
         graph.set_property("t", "amount", 100)
         assert get_index(graph) is not index
-
-
-class TestReversedCache:
-    def test_reversed_cached_per_version(self):
-        from repro.engine.index import get_reversed
-
-        graph = EdgeLabeledGraph()
-        graph.add_edge("e0", "u", "v", "a")
-        flipped = get_reversed(graph)
-        assert flipped.src("e0") == "v" and flipped.tgt("e0") == "u"
-        assert get_reversed(graph) is flipped
-
-    def test_reversed_invalidated_on_mutation(self):
-        from repro.engine.index import get_reversed
-
-        graph = EdgeLabeledGraph()
-        graph.add_edge("e0", "u", "v", "a")
-        flipped = get_reversed(graph)
-        graph.add_edge("e1", "v", "w", "b")
-        rebuilt = get_reversed(graph)
-        assert rebuilt is not flipped
-        assert rebuilt.src("e1") == "w"
-
-    def test_reversed_counters(self):
-        from repro.engine.index import get_reversed
-        from repro.engine.stats import EngineStats
-
-        graph = EdgeLabeledGraph()
-        graph.add_edge("e0", "u", "v", "a")
-        stats = EngineStats()
-        get_reversed(graph, stats)
-        get_reversed(graph, stats)
-        assert stats.get("reversed_builds") == 1
-        assert stats.get("reversed_reuses") == 1

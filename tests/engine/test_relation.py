@@ -3,9 +3,9 @@
 ``evaluate_rpq`` hands back the sweep's origin masks as a read-only
 :class:`~repro.engine.relation.PairRelation` instead of a decoded pair set.
 This module holds that object to the ``collections.abc.Set`` contract
-against the dict kernel's plain ``set`` (``use_csr=False``), exercises both
-mask decoders on each side of their crossover, and holds the tuple-row CRPQ
-join to the naive evaluator on the query shapes whose access path is
+against the seed evaluator's plain ``set`` (``use_index=False``), exercises
+both mask decoders on each side of their crossover, and holds the tuple-row
+CRPQ join to the naive evaluator on the query shapes whose access path is
 decided per atom: constants, non-node constants, repeated variables,
 boolean heads, filter-only atoms.
 """
@@ -49,13 +49,13 @@ def source_subsets(draw, max_nodes: int = 5):
 
 
 # ----------------------------------------------------------------------
-# the Set contract, against the dict oracle
+# the Set contract, against the seed evaluator's plain set
 # ----------------------------------------------------------------------
 @settings(max_examples=150, deadline=None)
 @given(graph=graphs(), regex=regexes(), sources=source_subsets())
 def test_relation_equals_dict_oracle(graph, regex, sources):
     relation = evaluate_rpq(regex, graph, sources=sources)
-    oracle = evaluate_rpq(regex, graph, sources=sources, use_csr=False)
+    oracle = evaluate_rpq(regex, graph, sources=sources, use_index=False)
     assert type(oracle) is set
     assert relation == oracle and oracle == relation
     assert not (relation != oracle) and not (oracle != relation)
@@ -79,7 +79,7 @@ def test_relation_equals_dict_oracle(graph, regex, sources):
                                st.sampled_from(["v0", "v1", "v2"]))))
 def test_relation_algebra_returns_plain_sets(graph, regex, sources, other):
     relation = evaluate_rpq(regex, graph, sources=sources)
-    oracle = evaluate_rpq(regex, graph, sources=sources, use_csr=False)
+    oracle = evaluate_rpq(regex, graph, sources=sources, use_index=False)
     for ours, theirs in (
         (relation | other, oracle | other), (other | relation, other | oracle),
         (relation & other, oracle & other), (other & relation, other & oracle),
@@ -123,7 +123,7 @@ def test_relation_is_a_snapshot_of_its_graph_version():
     after = evaluate_rpq("a.b*", graph)
     assert ("v0", "fresh") in after and ("v0", "fresh") not in before
     assert before == frozen and len(before) == len(frozen)
-    assert after == evaluate_rpq("a.b*", graph, use_csr=False)
+    assert after == evaluate_rpq("a.b*", graph, use_index=False)
 
 
 # ----------------------------------------------------------------------
@@ -180,8 +180,8 @@ def test_the_crossover_splits_real_masks():
     sparse = evaluate_rpq("a", graph)
     assert dense_share(dense) > 0.9
     assert dense_share(sparse) == 0.0
-    assert dense == evaluate_rpq("(a+b)*", graph, use_csr=False)
-    assert sparse == evaluate_rpq("a", graph, use_csr=False)
+    assert dense == evaluate_rpq("(a+b)*", graph, use_index=False)
+    assert sparse == evaluate_rpq("a", graph, use_index=False)
 
 
 def test_one_bit_masks_in_a_large_graph():
@@ -191,11 +191,11 @@ def test_one_bit_masks_in_a_large_graph():
         mask.bit_count() == 1 and mask.bit_length() > 1000
         for mask in everything._masks.values()
     )
-    assert everything == evaluate_rpq("a", graph, use_csr=False)
+    assert everything == evaluate_rpq("a", graph, use_index=False)
     # a single-source read: one-bit masks of length one, whatever the graph
     single = evaluate_rpq("a.b*", graph, sources=["v1999"])
     assert all(mask == 1 for mask in single._masks.values())
-    assert single == evaluate_rpq("a.b*", graph, sources=["v1999"], use_csr=False)
+    assert single == evaluate_rpq("a.b*", graph, sources=["v1999"], use_index=False)
 
 
 def test_max_rows_trip_attaches_exactly_k_answers():

@@ -6,15 +6,17 @@ bound) rests on two facts this module locks in with hypothesis:
 1. ``reverse`` is an involution: reversing twice yields the same
    expression (on smart-constructor-normalized forms) and, on arbitrary
    raw ASTs, at least the same *language*.
-2. Reachability of the reversed expression over the reversed graph from a
+2. Reachability of the reversed expression over the reversed edges from a
    target ``t`` is exactly ``{s | (s, t) in [[R]]_G}`` — so the planner may
-   freely choose forward or backward access without changing answers.
+   freely choose forward or backward access without changing answers.  The
+   kernel walks the CSR snapshot's reversed rows; a forward search over a
+   reversed copy of the graph and the seed evaluator must give the same.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.index import get_reversed
+from repro.engine import kernel
 from repro.graph.edge_labeled import EdgeLabeledGraph
 from repro.regex.ast import (
     Concat,
@@ -100,7 +102,7 @@ def test_reverse_swaps_answer_pairs(graph, regex):
 
 
 # ----------------------------------------------------------------------
-# backward reachability over the (engine-cached) reversed graph
+# backward reachability over the snapshot's reversed rows
 # ----------------------------------------------------------------------
 @settings(max_examples=80, deadline=None)
 @given(graph=graphs(), regex=regexes(), target=st.integers(0, 4))
@@ -108,8 +110,10 @@ def test_backward_reachability_equals_forward(graph, regex, target):
     node = f"v{target}"
     if not graph.has_node(node):
         return
-    flipped = get_reversed(graph)
-    assert flipped is get_reversed(graph), "reversed copy must be cached"
-    sources = reachable_by_rpq(regex_reverse(regex), flipped, node)
+    reversed_regex = regex_reverse(regex)
+    sources = kernel.reachable(
+        kernel.compile_query(reversed_regex, graph), graph, node, backward=True
+    )
+    assert sources == reachable_by_rpq(reversed_regex, graph.reversed_copy(), node)
     forward = evaluate_rpq(regex, graph, use_index=False)
     assert sources == {source for source, tgt in forward if tgt == node}

@@ -63,6 +63,26 @@ class TestAll:
         paths = list(matching_paths("a* . a*", g, "v0", "v2", mode="all"))
         assert len(paths) == 1
 
+    def test_ambiguity_does_not_multiply_the_search(self):
+        """``(a+a)*`` gives a length-k path 2^k automaton runs (Section 6.1);
+        the enumerator must walk each graph path once, not once per run.
+        One budget tick per queue pop keeps a regression from eating memory:
+        it trips ``max_states`` after ~13 paths instead."""
+        from repro.engine.limits import QueryBudget
+        from repro.graph.edge_labeled import EdgeLabeledGraph
+        from repro.regex.ast import Star, Symbol, Union
+
+        g = EdgeLabeledGraph()
+        g.add_edge("loop", "n0", "n0", "a")
+        a = Symbol("a")
+        paths = list(
+            matching_paths(
+                Star(Union((a, a))), g, "n0", "n0", mode="all", limit=40,
+                budget=QueryBudget(max_states=10_000),
+            )
+        )
+        assert [len(p) for p in paths] == list(range(40))
+
 
 class TestSimpleAndTrail:
     def test_simple_excludes_node_repeats(self, fig3):

@@ -5,8 +5,8 @@ Three evaluation paths must agree on every generated (graph, query) pair:
 * **lazy** — the service path: ``query_labels`` picks the needed segments,
   the handle serves a restricted view;
 * **resident** — the same stored graph loaded in full;
-* **oracle** — the dict-plane evaluator with the CSR fast path disabled,
-  on the original in-memory graph (never stored at all).
+* **oracle** — the seed evaluator (``use_index=False``) on the original
+  in-memory graph (never stored at all).
 
 Queries include wildcards and negation (whose automata depend on the full
 stored alphabet — the Remark 11 trap lazy loading must not fall into) and
@@ -81,7 +81,7 @@ def test_lazy_resident_oracle_agree_rpq(graph, query):
         store.put_graph("g", graph)
         handle = LazyGraphHandle(store, "g")
         resident = store.load_graph("g")
-        oracle = evaluate_rpq(query, graph, use_csr=False)
+        oracle = evaluate_rpq(query, graph, use_index=False)
         assert evaluate_rpq(query, resident) == oracle
         assert lazy_answers(handle, query, evaluate_rpq) == oracle
 
@@ -93,7 +93,7 @@ def test_lazy_resident_oracle_agree_crpq(graph, query):
         store.put_graph("g", graph)
         handle = LazyGraphHandle(store, "g")
         resident = store.load_graph("g")
-        oracle = evaluate_crpq(query, graph, use_csr=False)
+        oracle = evaluate_crpq(query, graph, use_index=False)
         assert evaluate_crpq(query, resident) == oracle
         assert lazy_answers(handle, query, evaluate_crpq) == oracle
 
@@ -105,7 +105,7 @@ def test_lazy_under_tight_eviction_budget(graph, query):
     with GraphStore(":memory:") as store:
         store.put_graph("g", graph)
         handle = LazyGraphHandle(store, "g", max_resident_edges=1)
-        oracle = evaluate_rpq(query, graph, use_csr=False)
+        oracle = evaluate_rpq(query, graph, use_index=False)
         assert lazy_answers(handle, query, evaluate_rpq) == oracle
         # and again, through the (possibly evicted/rebuilt) view path
         assert lazy_answers(handle, query, evaluate_rpq) == oracle
@@ -123,5 +123,5 @@ def test_journaled_tail_included_in_lazy_views():
         store.flush("g")
         handle = LazyGraphHandle(store, "g")
         for query in ("a", "a*", "a.b", "_*"):
-            oracle = evaluate_rpq(query, graph, use_csr=False)
+            oracle = evaluate_rpq(query, graph, use_index=False)
             assert lazy_answers(handle, query, evaluate_rpq) == oracle

@@ -263,15 +263,6 @@ class TestWorkloadCLI:
         assert "# TYPE repro_query_latency_seconds histogram" in text
         assert 'repro_query_latency_seconds_bucket{le="+Inf"}' in text
 
-    def test_workload_per_source_matches_sweep(self, capsys):
-        args = ["workload", "run", "random", "--queries", "15", "--nodes", "20",
-                "--edges", "60", "--jobs", "1"]
-        assert main(args) == 0
-        sweep = json.loads(capsys.readouterr().out)
-        assert main(args + ["--per-source"]) == 0
-        per_source = json.loads(capsys.readouterr().out)
-        assert sweep["total_answers"] == per_source["total_answers"]
-
 
 class TestWorkloadInterrupt:
     """Ctrl-C during ``workload run`` flushes partial telemetry, exits 130."""
