@@ -321,16 +321,24 @@ def _enumerate(
     edge_filter,
     budget=None,
 ) -> Iterator[PathBinding]:
-    """Breadth-first enumeration of accepted runs, deduplicated on (p, mu)."""
+    """Breadth-first enumeration of accepted runs, deduplicated on (p, mu).
+
+    An entry equal to one still queued is not enqueued: equal state, equal
+    futures, so it could only repeat results, and breadth-first keeps the
+    first — the same rule as ``pmr.enumerate``'s mode ``all``.  Without it
+    an ambiguous expression queues one entry per *run* (Section 6.1).
+    """
     graph = cg.graph
     emitted: set[PathBinding] = set()
     tick = budget.tick if budget is not None else None
 
     # queue entries: (config, path_objects, mu_lists, used, since_progress)
-    queue: deque = deque()
-    for start in cg.starts:
-        if start in useful:
-            queue.append((start, (), (), frozenset(), frozenset()))
+    queue: deque = deque(
+        (start, (), (), frozenset(), frozenset())
+        for start in cg.starts
+        if start in useful
+    )
+    queued = set(queue)
 
     def result_of(path_objects, mu_lists) -> PathBinding:
         lists: dict = {}
@@ -341,7 +349,9 @@ def _enumerate(
     while queue:
         if tick is not None:
             tick()
-        config, path_objects, mu_lists, used, since_progress = queue.popleft()
+        entry = queue.popleft()
+        queued.discard(entry)
+        config, path_objects, mu_lists, used, since_progress = entry
         if config in accepting and path_objects:
             binding = result_of(path_objects, mu_lists)
             if binding not in emitted:
@@ -374,7 +384,10 @@ def _enumerate(
                 if target in since_progress:
                     continue  # a no-progress cycle adds nothing new
                 new_since = since_progress | {target}
-            queue.append((target, new_path, new_mu, new_used, new_since))
+            entry = (target, new_path, new_mu, new_used, new_since)
+            if entry not in queued:
+                queued.add(entry)
+                queue.append(entry)
 
 
 def dlrpq_pairs(

@@ -8,15 +8,16 @@ dict-of-dicts index that does: ``rpq/product_graph.py`` (product edges are
 ``(edge, transition)`` pairs, the input of every path mode) and
 ``gql/semantics.py`` (an edge pattern binds its variable to the edge).
 
-The question both ask is *"which edges leave node ``u`` with label ``a``?"*.
-The seed evaluators answer it by scanning every outgoing edge of ``u`` and
+The product asks *"which edges leave node ``u`` with label ``a``?"*.  The
+seed evaluator answers it by scanning every outgoing edge of ``u`` and
 comparing labels — O(out-degree) per automaton transition.  The
-:class:`GraphIndex` answers it in one dict lookup:
+:class:`GraphIndex` answers it in one dict lookup, ``out_edges``:
 
 ``label -> (src -> ((edge, tgt), ...))``
 
-plus a flat ``label -> ((edge, src, tgt), ...)`` listing for pattern
-evaluators (GQL edge patterns filter by label before anything else).
+The pattern evaluator asks for every edge of a label (GQL edge patterns
+filter by label before anything else): ``edges_with_label``, a flat
+``label -> ((edge, src, tgt), ...)`` listing.
 
 Indexes are built **lazily** — the first call on a graph pays the single
 O(|E|) build — and **invalidated on mutation** via the graph's monotone
@@ -35,27 +36,21 @@ _EMPTY: tuple = ()
 class GraphIndex:
     """An immutable label-first adjacency snapshot of one graph version."""
 
-    __slots__ = ("version", "num_edges", "_out", "_in", "_by_label")
+    __slots__ = ("version", "num_edges", "_out", "_by_label")
 
     def __init__(self, graph: EdgeLabeledGraph):
         self.version = graph.version
         self.num_edges = graph.num_edges
         out: dict[Label, dict[ObjectId, list]] = {}
-        incoming: dict[Label, dict[ObjectId, list]] = {}
         by_label: dict[Label, list] = {}
         for edge, src, tgt, label in graph.iter_edge_records():
             out.setdefault(label, {}).setdefault(src, []).append((edge, tgt))
-            incoming.setdefault(label, {}).setdefault(tgt, []).append((edge, src))
             by_label.setdefault(label, []).append((edge, src, tgt))
         # Freeze the buckets: tuples are lighter to iterate and make the
         # snapshot safely shareable between concurrent evaluations.
         self._out = {
             label: {src: tuple(bucket) for src, bucket in per_src.items()}
             for label, per_src in out.items()
-        }
-        self._in = {
-            label: {tgt: tuple(bucket) for tgt, bucket in per_tgt.items()}
-            for label, per_tgt in incoming.items()
         }
         self._by_label = {label: tuple(bucket) for label, bucket in by_label.items()}
 
@@ -69,24 +64,9 @@ class GraphIndex:
             return _EMPTY
         return per_src.get(node, _EMPTY)
 
-    def in_edges(self, node: ObjectId, label: Label) -> tuple:
-        """``((edge, src), ...)`` for edges ``src --label--> node``."""
-        per_tgt = self._in.get(label)
-        if per_tgt is None:
-            return _EMPTY
-        return per_tgt.get(node, _EMPTY)
-
     def edges_with_label(self, label: Label) -> tuple:
         """``((edge, src, tgt), ...)`` for every edge carrying ``label``."""
         return self._by_label.get(label, _EMPTY)
-
-    def out_map(self, label: Label) -> dict:
-        """The raw ``src -> ((edge, tgt), ...)`` map for one label."""
-        return self._out.get(label, {})
-
-    def in_map(self, label: Label) -> dict:
-        """The raw ``tgt -> ((edge, src), ...)`` map for one label."""
-        return self._in.get(label, {})
 
     @property
     def labels(self) -> frozenset[Label]:

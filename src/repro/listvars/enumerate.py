@@ -1,45 +1,52 @@
 """Automata-based evaluation of l-RPQs (Section 3.1.4 + path modes).
 
 The engine builds the product of the graph with the capture-atom automaton
-and enumerates product paths.  Each product path determines one path binding
-``(p, mu)``: the projection gives the graph path, and the capture sets on
-the traversed transitions give the lists.  Note that one *graph* path can
-carry several distinct ``mu`` (the paper's ``(a.a^z + a^z.a)*`` example
-binds exponentially many lists on a single path), so deduplication happens
-on the pair, never on the path alone.
+— by the one ``build_product``, told that an atom matches an edge by its
+``label`` field — and runs the one search per path mode of
+:mod:`repro.pmr.enumerate` on its trimmed part.  Each product path
+determines one path binding ``(p, mu)``: the projection gives the graph
+path, and the capture sets on the traversed transitions give the lists.
+Note that one *graph* path can carry several distinct ``mu`` (the paper's
+``(a.a^z + a^z.a)*`` example binds exponentially many lists on a single
+path), so a product edge contributes its base edge *and* its captures to
+the search, and deduplication happens on the pair, never on the path alone.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterator
+from functools import partial
+from operator import attrgetter
 
-from repro.errors import EvaluationError, InfiniteResultError
+from repro.errors import EvaluationError
 from repro.graph.bindings import ListBinding
 from repro.graph.edge_labeled import EdgeLabeledGraph, ObjectId
 from repro.graph.paths import Path
 from repro.listvars.compile import compile_lrpq
 from repro.listvars.lrpq import PathBinding, parse_lrpq
+from repro.pmr.enumerate import search_paths
+from repro.pmr.ops import trim
 from repro.regex.ast import Regex
 from repro.rpq.path_modes import PATH_MODES
 from repro.rpq.product_graph import build_product
 
 
-def _binding_of(product, product_objects: tuple) -> PathBinding:
-    """Project a product path to its (graph path, mu) result."""
-    graph_objects = []
+def _captured(product_edge: tuple) -> tuple:
+    """What a product edge ``(e, (q1, atom, q2))`` adds to a run: the base
+    edge and the variables capturing it."""
+    return product_edge[0], product_edge[1][1].variables
+
+
+def _path_binding(base: EdgeLabeledGraph, images: tuple) -> PathBinding:
+    """The ``(graph path, mu)`` of a run's node / :func:`_captured` sequence."""
+    objects = list(images)
     lists: dict = {}
-    for index, obj in enumerate(product_objects):
-        if index % 2 == 0:  # product node (node, state)
-            graph_objects.append(obj[0])
-        else:  # product edge (edge, (q1, atom, q2))
-            edge, (_q1, atom, _q2) = obj
-            graph_objects.append(edge)
-            for variable in atom.variables:
-                lists[variable] = lists.get(variable, ()) + (edge,)
-    return PathBinding(
-        Path(product.base, tuple(graph_objects)), ListBinding(lists)
-    )
+    for position in range(1, len(images), 2):
+        edge, variables = images[position]
+        objects[position] = edge
+        for variable in variables:
+            lists.setdefault(variable, []).append(edge)
+    return PathBinding(Path(base, tuple(objects)), ListBinding(lists))
 
 
 def evaluate_lrpq(
@@ -63,161 +70,13 @@ def evaluate_lrpq(
         return
     regex = parse_lrpq(query) if isinstance(query, str) else query
     nfa = compile_lrpq(regex, graph)
-    # The product machinery matches transition symbols against edge labels;
-    # here symbols are atoms, so we drive the product manually.
-    product = _build_atom_product(graph, nfa, source, target)
-    if not product.targets:
-        return
-    if mode == "shortest":
-        yield from _bounded(_shortest_bindings(product), limit)
-    elif mode == "all":
-        if limit is None and product.has_accepting_cycle_path():
-            raise InfiniteResultError(
-                "infinitely many path bindings; pass a limit or pick a mode"
-            )
-        yield from _bounded(_all_bindings(product), limit)
-    else:
-        yield from _bounded(_constrained_bindings(product, mode), limit)
-
-
-def _build_atom_product(graph, nfa, source, target):
-    """Like :func:`repro.rpq.product_graph.build_product`, but transitions
-    carry LAtom symbols that match edges by their ``label`` field."""
-    from repro.graph.edge_labeled import EdgeLabeledGraph as _G
-    from repro.rpq.product_graph import ProductGraph
-
-    by_state_label: dict = {}
-    for state_from, atom, state_to in nfa.transitions():
-        by_state_label.setdefault((state_from, atom.label), []).append(
-            (atom, state_to)
+    product = trim(
+        build_product(
+            graph, nfa, sources=[source], targets=[target],
+            label_of=attrgetter("label"),
         )
-
-    product = _G()
-    start_pairs = {(source, state) for state in nfa.initial}
-    for pair in start_pairs:
-        product.add_node(pair)
-    seen = set(start_pairs)
-    frontier = list(start_pairs)
-    while frontier:
-        node, state = frontier.pop()
-        for edge in graph.out_edges(node):
-            label = graph.label(edge)
-            for atom, next_state in by_state_label.get((state, label), ()):
-                next_pair = (graph.tgt(edge), next_state)
-                product_edge = (edge, (state, atom, next_state))
-                if next_pair not in seen:
-                    seen.add(next_pair)
-                    product.add_node(next_pair)
-                    frontier.append(next_pair)
-                if not product.has_edge(product_edge):
-                    product.add_edge(product_edge, (node, state), next_pair, label)
-    accepting = frozenset(
-        (node, state)
-        for (node, state) in seen
-        if state in nfa.finals and node == target
     )
-    return ProductGraph(
-        graph=product,
-        base=graph,
-        sources=frozenset(start_pairs),
-        targets=accepting,
-    ).trim()
-
-
-def _bounded(iterator: Iterator[PathBinding], limit: int | None):
-    if limit is None:
-        yield from iterator
-        return
-    count = 0
-    for item in iterator:
-        yield item
-        count += 1
-        if count >= limit:
-            return
-
-
-def _all_bindings(product) -> Iterator[PathBinding]:
-    emitted: set[PathBinding] = set()
-    queue: deque[tuple] = deque()
-    for start in sorted(product.sources, key=repr):
-        queue.append((start,))
-    while queue:
-        product_objects = queue.popleft()
-        node = product_objects[-1]
-        if node in product.targets:
-            binding = _binding_of(product, product_objects)
-            if binding not in emitted:
-                emitted.add(binding)
-                yield binding
-        for edge in sorted(product.graph.out_edges(node), key=repr):
-            queue.append(product_objects + (edge, product.graph.tgt(edge)))
-
-
-def _shortest_bindings(product) -> Iterator[PathBinding]:
-    """All (p, mu) with len(p) minimal — including every mu of every
-    shortest path (Example 17 keeps the full binding set)."""
-    graph = product.graph
-    dist_from = {node: 0 for node in product.sources}
-    queue = deque(product.sources)
-    while queue:
-        node = queue.popleft()
-        for successor in graph.successors(node):
-            if successor not in dist_from:
-                dist_from[successor] = dist_from[node] + 1
-                queue.append(successor)
-    reachable = [node for node in product.targets if node in dist_from]
-    if not reachable:
-        return
-    best = min(dist_from[node] for node in reachable)
-
-    dist_to = {node: 0 for node in product.targets}
-    queue = deque(product.targets)
-    while queue:
-        node = queue.popleft()
-        for predecessor in graph.predecessors(node):
-            if predecessor not in dist_to:
-                dist_to[predecessor] = dist_to[node] + 1
-                queue.append(predecessor)
-
-    emitted: set[PathBinding] = set()
-
-    def extend(node, product_objects: tuple) -> Iterator[PathBinding]:
-        depth = (len(product_objects) - 1) // 2
-        if depth == best and node in product.targets:
-            binding = _binding_of(product, product_objects)
-            if binding not in emitted:
-                emitted.add(binding)
-                yield binding
-            return
-        for edge in sorted(graph.out_edges(node), key=repr):
-            successor = graph.tgt(edge)
-            if dist_to.get(successor, -1) == best - depth - 1:
-                yield from extend(successor, product_objects + (edge, successor))
-
-    for start in sorted(product.sources, key=repr):
-        if start in dist_to:
-            yield from extend(start, (start,))
-
-
-def _constrained_bindings(product, mode: str) -> Iterator[PathBinding]:
-    graph = product.graph
-    emitted: set[PathBinding] = set()
-
-    def extend(node, product_objects: tuple, used: set) -> Iterator[PathBinding]:
-        if node in product.targets:
-            binding = _binding_of(product, product_objects)
-            if binding not in emitted:
-                emitted.add(binding)
-                yield binding
-        for edge in sorted(graph.out_edges(node), key=repr):
-            successor = graph.tgt(edge)
-            marker = successor[0] if mode == "simple" else edge[0]
-            if marker in used:
-                continue
-            used.add(marker)
-            yield from extend(successor, product_objects + (edge, successor), used)
-            used.remove(marker)
-
-    for start in sorted(product.sources, key=repr):
-        initial_used = {start[0]} if mode == "simple" else set()
-        yield from extend(start, (start,), initial_used)
+    yield from search_paths(
+        product, mode, limit,
+        edge_image=_captured, answer=partial(_path_binding, graph),
+    )

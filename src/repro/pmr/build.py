@@ -2,39 +2,26 @@
 
 "PMRs are closely related to the product graph" — and indeed the PMR of an
 RPQ's matching paths *is* the trimmed product graph with gamma the
-projection.  This is the pre-processing step of the enumeration algorithms
-the paper cites ([41, 84]).
+projection: :class:`~repro.rpq.product_graph.ProductGraph` is a PMR, so
+construction is build + one trim.  This is the pre-processing step of the
+enumeration algorithms the paper cites ([41, 84]).
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.graph.edge_labeled import EdgeLabeledGraph
 from repro.pmr.ops import trim
-from repro.pmr.representation import INNER_LABEL, PMR
-from repro.rpq.evaluation import compile_for_graph
-from repro.rpq.product_graph import ProductGraph, build_product
+from repro.pmr.representation import PMR
+
+if TYPE_CHECKING:  # pragma: no cover - rpq.product_graph imports this package
+    from repro.rpq.product_graph import ProductGraph
 
 
-def pmr_from_product(product: ProductGraph) -> PMR:
-    """View a (trimmed) product graph as a PMR via first-component
-    projection."""
-    trimmed_product = product.trim()
-    inner = EdgeLabeledGraph()
-    gamma: dict = {}
-    for node in trimmed_product.graph.iter_nodes():
-        inner.add_node(node)
-        gamma[node] = node[0]
-    for edge in trimmed_product.graph.iter_edges():
-        src, tgt = trimmed_product.graph.endpoints(edge)
-        inner.add_edge(edge, src, tgt, INNER_LABEL)
-        gamma[edge] = edge[0]
-    return PMR(
-        inner,
-        trimmed_product.base,
-        gamma,
-        trimmed_product.sources,
-        trimmed_product.targets,
-    )
+def pmr_from_product(product: "ProductGraph") -> PMR:
+    """The PMR of a product graph's matching paths: its useful part."""
+    return trim(product)
 
 
 def pmr_for_rpq(
@@ -49,9 +36,12 @@ def pmr_for_rpq(
     of 2^n paths; for cyclic matches it is a finite representation of an
     infinite path set (the Mike-to-Mike cycles example).
     """
+    # Imported at call time: rpq.product_graph subclasses this package's PMR.
+    from repro.rpq.evaluation import compile_for_graph
+    from repro.rpq.product_graph import build_product
+
     nfa = compile_for_graph(query, graph) if not hasattr(query, "initial") else query
-    product = build_product(graph, nfa, sources=[source], targets=[target])
-    return trim(pmr_from_product(product))
+    return trim(build_product(graph, nfa, sources=[source], targets=[target]))
 
 
 def pmr_for_unblocked_cycles(graph, account: str = "a3") -> PMR:

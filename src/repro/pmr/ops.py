@@ -1,10 +1,14 @@
-"""Operations on PMRs: trimming, finiteness, counting, membership."""
+"""Operations on PMRs: trimming, finiteness, counting, membership.
+
+:func:`trim`, :func:`_closure` and the cycle test in :func:`is_finite` are
+the only ones: product graphs are PMRs and go through them too.
+"""
 
 from __future__ import annotations
 
 from repro.graph.edge_labeled import EdgeLabeledGraph
 from repro.graph.paths import Path
-from repro.pmr.representation import INNER_LABEL, PMR
+from repro.pmr.representation import PMR
 
 
 def _closure(graph: EdgeLabeledGraph, seeds, forward: bool) -> set:
@@ -27,28 +31,26 @@ def trim(pmr: PMR) -> PMR:
 
     Trimming never changes ``SPaths`` and is what makes enumeration delays
     output-linear: every step of a walk in a trimmed PMR can be completed to
-    an accepted path.
+    an accepted path.  The result has its argument's class (a trimmed
+    product graph is a product graph) and is memoised, so
+    ``trim(trim(x)) is trim(x)``.
     """
+    if pmr._trimmed is not None:
+        return pmr._trimmed
     useful = _closure(pmr.inner, pmr.sources, True) & _closure(
         pmr.inner, pmr.targets, False
     )
     inner = EdgeLabeledGraph()
-    gamma: dict = {}
     for node in useful:
         inner.add_node(node)
-        gamma[node] = pmr.gamma[node]
-    for edge in pmr.inner.iter_edges():
-        src, tgt = pmr.inner.endpoints(edge)
+    for edge, src, tgt, label in pmr.inner.iter_edge_records():
         if src in useful and tgt in useful:
-            inner.add_edge(edge, src, tgt, INNER_LABEL)
-            gamma[edge] = pmr.gamma[edge]
-    return PMR(
-        inner,
-        pmr.base,
-        gamma,
-        pmr.sources & useful,
-        pmr.targets & useful,
+            inner.add_edge(edge, src, tgt, label)
+    trimmed = pmr._trusted(
+        inner, pmr.base, pmr.gamma, pmr.sources & useful, pmr.targets & useful
     )
+    trimmed._trimmed = pmr._trimmed = trimmed
+    return trimmed
 
 
 def is_finite(pmr: PMR) -> bool:
@@ -57,8 +59,7 @@ def is_finite(pmr: PMR) -> bool:
     The Figure 3 cycles PMR is infinite; the Figure 5 PMR is finite (2^n
     paths).
     """
-    trimmed = trim(pmr)
-    graph = trimmed.inner
+    graph = trim(pmr).inner
     color: dict = {}
     for start in graph.iter_nodes():
         if color.get(start, 0):

@@ -6,11 +6,21 @@ nodes and inner edges to base edges such that sources and targets commute,
 and designated source and target node sets.  Every inner S-to-T path
 projects through gamma to a base path; ``SPaths(R)`` is the set of those
 projections.
+
+A product graph ``G x A`` (Section 6.2) *is* a PMR of ``G``: its nodes
+``(u, q)`` and edges ``(e, t)`` map to ``u`` and ``e`` by the
+first-component projection, a homomorphism by construction, and its trimmed
+part represents exactly the query's matching paths (Section 6.4).
+:class:`repro.rpq.product_graph.ProductGraph` is therefore a subclass whose
+gamma is the one shared :data:`PROJECTION`; trimming, the finiteness test and
+every path-mode search (:mod:`repro.pmr.ops`, :mod:`repro.pmr.enumerate`)
+are written once, against this class.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
+from operator import itemgetter
 
 from repro.errors import GraphError
 from repro.graph.edge_labeled import EdgeLabeledGraph, ObjectId
@@ -20,10 +30,24 @@ from repro.graph.paths import Path
 INNER_LABEL = ""
 
 
+class _Projection:
+    """The gamma of a product graph: ``(u, q) -> u`` and ``(e, t) -> e``.
+
+    ``gamma[obj]`` works as on a dict, and ``gamma.__getitem__`` is the bare
+    C-level ``itemgetter(0)``, which is what the searches bind.
+    """
+
+    __slots__ = ()
+    __getitem__ = staticmethod(itemgetter(0))
+
+
+PROJECTION = _Projection()
+
+
 class PMR:
     """A validated path multiset representation."""
 
-    __slots__ = ("inner", "base", "gamma", "sources", "targets")
+    __slots__ = ("inner", "base", "gamma", "sources", "targets", "_trimmed")
 
     def __init__(
         self,
@@ -38,6 +62,7 @@ class PMR:
         self.gamma = dict(gamma)
         self.sources = frozenset(sources)
         self.targets = frozenset(targets)
+        self._trimmed: "PMR | None" = None
         self._validate()
 
     def _validate(self) -> None:
@@ -66,15 +91,20 @@ class PMR:
         if stray:
             raise GraphError(f"source/target nodes not in the inner graph: {stray!r}")
 
-    # ------------------------------------------------------------------
-    def project_path(self, inner_path: Path) -> Path:
-        """``gamma(rho)`` — map an inner path to the base path it denotes."""
-        return Path(
-            self.base, tuple(self.gamma[obj] for obj in inner_path.objects)
-        )
+    @classmethod
+    def _trusted(cls, inner, base, gamma, sources: frozenset, targets: frozenset):
+        """Construct without validating, for a gamma that is a homomorphism
+        by construction: a product graph's, or a valid PMR's on a subgraph."""
+        pmr = object.__new__(cls)
+        pmr.inner, pmr.base, pmr.gamma = inner, base, gamma
+        pmr.sources, pmr.targets = sources, targets
+        pmr._trimmed = None
+        return pmr
 
+    # ------------------------------------------------------------------
     def project_objects(self, inner_objects: tuple) -> Path:
-        """Project a raw inner object tuple (avoids building the inner Path)."""
+        """``gamma(rho)`` — the base path an inner path, given as its object
+        tuple, denotes."""
         return Path(self.base, tuple(self.gamma[obj] for obj in inner_objects))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -93,7 +93,7 @@ def k_shortest_matching_paths(
         return
 
     accepted: list[tuple] = [first]
-    emitted_projections = {product.project_path(Path(product.graph, first))}
+    emitted_projections = {product.project_objects(first)}
     yield next(iter(emitted_projections))
     candidates: list[tuple[int, tuple]] = []
     candidate_set: set[tuple] = set()
@@ -130,7 +130,7 @@ def k_shortest_matching_paths(
         _, _, best = heapq.heappop(candidates)
         candidate_set.discard(best)
         accepted.append(best)
-        projection = product.project_path(Path(product.graph, best))
+        projection = product.project_objects(best)
         if projection not in emitted_projections:
             emitted_projections.add(projection)
             yield projection

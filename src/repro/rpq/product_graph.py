@@ -13,123 +13,48 @@ Every path in the product projects (via the first components) to a path in
 state to the last; testing whether ``(u, v)`` answers the RPQ becomes plain
 reachability from ``(u, q0)`` to ``(v, f)`` with ``f`` accepting.
 
-The product is itself an :class:`~repro.graph.edge_labeled.EdgeLabeledGraph`
-so all path machinery (and the PMR package) applies to it unchanged.
+The product *is* a PMR of ``G`` (Section 6.4; see
+:mod:`repro.pmr.representation`): gamma is the first-component projection,
+so trimming, the cycle test and every path-mode search are the PMR
+package's, not copies kept here.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Iterable
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable
 
-from repro.graph.edge_labeled import EdgeLabeledGraph, ObjectId
-from repro.graph.paths import Path
-from repro.automata.nfa import NFA, StateType
+from repro.graph.edge_labeled import EdgeLabeledGraph, Label, ObjectId
+from repro.automata.nfa import NFA
+from repro.pmr.ops import is_finite, trim
+from repro.pmr.representation import PMR, PROJECTION
 
 
-@dataclass
-class ProductGraph:
+class ProductGraph(PMR):
     """A materialized product graph with its designated source/target nodes.
 
     ``sources`` are the ``(u, q0)`` nodes and ``targets`` the ``(v, f)``
-    nodes with ``f`` accepting.  ``project_path`` maps product paths back
-    to graph paths (the gamma homomorphism in PMR terms).
+    nodes with ``f`` accepting.  Built only by :func:`build_product`, whose
+    edges commute with the projection by construction, so it is never
+    re-validated.
     """
 
-    graph: EdgeLabeledGraph
-    base: EdgeLabeledGraph
-    sources: frozenset[tuple[ObjectId, StateType]]
-    targets: frozenset[tuple[ObjectId, StateType]]
-    _trimmed: "ProductGraph | None" = field(default=None, repr=False)
+    __slots__ = ()
 
-    def project_node(self, product_node: tuple[ObjectId, StateType]) -> ObjectId:
-        return product_node[0]
-
-    def project_edge(self, product_edge: tuple) -> ObjectId:
-        return product_edge[0]
-
-    def project_path(self, product_path: Path) -> Path:
-        """Map a product path to the base-graph path it represents."""
-        objects = []
-        for obj in product_path.objects:
-            objects.append(obj[0])
-        return Path(self.base, tuple(objects))
+    @property
+    def graph(self) -> EdgeLabeledGraph:
+        """The product itself, as an edge-labeled graph (the PMR's ``inner``)."""
+        return self.inner
 
     def trim(self) -> "ProductGraph":
         """Restrict to nodes reachable from a source and co-reachable from a
         target (the useful part for query answering)."""
-        if self._trimmed is not None:
-            return self._trimmed
-        forward = _closure(self.graph, self.sources, direction="out")
-        backward = _closure(self.graph, self.targets, direction="in")
-        useful = forward & backward
-        trimmed = EdgeLabeledGraph()
-        for node in useful:
-            trimmed.add_node(node)
-        for edge in self.graph.iter_edges():
-            src, tgt = self.graph.endpoints(edge)
-            if src in useful and tgt in useful:
-                trimmed.add_edge(edge, src, tgt, self.graph.label(edge))
-        result = ProductGraph(
-            graph=trimmed,
-            base=self.base,
-            sources=self.sources & useful,
-            targets=self.targets & useful,
-        )
-        result._trimmed = result
-        self._trimmed = result
-        return result
+        return trim(self)
 
     def has_accepting_cycle_path(self) -> bool:
         """Whether the useful part contains a cycle — i.e. whether the set of
         source-to-target matching paths is infinite (Section 6.3)."""
-        trimmed = self.trim()
-        return _has_cycle(trimmed.graph)
-
-
-def _closure(
-    graph: EdgeLabeledGraph, seeds: Iterable[ObjectId], direction: str
-) -> set[ObjectId]:
-    seen = {node for node in seeds if graph.has_node(node)}
-    frontier = list(seen)
-    while frontier:
-        node = frontier.pop()
-        neighbours = (
-            graph.successors(node) if direction == "out" else graph.predecessors(node)
-        )
-        for neighbour in neighbours:
-            if neighbour not in seen:
-                seen.add(neighbour)
-                frontier.append(neighbour)
-    return seen
-
-
-def _has_cycle(graph: EdgeLabeledGraph) -> bool:
-    color: dict[ObjectId, int] = {}
-    for start in graph.iter_nodes():
-        if color.get(start, 0):
-            continue
-        stack: list[tuple[ObjectId, Iterable[ObjectId]]] = [
-            (start, iter(graph.successors(start)))
-        ]
-        color[start] = 1
-        while stack:
-            node, successors = stack[-1]
-            advanced = False
-            for successor in successors:
-                mark = color.get(successor, 0)
-                if mark == 1:
-                    return True
-                if mark == 0:
-                    color[successor] = 1
-                    stack.append((successor, iter(graph.successors(successor))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                stack.pop()
-    return False
+        return not is_finite(self)
 
 
 def build_product(
@@ -141,6 +66,7 @@ def build_product(
     use_index: bool = True,
     stats=None,
     budget=None,
+    label_of: Callable[[object], Label] | None = None,
 ) -> ProductGraph:
     """Materialize the product of a graph and an NFA.
 
@@ -155,16 +81,25 @@ def build_product(
     different edge insertion order).  A ``budget`` is ticked once per
     expanded product node (materialization is polynomial, but on a large
     graph it can dominate a timed-out query's wall clock).
+
+    ``label_of`` is internal: the edge label a transition symbol matches.
+    Symbols of an NFA over labels match themselves (the default); the capture
+    atoms of :func:`repro.listvars.compile.compile_lrpq` match by their
+    ``label`` field.  The symbol, not the label, goes into the product edge.
     """
     started = time.perf_counter()
     tick = budget.tick if budget is not None else None
     source_nodes = set(sources) if sources is not None else set(graph.iter_nodes())
     target_nodes = set(targets) if targets is not None else set(graph.iter_nodes())
 
-    # Index automaton transitions state-major for fast joint traversal.
+    # Index automaton transitions state-major, then by the edge label they
+    # match, for fast joint traversal.
     by_state: dict = {}
     for state_from, symbol, state_to in nfa.transitions():
-        by_state.setdefault(state_from, {}).setdefault(symbol, []).append(state_to)
+        label = symbol if label_of is None else label_of(symbol)
+        by_state.setdefault(state_from, {}).setdefault(label, []).append(
+            (symbol, state_to)
+        )
 
     index = None
     if use_index:
@@ -190,26 +125,26 @@ def build_product(
             tick()
         node, state = frontier.pop()
         expanded += 1
-        by_symbol = by_state.get(state)
-        if not by_symbol:
+        by_label = by_state.get(state)
+        if not by_label:
             continue
         if index is not None:
             moves = (
-                (edge, label, target, next_state)
-                for label, next_states in by_symbol.items()
+                (edge, label, target, symbol, next_state)
+                for label, matching in by_label.items()
                 for edge, target in index.out_edges(node, label)
-                for next_state in next_states
+                for symbol, next_state in matching
             )
         else:
             moves = (
-                (edge, graph.label(edge), graph.tgt(edge), next_state)
+                (edge, graph.label(edge), graph.tgt(edge), symbol, next_state)
                 for edge in graph.out_edges(node)
-                for next_state in by_symbol.get(graph.label(edge), ())
+                for symbol, next_state in by_label.get(graph.label(edge), ())
             )
-        for edge, label, target, next_state in moves:
+        for edge, label, target, symbol, next_state in moves:
             relaxed += 1
             next_pair = (target, next_state)
-            product_edge = (edge, (state, label, next_state))
+            product_edge = (edge, (state, symbol, next_state))
             if next_pair not in seen:
                 seen.add(next_pair)
                 product.add_node(next_pair)
@@ -225,9 +160,6 @@ def build_product(
         stats.count("nodes_expanded", expanded)
         stats.count("edges_relaxed", relaxed)
         stats.add_time("product", time.perf_counter() - started)
-    return ProductGraph(
-        graph=product,
-        base=graph,
-        sources=frozenset(start_pairs),
-        targets=accepting,
+    return ProductGraph._trusted(
+        product, graph, PROJECTION, frozenset(start_pairs), accepting
     )

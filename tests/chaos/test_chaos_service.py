@@ -102,3 +102,43 @@ class TestPathsOp:
         full = service.execute(request)
         assert full["count"] > 1
         assert excinfo.value.partial[0] in full["paths"]
+
+    @staticmethod
+    def paths_request(graph, query, source, target, mode):
+        return Request(
+            op="paths",
+            params={
+                "graph": graph, "query": query, "source": source,
+                "target": target, "mode": mode, "limit": 10,
+            },
+        )
+
+    def test_paths_longer_than_the_interpreter_stack(self):
+        """No path search recurses: a 1500-edge geodesic is an answer, not
+        an ``internal`` RecursionError."""
+        from repro.graph.generators import label_path
+
+        service = QueryService()
+        service.catalog.register("chain", label_path(1500))
+        for mode in ("shortest", "simple", "trail"):
+            result = service.execute(
+                self.paths_request("chain", "a*", "v0", "v1500", mode)
+            )
+            assert result["count"] == 1
+            assert len(result["paths"][0]) == 2 * 1500 + 1
+
+    def test_simple_paths_on_a_large_graph_trip_the_budget(self):
+        """The NP-hard search dives thousands of edges deep before its first
+        answer; what stops it is the budget — a typed error, never the
+        interpreter's stack."""
+        from repro.graph.generators import random_graph
+
+        service = QueryService()
+        service.catalog.register(
+            "random", random_graph(2000, 16000, labels=("a", "b", "c", "d"), seed=1)
+        )
+        request = self.paths_request("random", "(a+b)*.c", "v0", "v1", "simple")
+        with pytest.raises(BudgetExceeded) as excinfo:
+            service.execute(request, QueryBudget(max_states=20000))
+        assert excinfo.value.limit == "max_states"
+        assert len(service.answer_cache) == 0

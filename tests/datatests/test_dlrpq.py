@@ -241,3 +241,22 @@ class TestShortestInfinityPrecision:
         results = list(evaluate_dlrpq(query, g, "u", "v", mode="shortest"))
         assert len(results) == 1
         assert results[0].path.edges() == ("e",)
+
+
+class TestAmbiguity:
+    def test_ambiguous_expression_is_linear_in_the_limit(self):
+        """Section 6.1: ``(a + a.a)*`` gives the loop walked k times
+        Fibonacci(k) runs.  Equal queue entries have equal futures, so the
+        breadth-first queue keeps one of them: 40 results cost thousands of
+        steps, not 10^8."""
+        from repro.engine.limits import QueryBudget
+
+        g = PropertyGraph()
+        g.add_edge("e", "n0", "n0", "a")
+        results = list(
+            evaluate_dlrpq(
+                "(_) ( [a](_) + [a](_)[a](_) )*", g, "n0", "n0",
+                mode="all", limit=40, budget=QueryBudget(max_states=10_000),
+            )
+        )
+        assert [len(binding.path) for binding in results] == list(range(40))

@@ -28,11 +28,6 @@ class TestLookups:
         assert index.out_edges("w", "a") == ()
         assert index.out_edges("not-a-node", "a") == ()
 
-    def test_in_edges_by_label(self):
-        index = get_index(small_graph())
-        assert set(index.in_edges("w", "a")) == {("e3", "v"), ("e4", "u")}
-        assert index.in_edges("u", "a") == ()
-
     def test_edges_with_label(self):
         index = get_index(small_graph())
         assert set(index.edges_with_label("a")) == {
