@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterator
+from itertools import islice
 
 from repro.errors import EvaluationError, InfiniteResultError
 from repro.datatests.parser import parse_dlrpq
@@ -225,8 +226,10 @@ def evaluate_dlrpq(
     Paths may start or end with edges (the symmetric design of Example 21);
     ``source``/``target`` refer to ``src(p)``/``tgt(p)``, which look through
     boundary edges.  The empty path never appears in results (it has no
-    endpoints).  A ``budget`` is ticked per dequeued configuration so a
-    deadline or cancellation stops the run enumeration between yields.
+    endpoints).  ``limit`` caps the results (``0`` yields none; a negative
+    one is a ``ValueError``).  A ``budget`` is ticked per dequeued
+    configuration so a deadline or cancellation stops the run enumeration
+    between yields.
     """
     if mode not in PATH_MODES:
         raise EvaluationError(f"unknown path mode {mode!r}; use one of {PATH_MODES}")
@@ -267,7 +270,7 @@ def evaluate_dlrpq(
             "infinitely many (path, mu) results; pass a limit or change mode"
         )
 
-    yield from _bounded(
+    yield from islice(
         _enumerate(cg, accepting_here, useful, mode, edge_filter, budget), limit
     )
 
@@ -299,18 +302,6 @@ def _restricted_view(cg, accepting, useful, edge_filter) -> ConfigGraph:
         edges=edges,
         accepting=accepting,
     )
-
-
-def _bounded(iterator, limit):
-    if limit is None:
-        yield from iterator
-        return
-    count = 0
-    for item in iterator:
-        yield item
-        count += 1
-        if count >= limit:
-            return
 
 
 def _enumerate(

@@ -5,10 +5,9 @@ One optimization layer under every language frontend in the library:
 * :mod:`repro.engine.intern` / :mod:`repro.engine.csr` — the flat
   int-encoded data plane: dense node/label interning and label-partitioned
   CSR adjacency in ``array('i')`` rows, forward and reversed, kept current
-  across writes; the one substrate of every relation query;
-* :mod:`repro.engine.index` — lazy, mutation-invalidated label-indexed
-  adjacency *with edge ids* (``label -> (src -> (edge, tgt))``) for the two
-  evaluators whose answers name edges (product-graph paths, GQL patterns);
+  across writes, with a lazily packed edge-id column for the evaluators
+  whose answers name edges (product-graph paths, GQL patterns); the one
+  adjacency structure of every op;
 * :mod:`repro.engine.cache` — LRU compilation cache keyed on
   ``(regex AST, alphabet)`` so repeated queries skip parsing and Glushkov;
 * :mod:`repro.engine.stats` — ``EngineStats`` counters/timers threaded
@@ -49,7 +48,6 @@ from repro.engine.cache import (
 from repro.engine.cache import IntPlan
 from repro.engine.cardinality import CardinalityModel
 from repro.engine.csr import CSRGraph, get_csr
-from repro.engine.index import GraphIndex, get_index
 from repro.engine.intern import Interner, get_interner
 from repro.engine.kernel import (
     compile_query,
@@ -81,7 +79,6 @@ __all__ = [
     "CSRGraph",
     "DEFAULT_CACHE",
     "EngineStats",
-    "GraphIndex",
     "Histogram",
     "IntPlan",
     "Interner",
@@ -98,7 +95,6 @@ __all__ = [
     "default_jobs",
     "evaluate_sweep",
     "get_csr",
-    "get_index",
     "get_interner",
     "get_tracer",
     "holds",

@@ -1,6 +1,6 @@
 """Flat int-encoded CSR adjacency, label-partitioned, forward and reversed.
 
-This is the data plane under the kernel's product BFS: *"edges leaving u
+This is the one adjacency structure every op reads: *"edges leaving u
 with label a"* is one list index and an ``array('i')`` slice —
 
 ``out_rows[label_int] = (offsets, targets)`` where the targets of node
@@ -14,9 +14,13 @@ Layout notes:
   the reversed direction is packed from the forward one when first asked
   for — by a backward :func:`repro.engine.kernel.reachable`, which is how
   a CRPQ atom with a bound right term runs; sweeps only walk forward;
-* parallel edges are preserved — the rows store one entry per *edge*, so
-  multiplicity survives even though edge ids do not (the relation kernels
-  never need them);
+* parallel edges are preserved — the rows store one entry per *edge*, in
+  insertion order within a node's run;
+* edge ids live in a column beside the forward rows, packed on first use
+  (:meth:`CSRGraph.edge_rows`): the relation kernels never need them, the
+  evaluators whose answers *name edges* do — the product graph behind
+  every path mode (product edges are ``(edge, transition)`` pairs) and GQL
+  edge patterns (the variable binds to the edge);
 * the snapshot is immutable and version-stamped; :func:`get_csr` caches it
   on the graph and checks it against ``graph.version`` on every call, so a
   stale snapshot is never served;
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 import sys
 from array import array
+from itertools import islice
 
 from repro.engine.intern import Interner
 from repro.graph.edge_labeled import EdgeLabeledGraph
@@ -122,21 +127,20 @@ class CSRGraph:
     them), and every node int indexes validly into every ``offsets`` row.
 
     Sweeps and forward searches read ``out_rows``, so that is what a build
-    and a catch-up maintain; ``in_rows`` (backward searches) is derived
-    from it on first use.  Two threads racing to derive it compute equal
-    rows and publish with one assignment.
-
-    Two slots hold values other modules derive from this snapshot alone, so
-    they are kept here (as the snapshot is kept on the graph) and go when a
-    write replaces the snapshot: ``shard_numbering``, the node numbering a
-    partitioned graph's processes share (:mod:`repro.distributed.frontier`),
-    and ``label_statistics``, the planner's per-label counts
-    (:mod:`repro.engine.cardinality`).
+    and a catch-up maintain.  Four slots hold what is derived from this
+    snapshot alone, on first use, and go when a write replaces it:
+    ``in_rows`` (backward searches) and ``edge_rows`` (edge ids, for the
+    evaluators that return edges) here, and two that other modules fill:
+    ``shard_numbering``, the node numbering a partitioned graph's processes
+    share (:mod:`repro.distributed.frontier`), and ``label_statistics``, the
+    planner's per-label counts (:mod:`repro.engine.cardinality`).  Two
+    threads racing to derive one compute equal values and publish with one
+    assignment.
     """
 
     __slots__ = (
         "version", "interner", "num_nodes", "num_edges", "out_rows", "_in_rows",
-        "shard_numbering", "label_statistics",
+        "_edge_rows", "shard_numbering", "label_statistics",
     )
 
     def __init__(self, graph: EdgeLabeledGraph, interner: "Interner | None" = None):
@@ -160,6 +164,7 @@ class CSRGraph:
             _pack_rows(srcs[li], tgts[li], n) for li in range(num_labels)
         ]
         self._in_rows = None
+        self._edge_rows = None
         self.shard_numbering = None
         self.label_statistics = None
 
@@ -206,6 +211,7 @@ class CSRGraph:
             for li, row in enumerate(self.out_rows + [unseen] * len(new_labels))
         ]
         caught._in_rows = None
+        caught._edge_rows = None
         caught.shard_numbering = None
         caught.label_statistics = None
         return caught
@@ -225,6 +231,36 @@ class CSRGraph:
                 rows.append(_pack_rows(targets, sources, n))
             self._in_rows = rows
         return self._in_rows
+
+    def edge_rows(self, graph: EdgeLabeledGraph) -> tuple:
+        """``(edges, ordinals)``: the edge ids behind the forward rows.
+
+        ``ordinals[label]`` runs parallel to ``out_rows[label]``'s targets,
+        and ``edges[ordinals[label][k]]`` is the edge whose target is
+        ``targets[k]``.  ``graph`` is the graph this snapshot was taken of,
+        at this or any later version: edges are only ever appended, so its
+        first ``num_edges`` records are exactly this snapshot's edges, and a
+        run lists them in insertion order, as the rows do.  Packed on first
+        use and kept; relation queries never ask for it.
+        """
+        if self._edge_rows is None:
+            num_labels = self.interner.num_labels
+            srcs = [array("i") for _ in range(num_labels)]
+            ordinals = [array("i") for _ in range(num_labels)]
+            node_ids = self.interner._node_ids
+            label_ids = self.interner._label_ids
+            edges = []
+            records = islice(graph.iter_edge_records(), self.num_edges)
+            for ordinal, (edge, src, _tgt, label) in enumerate(records):
+                edges.append(edge)
+                label_int = label_ids[label]
+                srcs[label_int].append(node_ids[src])
+                ordinals[label_int].append(ordinal)
+            n = self.num_nodes
+            self._edge_rows = edges, [
+                _pack_rows(srcs[li], ordinals[li], n)[1] for li in range(num_labels)
+            ]
+        return self._edge_rows
 
     # ------------------------------------------------------------------
     # lookups (tests and cold paths; hot loops index the rows directly)

@@ -11,7 +11,7 @@ caches behaving across it?".  Two pieces:
   different workers can be merged by plain addition;
 * :class:`MetricsRegistry` — named histograms plus monotone counters, with
   :meth:`~MetricsRegistry.fold_stats` folding an
-  :class:`~repro.engine.stats.EngineStats` (label-index builds, cache
+  :class:`~repro.engine.stats.EngineStats` (CSR builds, cache
   hits/misses, BFS node/edge counters, phase timers) into the registry,
   Prometheus text exposition via :meth:`~MetricsRegistry.render_prometheus`
   and JSON export via :meth:`~MetricsRegistry.as_dict`.

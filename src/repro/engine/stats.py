@@ -4,8 +4,8 @@ Every evaluator that goes through the execution kernel can be handed an
 :class:`EngineStats`; it accumulates
 
 * **counters** — monotonically increasing integers (product nodes expanded,
-  product edges relaxed, compilation cache hits/misses, index builds and
-  reuses, CSR full builds / catch-up patches / reuses, answers produced), and
+  product edges relaxed, compilation cache hits/misses, CSR full builds /
+  catch-up patches / reuses, answers produced), and
 * **timers** — wall-clock seconds per named phase (``compile``, ``bfs``,
   ``product``, ``join``, ``match``), measured with ``perf_counter``.
 
@@ -29,8 +29,6 @@ KNOWN_COUNTERS = (
     "cache_misses",
     "parse_hits",
     "parse_misses",
-    "index_builds",
-    "index_reuses",
     "csr_builds",
     "csr_patches",
     "csr_reuses",

@@ -164,10 +164,11 @@ def match_gql_pattern(
     graphs (otherwise :class:`InfiniteResultError` is raised when the match
     set would be infinite).
 
-    With ``use_index=True`` (default) labeled edge patterns enumerate via
-    the engine's label index instead of scanning every edge;
-    ``use_index=False`` keeps the seed's linear scans (the differential
-    oracle).  ``stats`` collects engine counters when provided.
+    With ``use_index=True`` (default) a labeled edge pattern reads the
+    label's row of the CSR snapshot's edge column
+    (:meth:`~repro.engine.csr.CSRGraph.edge_rows`) instead of scanning every
+    edge; ``use_index=False`` keeps the seed's linear scans (the
+    differential oracle).  ``stats`` collects engine counters when provided.
     """
     if isinstance(pattern, str):
         from repro.gql.parser import parse_gql_pattern
@@ -198,9 +199,15 @@ def _match(pattern, graph, bound, ctx=(False, None)) -> set[tuple[Path, Binding]
         if bound is not None and bound < 1:
             return results
         if use_index and pattern.label is not None:
-            from repro.engine.index import get_index
+            from repro.engine.csr import get_csr
 
-            records = get_index(graph, stats).edges_with_label(pattern.label)
+            csr = get_csr(graph, stats)
+            edges, ordinals = csr.edge_rows(graph)
+            label_int = csr.interner.label_id(pattern.label)
+            row = ordinals[label_int] if label_int is not None else ()
+            records = (
+                (edge, *graph.endpoints(edge)) for edge in map(edges.__getitem__, row)
+            )
         else:
             records = (
                 (edge, *graph.endpoints(edge))

@@ -54,7 +54,6 @@ class EdgeLabeledGraph:
         "_labels_seen",
         "_version",
         "_journal",
-        "_engine_index",
         "_engine_csr",
     )
 
@@ -66,17 +65,15 @@ class EdgeLabeledGraph:
         self._out: dict[ObjectId, list[ObjectId]] = {}
         self._in: dict[ObjectId, list[ObjectId]] = {}
         self._labels_seen: set[Label] = set()
-        # Monotone mutation counter; derived structures (the engine's label
-        # index, in particular) record the version they were built at and
-        # rebuild -- or, for the CSR snapshot, catch up -- when it moves.
-        # Every mutating method must call _touch().
+        # Monotone mutation counter; the engine's CSR snapshot records the
+        # version it was taken at and catches up when it moves.  Every
+        # mutating method must call _touch().
         self._version: int = 0
         # Optional mutation sink ``(op, payload, version) -> None`` installed
         # by the storage tier (GraphStore.attach) to journal in-place
         # mutations.  ``None`` for purely in-memory graphs; mutators must
         # emit exactly one record per observable state change.
         self._journal = None
-        self._engine_index = None
         self._engine_csr = None
 
     # ------------------------------------------------------------------
@@ -88,17 +85,17 @@ class EdgeLabeledGraph:
         return self._version
 
     def _touch(self) -> None:
-        """Record a mutation, dropping the cached edge-id index.
+        """Record a mutation by bumping the version.
 
         The CSR snapshot is kept: every mutator is append-only (nodes and
         edges are only ever added, ``_edges`` keeps insertion order), so
         :func:`repro.engine.csr.get_csr` catches a stale snapshot up from
-        the records past its ``num_edges`` instead of rebuilding it.  A
-        future non-additive mutator (remove, relabel) must reset
+        the records past its ``num_edges`` instead of rebuilding it, and an
+        older snapshot's edge column still reads its own first ``num_edges``
+        records.  A future non-additive mutator (remove, relabel) must reset
         ``_engine_csr`` itself.
         """
         self._version += 1
-        self._engine_index = None
 
     def attach_journal(self, sink) -> None:
         """Install a mutation sink called as ``sink(op, payload, version)``.
@@ -180,12 +177,15 @@ class EdgeLabeledGraph:
     ) -> Iterator[tuple[ObjectId, ObjectId, ObjectId, Label]]:
         """Iterate ``(edge, src, tgt, label)`` records in insertion order.
 
-        The engine's label index and the pattern evaluators use this instead
-        of per-edge ``endpoints``/``label`` lookups.  ``start`` skips that
-        many of the oldest records: edges are never removed, so the records
-        from ``start`` on are exactly those added since the graph held
-        ``start`` edges (what a CSR catch-up reads).  The tail is reached
-        from the dict's end, in O(records yielded), not O(``start``).
+        The engine's CSR snapshot (its rows and its edge column) and the
+        pattern evaluators use this instead of per-edge ``endpoints``/
+        ``label`` lookups.  ``start`` skips that many of the oldest records:
+        edges are never removed, so the records from ``start`` on are
+        exactly those added since the graph held ``start`` edges (what a CSR
+        catch-up reads), and the first ``n`` records are those of the graph
+        when it held ``n`` edges (what a snapshot's edge column reads).  The
+        tail is reached from the dict's end, in O(records yielded), not
+        O(``start``).
         """
         items = self._edges.items()
         if start:

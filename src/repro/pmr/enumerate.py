@@ -3,7 +3,8 @@
 The one search per path mode lives here.  Everything that returns paths runs
 :func:`search_paths` on a trimmed PMR: ``rpq.path_modes.matching_paths`` and
 ``listvars.enumerate.evaluate_lrpq`` on a product graph (which is a PMR),
-:func:`enumerate_spaths` on any PMR.
+:func:`enumerate_spaths` on any PMR (its ``order="dfs"`` is the depth-first
+search of the restrictive modes with no restriction).
 
 * ``all`` — breadth-first, so answers come in non-decreasing length;
 * ``shortest`` — the geodesics (polynomial: one backward BFS);
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Callable, Iterator
+from itertools import islice
 
 from repro.errors import InfiniteResultError
 from repro.graph.paths import Path
@@ -60,7 +62,8 @@ def search_paths(
 
     ``max_length`` bounds mode ``all``, which raises
     :class:`InfiniteResultError` on an infinite PMR given neither bound.
-    ``budget`` is ticked once per search step.
+    ``limit`` caps the answers (``0`` yields none; a negative one is a
+    ``ValueError``).  ``budget`` is ticked once per search step.
     """
     if not pmr.targets:  # trimmed, so nothing at all
         return
@@ -74,6 +77,11 @@ def search_paths(
         sequences = _breadth_first(pmr, steps, node_image, edge_image, tick, max_length)
     else:
         sequences = _depth_first(pmr, mode, steps, node_image, edge_image, tick)
+    yield from islice(_distinct(pmr, sequences, answer), limit)
+
+
+def _distinct(pmr: PMR, sequences, answer) -> Iterator:
+    """The answers the image ``sequences`` denote, each once, in order."""
     emitted: set = set()
     for images in sequences:
         # A base path is its object tuple: dedup on that, build the new ones.
@@ -81,8 +89,6 @@ def search_paths(
         if result not in emitted:
             emitted.add(result)
             yield Path(pmr.base, images) if answer is None else result
-            if limit is not None and len(emitted) >= limit:
-                return
 
 
 def _require_bound(trimmed: PMR, limit, max_length) -> None:
@@ -160,10 +166,11 @@ def _distances_to_targets(pmr: PMR) -> dict:
 
 
 def _depth_first(
-    pmr: PMR, mode: str, steps, node_image, edge_image, tick
+    pmr: PMR, mode: str, steps, node_image, edge_image, tick, max_length=None
 ) -> Iterator[tuple]:
     """Image sequences of the inner source-to-target paths ``mode`` admits,
-    in pre-order, on an explicit stack.
+    in pre-order, on an explicit stack; a path is yielded when its last
+    step is pushed.
 
     ``shortest`` admits a step iff it stays on a geodesic: the successor is
     exactly as far from a target as the globally minimal length leaves room
@@ -171,7 +178,9 @@ def _depth_first(
     path may not revisit a base node even in a different inner node, and a
     trail may not reuse a base edge even under a different inner edge; this
     is the NP-hard search (Section 6.3), which can run exponentially long
-    *between* two answers — hence one budget tick per extension.
+    *between* two answers — hence one budget tick per extension.  ``all``
+    admits every step (the depth-first order of :func:`enumerate_spaths`);
+    ``max_length`` stops a walk at that many edges.
     """
     targets = pmr.targets
     shortest = mode == "shortest"
@@ -192,13 +201,15 @@ def _depth_first(
         stack = [(images, None, iter(steps(source)))]
         while stack:
             images, entered_with, untried = stack[-1]
+            # the top frame is at depth len(stack) - 1
+            if max_length is not None and len(stack) > max_length:
+                untried = ()
             for edge, successor in untried:
                 marker = None
                 if shortest:
-                    # the top frame is at depth len(stack) - 1
                     if to_go[successor] != best - len(stack):
                         continue
-                else:
+                elif mode != "all":
                     marker = node_image(successor if simple else edge)
                     if marker in used:
                         continue
@@ -238,36 +249,11 @@ def enumerate_spaths(
     if order != "dfs":
         raise ValueError(f"unknown enumeration order {order!r}")
     _require_bound(trimmed, limit, max_length)
-    emitted: set[Path] = set()
-
-    def emit(objects: tuple) -> Iterator[Path]:
-        if objects[-1] in trimmed.targets:
-            path = trimmed.project_objects(objects)
-            if path not in emitted:
-                emitted.add(path)
-                yield path
-
-    # Iterative DFS; a frame emits when pushed, never when revisited.
-    steps = _sorted_steps(trimmed.inner)
-    for source in sorted(trimmed.sources, key=repr):
-        yield from emit((source,))
-        if limit is not None and len(emitted) >= limit:
-            return
-        stack: list[tuple] = [((source,), iter(steps(source)))]
-        while stack:
-            objects, untried = stack[-1]
-            advanced = False
-            if max_length is None or (len(objects) - 1) // 2 < max_length:
-                for edge, successor in untried:
-                    child = objects + (edge, successor)
-                    yield from emit(child)
-                    if limit is not None and len(emitted) >= limit:
-                        return
-                    stack.append((child, iter(steps(successor))))
-                    advanced = True
-                    break
-            if not advanced:
-                stack.pop()
+    gamma = trimmed.gamma.__getitem__
+    sequences = _depth_first(
+        trimmed, "all", _sorted_steps(trimmed.inner), gamma, gamma, None, max_length
+    )
+    yield from islice(_distinct(trimmed, sequences, None), limit)
 
 
 def enumerate_spaths_delta(

@@ -19,12 +19,13 @@ from collections.abc import Iterator
 
 from repro.graph.edge_labeled import EdgeLabeledGraph, ObjectId
 from repro.graph.paths import Path
+from repro.pmr.enumerate import _sorted_steps
 from repro.rpq.evaluation import compile_for_graph
 from repro.rpq.product_graph import build_product
 
 
 def _shortest_product_path(
-    adjacency: dict,
+    steps,
     start_nodes,
     targets: frozenset,
     banned_edges: set,
@@ -33,9 +34,10 @@ def _shortest_product_path(
 ) -> tuple | None:
     """One shortest path (as an alternating node/edge tuple) by BFS.
 
-    Deterministic: neighbours are explored in sorted order, so ties break
-    stably.  ``forced_prefix`` (a path tuple) fixes the beginning; the
-    search continues from its last node.
+    Deterministic: ``steps(node)`` lists a node's ``(edge, successor)``
+    pairs in ``repr`` order of the edges, so ties break stably.
+    ``forced_prefix`` (a path tuple) fixes the beginning; the search
+    continues from its last node.
     """
     if forced_prefix is not None:
         frontier = deque([forced_prefix])
@@ -49,7 +51,7 @@ def _shortest_product_path(
         node = path[-1]
         if node in targets:
             return path
-        for edge, successor in adjacency.get(node, ()):
+        for edge, successor in steps(node):
             if edge in banned_edges or successor in banned_nodes:
                 continue
             if successor in seen:
@@ -79,15 +81,9 @@ def k_shortest_matching_paths(
     product = build_product(graph, nfa, sources=[source], targets=[target]).trim()
     if not product.targets:
         return
-    adjacency: dict = {}
-    for edge in product.graph.iter_edges():
-        src, tgt = product.graph.endpoints(edge)
-        adjacency.setdefault(src, []).append((edge, tgt))
-    for successors in adjacency.values():
-        successors.sort(key=repr)
-
+    steps = _sorted_steps(product.inner)
     first = _shortest_product_path(
-        adjacency, product.sources, product.targets, set(), set()
+        steps, product.sources, product.targets, set(), set()
     )
     if first is None:
         return
@@ -110,7 +106,7 @@ def k_shortest_matching_paths(
                     banned_edges.add(path[2 * spur_index + 1])
             banned_nodes = set(previous_nodes[:spur_index])
             spur = _shortest_product_path(
-                adjacency,
+                steps,
                 [spur_node],
                 product.targets,
                 banned_edges,

@@ -75,12 +75,13 @@ def build_product(
     reachable from the sources is materialized, which keeps the common
     single-source case small.
 
-    With ``use_index=True`` (default) the traversal looks up successor edges
-    in the engine's label index; ``use_index=False`` keeps the seed's linear
-    ``out_edges`` scan.  Both build the *same* product graph (possibly in a
-    different edge insertion order).  A ``budget`` is ticked once per
-    expanded product node (materialization is polynomial, but on a large
-    graph it can dominate a timed-out query's wall clock).
+    With ``use_index=True`` (default) the traversal reads successor edges
+    off the CSR snapshot's rows and edge column
+    (:meth:`~repro.engine.csr.CSRGraph.edge_rows`); ``use_index=False`` keeps
+    the seed's linear ``out_edges`` scan.  Both build the *same* product
+    graph (possibly in a different edge insertion order).  A ``budget`` is
+    ticked once per expanded product node (materialization is polynomial,
+    but on a large graph it can dominate a timed-out query's wall clock).
 
     ``label_of`` is internal: the edge label a transition symbol matches.
     Symbols of an NFA over labels match themselves (the default); the capture
@@ -101,11 +102,23 @@ def build_product(
             (symbol, state_to)
         )
 
-    index = None
     if use_index:
-        from repro.engine.index import get_index
+        from repro.engine.csr import get_csr
 
-        index = get_index(graph, stats)
+        csr = get_csr(graph, stats)
+        edges, ordinals = csr.edge_rows(graph)
+        node_ids, nodes = csr.interner._node_ids, csr.interner.nodes
+        label_id = csr.interner.label_id
+        # Per state, once: the rows of the labels it consumes that the graph
+        # has, as (label, offsets, targets, ordinals, matching transitions).
+        rows = {
+            state: [
+                (label, *csr.out_rows[li], ordinals[li], matching)
+                for label, matching in by_label.items()
+                if (li := label_id(label)) is not None
+            ]
+            for state, by_label in by_state.items()
+        }
 
     product = EdgeLabeledGraph()
     start_pairs = {
@@ -128,11 +141,12 @@ def build_product(
         by_label = by_state.get(state)
         if not by_label:
             continue
-        if index is not None:
+        if use_index:
+            u = node_ids[node]
             moves = (
-                (edge, label, target, symbol, next_state)
-                for label, matching in by_label.items()
-                for edge, target in index.out_edges(node, label)
+                (edges[ords[k]], label, nodes[targets[k]], symbol, next_state)
+                for label, offsets, targets, ords, matching in rows[state]
+                for k in range(offsets[u], offsets[u + 1])
                 for symbol, next_state in matching
             )
         else:

@@ -2,7 +2,7 @@
 
 This is where the per-process amortization the engine built in PRs 1-3
 finally outlives a single query: the :class:`GraphCatalog` keeps named
-graphs (and therefore their lazily-built label indexes) alive across
+graphs (and therefore their CSR snapshots) alive across
 requests, the process-wide compile cache stays warm, and the
 :class:`AnswerCache` short-circuits repeated queries entirely.
 
@@ -46,6 +46,25 @@ from repro.server.protocol import (
     GraphNotFoundError,
     Request,
 )
+
+
+def _checked(name: str, value):
+    """``value`` of query parameter ``name``, or a ``bad_request`` naming it.
+
+    ``source`` / ``target`` are JSON scalars (``null`` means "all sources"
+    where a handler allows it); ``limit`` is a non-negative int or ``null``.
+    """
+    if name == "limit":
+        valid = value is None or (
+            isinstance(value, int) and not isinstance(value, bool) and value >= 0
+        )
+        shape = "a non-negative integer or null"
+    else:
+        valid = value is None or isinstance(value, (str, int, float, bool))
+        shape = "a JSON scalar"
+    if not valid:
+        raise BadRequestError(f"parameter {name!r} must be {shape}", param=name)
+    return value
 
 
 class CatalogEntry:
@@ -802,7 +821,7 @@ class QueryService:
     def _run_rpq(self, graph, query, request: Request, stats, budget=None) -> dict:
         from repro.rpq.evaluation import evaluate_rpq
 
-        source = request.param("source")
+        source = _checked("source", request.param("source"))
         sources = [source] if source is not None else None
         pairs = evaluate_rpq(
             query, graph, sources=sources, stats=stats, budget=budget
@@ -836,10 +855,10 @@ class QueryService:
                 "dlrpq queries need a property graph (data tests read "
                 "edge properties)"
             )
-        source = request.require("source")
-        target = request.require("target")
+        source = _checked("source", request.require("source"))
+        target = _checked("target", request.require("target"))
         mode = request.param("mode", "shortest")
-        limit = request.param("limit", 1000)
+        limit = _checked("limit", request.param("limit", 1000))
         bindings = []
         try:
             for binding in evaluate_dlrpq(
@@ -869,10 +888,10 @@ class QueryService:
     def _run_paths(self, graph, query, request: Request, stats, budget=None) -> dict:
         from repro.rpq.path_modes import matching_paths
 
-        source = request.require("source")
-        target = request.require("target")
+        source = _checked("source", request.require("source"))
+        target = _checked("target", request.require("target"))
         mode = request.param("mode", "shortest")
-        limit = request.param("limit", 1000)
+        limit = _checked("limit", request.param("limit", 1000))
         paths = []
         try:
             for path in matching_paths(

@@ -7,7 +7,7 @@ service asks :func:`query_labels` which stored labels the compiled
 automaton can actually traverse, and the handle builds (or reuses) a
 **view**: a real :class:`EdgeLabeledGraph` / :class:`PropertyGraph` holding
 every node but only the edges of those labels, fed straight into the
-existing label-index / CSR build path.
+existing CSR build path.
 
 Correctness hinges on the Remark 11 alphabet: wildcards (``_``) and
 negation (``!{a}``) instantiate over ``graph.labels``, so a view that

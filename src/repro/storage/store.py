@@ -345,7 +345,7 @@ class GraphStore:
             for op, payload, _record_version in self._journal_tail(name):
                 apply_record(graph, op, payload)
         # The replayed graph must report the exact durable version: derived
-        # caches (answer cache, label index, CSR) key on it across restarts.
+        # caches (answer cache, CSR) key on it across restarts.
         graph._version = version
         return graph
 

@@ -260,3 +260,19 @@ class TestAmbiguity:
             )
         )
         assert [len(binding.path) for binding in results] == list(range(40))
+
+
+class TestLimit:
+    @pytest.mark.parametrize("mode", ["all", "shortest", "simple", "trail"])
+    def test_limit_zero_yields_nothing(self, fig3, mode):
+        def bindings(limit):
+            query = TestDataFilters63.QUERY_ONE_CHEAP
+            return list(evaluate_dlrpq(query, fig3, "a3", "a5", mode, limit))
+
+        assert bindings(0) == []
+        assert len(bindings(1)) == 1
+
+    def test_negative_limit_is_a_value_error(self, fig3):
+        query = TestDataFilters63.QUERY_ONE_CHEAP
+        with pytest.raises(ValueError):
+            list(evaluate_dlrpq(query, fig3, "a3", "a5", mode="all", limit=-1))

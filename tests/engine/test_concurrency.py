@@ -1,19 +1,21 @@
 """Shared-state concurrency tests: the engine under a worker pool.
 
 The query service executes requests on a thread pool against process-wide
-state — the compile cache, the per-graph label index, the kernel.  These
+state — the compile cache, the per-graph CSR snapshot, the kernel.  These
 tests hammer that state from many threads and assert (a) no exceptions or
 corruption and (b) answers identical to single-threaded evaluation.
 """
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.engine.batch import BatchExecutor
 from repro.engine.cache import CompilationCache
-from repro.engine.index import get_index
+from repro.engine.csr import get_csr
 from repro.engine.kernel import compile_query, evaluate_sweep
 from repro.graph.datasets import figure2_graph
+from repro.graph.generators import random_graph
 
 QUERIES = [
     "Transfer",
@@ -76,26 +78,37 @@ class TestCompilationCacheThreadSafety:
 
 class TestIndexThreadSafety:
     def test_concurrent_index_access_single_version(self):
-        """Many threads asking for the index of an unmutated graph all see
-        the same version with the full edge set."""
-        graph = figure2_graph()
+        """Many threads racing to pack the edge column of one unmutated
+        snapshot all see the same version, the full edge list and equal
+        ordinal rows."""
+        graph = random_graph(200, 2000, labels=("a", "b", "c"), seed=5)
+        csr = get_csr(graph)
         seen = []
         lock = threading.Lock()
+        start = threading.Barrier(16, timeout=30)
 
         def worker():
-            index = get_index(graph)
+            start.wait()
+            edges, ordinals = get_csr(graph).edge_rows(graph)
             with lock:
-                seen.append((index.version, index.num_edges, index.labels))
+                seen.append(
+                    (tuple(edges), tuple(row.tobytes() for row in ordinals))
+                )
 
-        with ThreadPoolExecutor(max_workers=16) as pool:
-            futures = [pool.submit(worker) for _ in range(32)]
-            for future in futures:
-                future.result()
-        assert len(set(seen)) == 1
-        version, num_edges, labels = seen[0]
-        assert version == graph.version
-        assert num_edges == graph.num_edges
-        assert labels == graph.labels
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=16) as pool:
+                futures = [pool.submit(worker) for _ in range(16)]
+                for future in futures:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(seen) == 16 and len(set(seen)) == 1
+        edges, ordinals = seen[0]
+        assert get_csr(graph) is csr and csr.version == graph.version
+        assert edges == tuple(graph.iter_edges())
+        assert len(ordinals) == len(graph.labels)
 
 
 class TestBatchExecutorConcurrency:

@@ -62,7 +62,7 @@ def test_relation_queries_build_the_csr_and_nothing_else():
     assert evaluate_crpq(query, graph, stats=stats) == answers
     assert stats.get("csr_builds") == 1
     assert stats.get("index_builds") == 0
-    assert graph._engine_index is None
+    assert graph._engine_csr._edge_rows is None  # no edge ids were packed
 
 
 # ----------------------------------------------------------------------
@@ -180,7 +180,7 @@ def assert_model_matches(graph):
     assert (
         model.label_counts, model.distinct_sources, model.distinct_targets
     ) == brute_force_statistics(graph)
-    assert graph._engine_index is None
+    assert graph._engine_csr._edge_rows is None  # no edge ids were packed
 
 
 @settings(max_examples=100, deadline=None)

@@ -220,3 +220,13 @@ class TestEnginesAgree:
             for binding in evaluate_lrpq(regex, graph, "j0", "j2", mode="all")
         }
         assert actual == expected
+
+
+class TestLimit:
+    @pytest.mark.parametrize("mode", ["all", "shortest", "simple", "trail"])
+    def test_limit_zero_yields_nothing(self, fig2, mode):
+        def bindings(limit):
+            return list(evaluate_lrpq("(Transfer^z)+", fig2, "a3", "a5", mode, limit))
+
+        assert bindings(0) == []
+        assert len(bindings(1)) == 1

@@ -123,3 +123,19 @@ class TestValidation:
 
     def test_unknown_endpoint(self, fig2):
         assert list(matching_paths("Transfer", fig2, "zz", "a2")) == []
+
+
+class TestLimit:
+    """``limit`` is tested before the first answer, not after it."""
+
+    @pytest.mark.parametrize("mode", ["all", "shortest", "simple", "trail"])
+    def test_limit_zero_yields_nothing(self, fig2, mode):
+        def paths(limit):
+            return list(matching_paths("Transfer+", fig2, "a3", "a5", mode, limit))
+
+        assert paths(0) == []
+        assert len(paths(1)) == 1
+
+    def test_negative_limit_is_a_value_error(self, fig2):
+        with pytest.raises(ValueError):
+            list(matching_paths("Transfer+", fig2, "a3", "a5", mode="all", limit=-1))

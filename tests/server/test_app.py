@@ -98,6 +98,15 @@ class TestJsonLinesTransport:
             client.rpq("fig2", "((broken")
         assert excinfo.value.code == "parse_error"
 
+    def test_malformed_limit_is_bad_request_on_the_wire(self, client):
+        with pytest.raises(ServerError) as excinfo:
+            client.request(
+                "paths", graph="fig2", query="Transfer+", source="a3",
+                target="a5", limit="3",
+            )
+        assert excinfo.value.code == "bad_request"
+        assert "limit" in str(excinfo.value)
+
     def test_malformed_line_still_answers(self, harness):
         with ServerClient(*harness.address) as raw:
             raw._file.write(b"this is not json\n")

@@ -235,6 +235,53 @@ class TestQueryService:
         assert targets <= set(direct.nodes)
 
 
+ONE_CHEAP = "(_) ([Transfer](_))* [Transfer][amount < 4500000](_) ([Transfer](_))*"
+PATHS = {"graph": "fig2", "query": "Transfer+", "source": "a3", "target": "a5"}
+DLRPQ = {"graph": "fig3", "query": ONE_CHEAP, "source": "a3", "target": "a5"}
+
+
+class TestMalformedQueryParams:
+    """A node parameter that is not a JSON scalar, or a limit that is not a
+    non-negative integer, is a ``bad_request`` naming the parameter — not the
+    ``internal`` error the evaluator's ``TypeError`` used to become."""
+
+    @pytest.mark.parametrize(
+        ("op", "params", "bad"),
+        [
+            ("paths", {**PATHS, "limit": "3"}, "limit"),
+            ("paths", {**PATHS, "limit": -1}, "limit"),
+            ("paths", {**PATHS, "limit": True}, "limit"),
+            ("paths", {**PATHS, "source": ["a3"]}, "source"),
+            ("paths", {**PATHS, "source": {"id": "a3"}}, "source"),
+            ("paths", {**PATHS, "target": ["a5"]}, "target"),
+            ("rpq", {"graph": "fig2", "query": "Transfer", "source": ["a3"]}, "source"),
+            ("dlrpq", {**DLRPQ, "source": ["a3"]}, "source"),
+            ("dlrpq", {**DLRPQ, "source": {"id": "a3"}}, "source"),
+            ("dlrpq", {**DLRPQ, "limit": "2"}, "limit"),
+        ],
+    )
+    def test_is_a_bad_request_naming_the_parameter(self, op, params, bad):
+        service = QueryService()
+        with pytest.raises(BadRequestError) as excinfo:
+            service.execute(Request(op=op, params=params))
+        assert excinfo.value.details["param"] == bad
+        assert bad in excinfo.value.message
+
+    def test_well_formed_values_still_answer(self):
+        service = QueryService()
+        assert service.execute(Request(op="paths", params={**PATHS, "limit": None}))[
+            "count"
+        ] == 1
+        assert service.execute(Request(op="paths", params={**PATHS, "limit": 0}))[
+            "paths"
+        ] == []
+        assert service.execute(Request(op="dlrpq", params={**DLRPQ, "limit": 2}))[
+            "count"
+        ] >= 1
+        everything = service.execute(rpq_request(source=None))
+        assert everything["count"] == len(service.execute(rpq_request())["pairs"])
+
+
 class TestTraceHandling:
     """The server half of cross-process trace propagation (DESIGN.md §12)."""
 
