@@ -8,10 +8,9 @@ relation.
 * **sequential seed path** — one independent evaluation per query with
   ``use_index=False``: fresh parse + Glushkov + linear-scan per-source BFS,
   exactly the pre-engine pipeline (``run_query_log_sequential``);
-* **batch path** — :class:`~repro.engine.batch.BatchExecutor` with the
-  default thread pool: structural deduplication, one warm compile per
-  unique expression, one CSR snapshot, one multi-source sweep per unique
-  query (``run_query_log``).
+* **batch path** — :class:`~repro.engine.batch.BatchExecutor`: structural
+  deduplication, one warm compile per unique expression, one CSR snapshot,
+  one multi-source sweep per unique query (``run_query_log``).
 
 Both paths must produce identical answer sets; the speedup gate asserts
 the batch path wins by >= 3x at the full scale.  ``REPRO_BENCH_SMOKE=1``
@@ -68,7 +67,6 @@ def test_batch_executor_vs_sequential_seed(workload_records):
             "num_edges": NUM_EDGES,
             "num_queries": NUM_QUERIES,
             "num_unique": batch.num_unique,
-            "jobs": batch.jobs,
             "sequential_seed_s": sequential.wall_seconds,
             "batch_median_s": batch_s,
             "batch_repeats": BATCH_REPEATS,
@@ -84,8 +82,8 @@ def test_batch_speedup_gate(workload_records):
     """Acceptance gate: batch executor >= 3x over the sequential seed path.
 
     Enforced at the full 500-query / 3200-edge scale; the smoke workload is
-    too small to amortize pool startup, so there the gate only requires the
-    batch path not to lose.
+    too small for deduplication and the shared snapshot to pay off 3x, so
+    there the gate only requires the batch path not to lose.
     """
     assert "speedup" in _MEASURED, "the comparison benchmark must run first"
     speedup = _MEASURED["speedup"]

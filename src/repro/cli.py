@@ -312,7 +312,7 @@ def _cmd_workload_run(args: argparse.Namespace) -> int:
 
         tracer_scope = nullcontext()
     # The stats object lives out here so that an interrupt landing outside
-    # the batch fan-out (during parse/compile, say) still has telemetry to
+    # the evaluation loop (during parse/compile, say) still has telemetry to
     # flush — whatever was folded in before the signal.
     stats = EngineStats()
     report = None
@@ -321,8 +321,6 @@ def _cmd_workload_run(args: argparse.Namespace) -> int:
             report = run_query_log(
                 graph,
                 log,
-                jobs=args.jobs,
-                fork=args.fork,
                 slow_log=args.slow_log,
                 stats=stats,
                 budget=_make_budget(args),
@@ -1012,14 +1010,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     wrun.add_argument(
         "--graph-seed", type=int, default=0, help="'random' graph: RNG seed"
-    )
-    wrun.add_argument(
-        "--jobs", type=int, default=None, help="worker count (default: one per CPU)"
-    )
-    wrun.add_argument(
-        "--fork",
-        action="store_true",
-        help="use a process pool instead of threads",
     )
     wrun.add_argument(
         "--baseline",

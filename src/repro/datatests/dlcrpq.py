@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.crpq.ast import Var, _parse_term, _split_top_level
-from repro.datatests.ast import dl_data_variables, dl_list_variables
+from repro.datatests.ast import dl_list_variables
 from repro.datatests.dlrpq import dlrpq_pairs, evaluate_dlrpq
 from repro.datatests.parser import parse_dlrpq
 from repro.errors import ParseError, QueryError
@@ -52,9 +52,6 @@ class DLCRPQAtom:
 
     def list_variables(self) -> frozenset:
         return dl_list_variables(self.regex)
-
-    def data_variables(self) -> frozenset:
-        return dl_data_variables(self.regex)
 
 
 @dataclass(frozen=True, slots=True)

@@ -227,9 +227,10 @@ def evaluate_dlrpq(
     ``source``/``target`` refer to ``src(p)``/``tgt(p)``, which look through
     boundary edges.  The empty path never appears in results (it has no
     endpoints).  ``limit`` caps the results (``0`` yields none; a negative
-    one is a ``ValueError``).  A ``budget`` is ticked per dequeued
-    configuration so a deadline or cancellation stops the run enumeration
-    between yields.
+    one is a ``ValueError``).  A ``budget`` is ticked per configuration
+    popped while the configuration graph is built and per entry dequeued
+    while runs are enumerated, so a deadline or cancellation stops either
+    phase.
     """
     if mode not in PATH_MODES:
         raise EvaluationError(f"unknown path mode {mode!r}; use one of {PATH_MODES}")
@@ -238,7 +239,7 @@ def evaluate_dlrpq(
         return
     if budget is not None:
         budget.check()
-    cg = build_config_graph(regex, graph, source)
+    cg = build_config_graph(regex, graph, source, budget)
     goals = cg.finals_by_target.get(target, set())
     if not goals:
         return
@@ -388,6 +389,7 @@ def dlrpq_pairs(
 
     Decided on the finite configuration graph, so this terminates even when
     the path set is infinite — the data-complexity story of Section 6.4.
+    A library-only helper: it takes no budget and always runs to the end.
     """
     regex = _as_regex(query)
     nfa = compile_dlrpq(regex)

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from repro.automata.glushkov import glushkov
 from repro.automata.nfa import NFA
 from repro.datatests.ast import DLAtom, Kind
+from repro.engine.faults import fault_point
 from repro.graph.bindings import ValueAssignment
 from repro.graph.edge_labeled import ObjectId
 from repro.graph.property_graph import PropertyGraph
@@ -93,12 +94,15 @@ def build_config_graph(
     regex: "Regex | NFA",
     graph: PropertyGraph,
     source: ObjectId,
+    budget=None,
 ) -> ConfigGraph:
     """Explore all configurations reachable from ``(None, q0, nu0)``.
 
     The returned graph's ``accepting`` set contains every configuration with
     an accepting automaton state and a non-empty path position;
-    ``finals_by_target`` groups them by the path target they witness.
+    ``finals_by_target`` groups them by the path target they witness.  A
+    ``budget`` is ticked once per popped configuration, so a deadline or
+    cancellation stops the build, not only the enumeration after it.
     """
     nfa = regex if isinstance(regex, NFA) else compile_dlrpq(regex)
     by_state: dict = {}
@@ -129,7 +133,11 @@ def build_config_graph(
                 moves.append((edge, True))
         return moves
 
+    tick = budget.tick if budget is not None else None
     while frontier:
+        fault_point("kernel.step")
+        if tick is not None:
+            tick()
         config = frontier.pop()
         position, state, nu = config
         moves = candidate_moves(position)
@@ -160,9 +168,3 @@ def build_config_graph(
             target = _position_target(graph, position)
             result.finals_by_target.setdefault(target, set()).add(config)
     return result
-
-
-def reachable_targets(config_graph: ConfigGraph) -> set[ObjectId]:
-    """All nodes ``v`` such that some non-empty matching path from the
-    source ends at ``v`` — the pair semantics used by dl-CRPQ joins."""
-    return set(config_graph.finals_by_target)

@@ -196,21 +196,6 @@ class FleetSupervisor:
                 state.state == HEALTHY for state in self._states.values()
             )
 
-    def await_healthy(self, timeout: float = 30.0) -> bool:
-        """Block until every shard is healthy (or ``timeout`` elapses).
-
-        The recovery benchmark's clock stops here: healthy means every
-        worker answered a probe after its restart *and* re-seeding
-        finished, so exact answers are available fleet-wide again.
-        """
-        deadline = time.monotonic() + timeout
-        while True:
-            if self.healthy():
-                return True
-            if time.monotonic() >= deadline:
-                return False
-            time.sleep(min(0.05, self.heartbeat_interval))
-
     # ------------------------------------------------------------------
     # the probe loop
     # ------------------------------------------------------------------

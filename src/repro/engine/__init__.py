@@ -22,8 +22,8 @@ One optimization layer under every language frontend in the library:
   CSR rows, once per snapshot) plus first/last-label automaton selectivity,
   feeding the cost-based CRPQ planner;
 * :mod:`repro.engine.batch` — the workload driver: deduplicate
-  structurally-equal queries, pre-warm the cache, share the snapshot, fan
-  out over a thread or process pool;
+  structurally-equal queries, pre-warm the cache, share the snapshot,
+  evaluate the unique items in one serial loop;
 * :mod:`repro.engine.tracing` — hierarchical span tracer (thread-local
   current-span stacks, zero-cost no-op singleton when disabled) behind
   ``repro profile`` and workload trace files;
@@ -36,7 +36,7 @@ Every frontend keeps its original naive implementation behind
 differential tests compare the engine against.
 """
 
-from repro.engine.batch import BatchExecutor, BatchResult, default_jobs
+from repro.engine.batch import BatchExecutor, BatchResult
 from repro.engine.cache import (
     DEFAULT_CACHE,
     CompilationCache,
@@ -92,7 +92,6 @@ __all__ = [
     "compile_query",
     "compile_uncached",
     "default_cache",
-    "default_jobs",
     "evaluate_sweep",
     "get_csr",
     "get_interner",

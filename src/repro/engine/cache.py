@@ -84,7 +84,7 @@ class CompiledQuery:
         nodes and edges only.  One entry suffices: a compiled query is
         overwhelmingly evaluated against one graph at a time, and a rebuild
         is O(states × labels).  The memo write is a benign race under the
-        worker pool (worst case: a duplicate lowering).
+        server's worker pool (worst case: a duplicate lowering).
         """
         cached = self._int_plan
         if cached is not None and cached.interner_uid == interner.uid:

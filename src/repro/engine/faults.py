@@ -5,7 +5,7 @@ worker crashing mid-BFS, a cache write failing, a client connection torn
 mid-response — degrade to typed errors with no leaked slots, no stale
 cache entries and no hung drain.  Those paths are unreachable from normal
 inputs, so the engine plants **fault sites**: named no-op hooks in the
-kernel, the compilation cache, the batch pool and the server's read/write
+kernel, the compilation cache, the batch executor and the server's read/write
 paths.  A test *arms* a site with a behaviour (raise, delay, or drop) and
 the next N passages through it fire deterministically.
 
@@ -40,7 +40,7 @@ SITES = frozenset(
         "kernel.evaluate",      # entry of every kernel product BFS / sweep
         "kernel.step",          # per product-pair expansion (CSR and dict)
         "cache.compile",        # compilation-cache fill path
-        "batch.worker",         # start of each batch pool work item
+        "batch.worker",         # start of each batch work item
         "service.execute",      # worker-pool entry of a server request
         "service.cache_put",    # answer-cache insertion on clean completion
         "server.read",          # server's per-line read loop

@@ -269,7 +269,7 @@ class QueryBudget:
     def fork(self) -> "QueryBudget":
         """A budget for a sibling work item: same limits, same deadline and
         cancellation *objects*, fresh counters (the batch executor hands
-        one to every pool worker)."""
+        one to every work item)."""
         return QueryBudget(
             deadline=self.deadline,
             max_rows=self.max_rows,

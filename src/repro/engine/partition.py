@@ -72,11 +72,6 @@ class ShardMap:
         """The shard owning ``node`` (raises KeyError for foreign nodes)."""
         return self._assignment[node]
 
-    def owned_nodes(self, shard: int) -> set[ObjectId]:
-        return {
-            node for node, owner in self._assignment.items() if owner == shard
-        }
-
     def owned_mask(self, shard: int, order: "list[ObjectId]") -> int:
         """A bitmask over ``order`` positions of the nodes ``shard`` owns.
 

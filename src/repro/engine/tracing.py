@@ -8,9 +8,8 @@ module records them as a tree of **spans**:
 * a :class:`Span` is a named interval (``start``/``end`` from
   ``perf_counter``) with free-form attributes and child spans;
 * a :class:`Tracer` maintains a **thread-local** current-span stack, so the
-  :class:`~repro.engine.batch.BatchExecutor` thread-pool workers each grow
-  their own per-query trees without interleaving (tested by
-  ``tests/engine/test_tracing.py``);
+  query server's pool workers each grow their own per-request trees
+  without interleaving (tested by ``tests/engine/test_tracing.py``);
 * finished root spans are collected on the tracer (under a lock) and can be
   rendered as an indented tree (``repro profile``), exported as JSON dicts
   (``repro profile --json``) or streamed one-tree-per-line to a ``.jsonl``
@@ -446,7 +445,7 @@ def use_tracer(tracer: "Tracer | NullTracer"):
     """Install ``tracer`` as the process-wide active tracer for a scope.
 
     Worker threads spawned inside the scope observe the same tracer (that is
-    the point: the batch executor's pool inherits it), so nesting different
+    the point: the server's worker pool inherits it), so nesting different
     tracers from concurrent threads is not supported — last installer wins.
     """
     global _ACTIVE

@@ -123,13 +123,6 @@ class QueryTimeoutError(ServiceError):
     http_status = 504
 
 
-class BudgetExceededError(ServiceError):
-    """A row/state ceiling (not the clock) stopped the evaluation."""
-
-    code = "budget_exceeded"
-    http_status = 422
-
-
 def _partial_rows(partial) -> "list | None":
     """Up to :data:`PARTIAL_ROWS_CAP` partial rows, JSON-shaped.
 

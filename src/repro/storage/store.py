@@ -374,14 +374,6 @@ class GraphStore:
             ).fetchall()
         return [row[0] for row in rows]
 
-    def has_graph(self, name: str) -> bool:
-        with self._lock:
-            self._check_open()
-            row = self._conn.execute(
-                "SELECT 1 FROM graphs WHERE name=?", (name,)
-            ).fetchone()
-        return row is not None
-
     def graph_info(self, name: str) -> dict:
         """Manifest entry: kind, durable version, exact object counts.
 

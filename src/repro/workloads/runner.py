@@ -6,7 +6,7 @@ stand-in for the paper's 150M-query SPARQL-log corpus — and the engine's
 shape so benchmarks and the CLI can compare them directly:
 
 * :func:`run_query_log` — the batch path: deduplicate, pre-warm, share the
-  index, fan out over a pool;
+  CSR snapshot, evaluate each unique query once;
 * :func:`run_query_log_sequential` — the seed path: one independent
   evaluation per query, re-parsing and re-compiling every time
   (``use_index=False``), exactly what the repo did before the engine
@@ -40,8 +40,6 @@ class WorkloadReport:
     wall_seconds: float
     num_queries: int
     num_unique: "int | None" = None
-    jobs: "int | None" = None
-    fork: bool = False
     stats: "EngineStats | None" = None
     phase_seconds: dict = field(default_factory=dict)
     #: the batch executor's merged per-query latency histogram
@@ -50,7 +48,7 @@ class WorkloadReport:
     timings: list = field(default_factory=list)
     #: the N worst items (slowest-first), traces attached when traced
     slow_queries: list = field(default_factory=list)
-    #: True when the batch fan-out was cut short by a KeyboardInterrupt
+    #: True when the batch evaluation was cut short by a KeyboardInterrupt
     interrupted: bool = False
     #: aligned with ``results``: structured per-query error dicts from the
     #: batch executor (budget trips, injected faults); empty when clean
@@ -77,9 +75,6 @@ class WorkloadReport:
         }
         if self.num_unique is not None:
             digest["num_unique"] = self.num_unique
-        if self.jobs is not None:
-            digest["jobs"] = self.jobs
-            digest["fork"] = self.fork
         if self.phase_seconds:
             digest["phase_seconds"] = {
                 name: round(value, 6) for name, value in self.phase_seconds.items()
@@ -128,8 +123,6 @@ def run_query_log(
     graph: EdgeLabeledGraph,
     log: Sequence[LogEntry],
     *,
-    jobs: "int | None" = None,
-    fork: bool = False,
     stats: "EngineStats | None" = None,
     slow_log: int = 0,
     budget=None,
@@ -140,7 +133,7 @@ def run_query_log(
     counters (see :meth:`BatchExecutor.run`).
     """
     expressions = _expressions(log)
-    executor = BatchExecutor(jobs=jobs, fork=fork, slow_log=slow_log)
+    executor = BatchExecutor(slow_log=slow_log)
     stats = stats if stats is not None else EngineStats()
     batch = executor.run(graph, expressions, stats=stats, budget=budget)
     return WorkloadReport(
@@ -149,8 +142,6 @@ def run_query_log(
         wall_seconds=batch.wall_seconds,
         num_queries=batch.num_queries,
         num_unique=batch.num_unique,
-        jobs=batch.jobs,
-        fork=batch.fork,
         stats=stats,
         phase_seconds=batch.phase_seconds,
         latency_histogram=batch.latency_histogram,

@@ -91,7 +91,7 @@ class TestBatchWorkerFault:
     def test_crashed_items_fail_alone(self, faults, cycle):
         queries = ["a", "a a", "a+", "a*"]
         stats = EngineStats()
-        executor = BatchExecutor(jobs=1)  # one worker: firing order is fixed
+        executor = BatchExecutor()  # serial loop: firing order is fixed
         faults.arm("batch.worker", times=2)
         batch = executor.run(cycle, queries, stats=stats)
         assert batch.num_failed == 2
@@ -111,7 +111,7 @@ class TestBatchWorkerFault:
         assert {entry["error"] for entry in digest["errors"]} == {"fault"}
 
     def test_rerun_after_faults_is_clean(self, faults, cycle):
-        executor = BatchExecutor(jobs=1)
+        executor = BatchExecutor()
         faults.arm("batch.worker")
         first = executor.run(cycle, ["a", "a a"])
         assert first.num_failed == 1
@@ -122,7 +122,7 @@ class TestBatchWorkerFault:
 
 class TestBatchBudget:
     def test_expired_deadline_fails_every_item_structurally(self, cycle):
-        executor = BatchExecutor(jobs=1)
+        executor = BatchExecutor()
         budget = QueryBudget(timeout=1e-6)
         batch = executor.run(cycle, ["a", "a a", "a+"], budget=budget)
         assert batch.num_failed == 3
@@ -131,7 +131,7 @@ class TestBatchBudget:
             assert error["limit"] == "timeout"
 
     def test_generous_budget_matches_unbudgeted(self, cycle):
-        executor = BatchExecutor(jobs=2)
+        executor = BatchExecutor()
         queries = ["a", "a a", "a+", "a*"]
         plain = executor.run(cycle, queries)
         budgeted = executor.run(

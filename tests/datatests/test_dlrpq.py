@@ -276,3 +276,72 @@ class TestLimit:
         query = TestDataFilters63.QUERY_ONE_CHEAP
         with pytest.raises(ValueError):
             list(evaluate_dlrpq(query, fig3, "a3", "a5", mode="all", limit=-1))
+
+
+
+class TestBudget:
+    """A deadline stops the configuration-graph build, not only the
+    enumeration after it: unbudgeted, this query spends half a second
+    building before its first answer."""
+
+    QUERY = "(_) [Transfer][x := date] ( (_)[Transfer][date > x][x := date] )* (_)"
+
+    @pytest.fixture(scope="class")
+    def transfers(self):
+        from repro.graph.generators import random_transfer_network
+
+        return random_transfer_network(2000, 20000, seed=1)
+
+    @staticmethod
+    def trips_in_time(run):
+        """Run ``run`` and assert it raises a timeout within 0.2 s.
+
+        The collector is paused for the timed call: a pass over what
+        earlier tests left behind is not the evaluator's time."""
+        import gc
+        import time
+
+        from repro.engine.limits import BudgetExceeded
+
+        gc.collect()
+        gc.disable()
+        try:
+            started = time.perf_counter()
+            with pytest.raises(BudgetExceeded) as excinfo:
+                run()
+            elapsed = time.perf_counter() - started
+        finally:
+            gc.enable()
+        assert excinfo.value.limit == "timeout"
+        assert elapsed < 0.2
+
+    def test_deadline_stops_the_library_evaluation(self, transfers):
+        from repro.engine.limits import QueryBudget
+
+        self.trips_in_time(
+            lambda: list(
+                evaluate_dlrpq(
+                    self.QUERY, transfers, "a0", "a1", mode="shortest", limit=5,
+                    budget=QueryBudget(timeout=0.05),
+                )
+            )
+        )
+
+    def test_deadline_stops_the_served_query(self, transfers):
+        from repro.engine.limits import QueryBudget
+        from repro.server.protocol import Request
+        from repro.server.service import QueryService
+
+        service = QueryService()
+        service.catalog.register("transfers", transfers)
+        request = Request(
+            op="dlrpq",
+            params={
+                "graph": "transfers", "query": self.QUERY, "source": "a0",
+                "target": "a1", "mode": "shortest", "limit": 5,
+            },
+        )
+        self.trips_in_time(
+            lambda: service.execute(request, QueryBudget(timeout=0.05))
+        )
+        assert len(service.answer_cache) == 0

@@ -112,26 +112,17 @@ class TestIndexThreadSafety:
 
 
 class TestBatchExecutorConcurrency:
-    def test_thread_pool_matches_inline(self):
-        graph = figure2_graph()
-        workload = QUERIES * 5
-        inline = BatchExecutor(jobs=1).run(graph, workload)
-        pooled = BatchExecutor(jobs=8).run(graph, workload)
-        assert pooled.results == inline.results
-        assert pooled.num_queries == len(workload)
-        assert not pooled.interrupted
-
     def test_two_executors_share_default_cache(self):
-        """Two pools running simultaneously against the process-wide cache
+        """Two batches running simultaneously against the process-wide cache
         must not corrupt it or each other's answers."""
         graph = figure2_graph()
-        expected = BatchExecutor(jobs=1, cache=CompilationCache()).run(
+        expected = BatchExecutor(cache=CompilationCache()).run(
             graph, QUERIES
         )
         outcomes = {}
 
         def run_batch(tag):
-            result = BatchExecutor(jobs=4).run(graph, QUERIES * 3)
+            result = BatchExecutor().run(graph, QUERIES * 3)
             outcomes[tag] = result.results[: len(QUERIES)]
 
         threads = [

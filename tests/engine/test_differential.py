@@ -239,7 +239,7 @@ def test_planners_agree_on_answer_sets(graph, query):
 def test_batch_executor_equals_naive(graph, workload):
     from repro.engine.batch import BatchExecutor
 
-    batch = BatchExecutor(jobs=1).run(graph, workload)
+    batch = BatchExecutor().run(graph, workload)
     for regex, result in zip(workload, batch.results):
         assert result == evaluate_rpq(regex, graph, use_index=False)
 

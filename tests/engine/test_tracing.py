@@ -377,7 +377,7 @@ class TestThreadIsolation:
         log = [regex for _shape, regex in generate_query_log(24, labels=LABELS, seed=4)]
         tracer = Tracer()
         with use_tracer(tracer):
-            batch = BatchExecutor(jobs=3).run(graph, log)
+            batch = BatchExecutor().run(graph, log)
 
         roots = [root for root in tracer.roots if root.name == "batch.query"]
         assert len(roots) == batch.num_unique
@@ -405,7 +405,7 @@ class TestThreadIsolation:
     def test_batch_executor_trace_dicts_align_with_timings(self):
         graph = random_graph(20, 60, labels=LABELS, seed=6)
         with use_tracer(Tracer()):
-            batch = BatchExecutor(jobs=2).run(graph, ["a.b", "c*", ("a", "v0")])
+            batch = BatchExecutor().run(graph, ["a.b", "c*", ("a", "v0")])
         assert len(batch.timings) == 3
         for entry in batch.timings:
             assert entry["trace"] is not None

@@ -171,8 +171,6 @@ class TestWorkloadCLI:
                     "30",
                     "--edges",
                     "90",
-                    "--jobs",
-                    "2",
                     "--baseline",
                 ]
             )
@@ -194,8 +192,6 @@ class TestWorkloadCLI:
                     "fig2",
                     "--queries",
                     "10",
-                    "--jobs",
-                    "1",
                     "--stats",
                 ]
             )
@@ -216,8 +212,6 @@ class TestWorkloadCLI:
                     "fig2",
                     "--queries",
                     "12",
-                    "--jobs",
-                    "1",
                     "--trace-out",
                     str(trace_path),
                     "--slow-log",
@@ -249,8 +243,6 @@ class TestWorkloadCLI:
                     "fig2",
                     "--queries",
                     "8",
-                    "--jobs",
-                    "1",
                     "--metrics-out",
                     str(metrics_path),
                 ]
@@ -268,19 +260,15 @@ class TestWorkloadInterrupt:
     """Ctrl-C during ``workload run`` flushes partial telemetry, exits 130."""
 
     def _patch_interrupt(self, monkeypatch, allow):
-        import threading
-
         from repro.engine.batch import BatchExecutor
 
         original = BatchExecutor._evaluate_one
-        lock = threading.Lock()
         calls = {"n": 0}
 
         def flaky(self, graph, compiled_query, source, stats):
-            with lock:
-                calls["n"] += 1
-                if calls["n"] > allow:
-                    raise KeyboardInterrupt
+            calls["n"] += 1
+            if calls["n"] > allow:
+                raise KeyboardInterrupt
             return original(self, graph, compiled_query, source, stats)
 
         monkeypatch.setattr(BatchExecutor, "_evaluate_one", flaky)
@@ -297,8 +285,6 @@ class TestWorkloadInterrupt:
                 "fig2",
                 "--queries",
                 "20",
-                "--jobs",
-                "1",
                 "--metrics-out",
                 str(metrics_path),
             ]
@@ -325,8 +311,6 @@ class TestWorkloadInterrupt:
                 "fig2",
                 "--queries",
                 "20",
-                "--jobs",
-                "1",
                 "--trace-out",
                 str(trace_path),
             ]
@@ -352,8 +336,6 @@ class TestWorkloadInterrupt:
                 "fig2",
                 "--queries",
                 "5",
-                "--jobs",
-                "1",
                 "--metrics-out",
                 str(metrics_path),
             ]
