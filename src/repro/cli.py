@@ -35,6 +35,17 @@ def _load_graph(spec: str) -> EdgeLabeledGraph:
         return loads(handle.read())
 
 
+def _named_graphs(specs):
+    """``(name, graph)`` for each ``--graphs NAME=FILE`` entry, in order."""
+    for spec in specs or ():
+        name, _, path = spec.partition("=")
+        if not path:
+            raise SystemExit(
+                f"--graphs entries must be name=path.json, got {spec!r}"
+            )
+        yield name, _load_graph(path)
+
+
 def _engine_options(args: argparse.Namespace):
     """The (use_index, stats) pair the engine commands share."""
     from repro.engine.stats import EngineStats
@@ -49,16 +60,26 @@ def _report_stats(stats) -> None:
         print(stats.render(), file=sys.stderr)
 
 
+def _limits(args: argparse.Namespace) -> dict:
+    """What the ``--timeout/--max-rows/--max-states`` flags ask for."""
+    return {
+        name: getattr(args, name, None)
+        for name in ("timeout", "max_rows", "max_states")
+    }
+
+
 def _make_budget(args: argparse.Namespace):
-    """The query budget the ``--timeout/--max-rows/--max-states`` flags ask
-    for, or None when none were given."""
+    """The query budget the limit flags ask for, or None when none were
+    given."""
     from repro.engine.limits import make_budget
 
-    return make_budget(
-        timeout=getattr(args, "timeout", None),
-        max_rows=getattr(args, "max_rows", None),
-        max_states=getattr(args, "max_states", None),
-    )
+    return make_budget(**_limits(args))
+
+
+def _print_rows(rows) -> None:
+    """One tab-separated line per answer row (a bare value prints as is)."""
+    for row in rows:
+        print("\t".join(map(str, row)) if isinstance(row, (tuple, list)) else row)
 
 
 def _report_trip(exc) -> int:
@@ -84,11 +105,9 @@ def _cmd_rpq(args: argparse.Namespace) -> int:
             stats=stats, budget=_make_budget(args),
         )
     except BudgetExceeded as exc:
-        for source, target in sorted(exc.partial or (), key=repr):
-            print(f"{source}\t{target}")
+        _print_rows(sorted(exc.partial or (), key=repr))
         return _report_trip(exc)
-    for source, target in sorted(pairs, key=repr):
-        print(f"{source}\t{target}")
+    _print_rows(sorted(pairs, key=repr))
     print(f"# {len(pairs)} pairs", file=sys.stderr)
     _report_stats(stats)
     return 0
@@ -106,11 +125,9 @@ def _cmd_crpq(args: argparse.Namespace) -> int:
             budget=_make_budget(args),
         )
     except BudgetExceeded as exc:
-        for row in sorted(exc.partial or (), key=repr):
-            print("\t".join(str(value) for value in row))
+        _print_rows(sorted(exc.partial or (), key=repr))
         return _report_trip(exc)
-    for row in sorted(rows, key=repr):
-        print("\t".join(str(value) for value in row))
+    _print_rows(sorted(rows, key=repr))
     print(f"# {len(rows)} rows", file=sys.stderr)
     _report_stats(stats)
     return 0
@@ -204,43 +221,21 @@ def _profile_via_shards(args: argparse.Namespace) -> int:
     """
     import json
 
-    from repro.distributed import ShardCoordinator
-    from repro.engine.explain import query_kind
-    from repro.engine.tracing import Tracer, use_tracer
-    from repro.server.client import ConnectionLost, ServerError
-    from repro.server.protocol import ShardUnavailableError
+    from repro.engine.tracing import Tracer
 
-    addresses = [
-        _parse_address(part) for part in args.shards.split(",") if part
-    ]
-    graph = _load_graph(args.graph)
     tracer = Tracer()
-    try:
-        with use_tracer(tracer), ShardCoordinator(
-            addresses, slow_round_ms=args.slow_round_ms
-        ) as coordinator:
-            name = f"cli:{args.graph}"
-            coordinator.partition_graph(name, graph, strategy=args.partition)
-            if query_kind(args.query) == "crpq":
-                rows = coordinator.evaluate_crpq(name, args.query)
-            else:
-                rows = coordinator.evaluate_rpq(name, args.query)
-            metrics = coordinator.metrics.as_dict()
-    except ShardUnavailableError as exc:
-        print(f"error [shard_unavailable]: {exc.message}", file=sys.stderr)
-        return 1
-    except (ConnectionLost, OSError) as exc:
-        print(f"error: cannot reach shard fleet: {exc}", file=sys.stderr)
-        return 1
-    except ServerError as exc:
-        print(f"error [{exc.code}]: {exc.message}", file=sys.stderr)
-        return 1
-    if args.trace_out:
-        written = tracer.write_jsonl(args.trace_out, drain=False)
-        print(
-            f"# wrote {written} span trees to {args.trace_out}",
-            file=sys.stderr,
-        )
+    outcome, code = _on_shards(
+        args,
+        lambda coordinator, name: (
+            _evaluate_on_shards(args, coordinator, name),
+            coordinator.metrics.as_dict(),
+        ),
+        tracer,
+    )
+    if code is not None:
+        return code
+    rows, metrics = outcome
+    _write_shard_trace(tracer, args.trace_out, drain=False)
     if args.json:
         print(
             json.dumps(
@@ -393,13 +388,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     catalog = GraphCatalog.with_builtins(
         args.data_dir, max_resident_edges=args.max_resident_edges
     )
-    for spec in args.graphs or ():
-        name, _, path = spec.partition("=")
-        if not path:
-            raise SystemExit(
-                f"--graphs entries must be name=path.json, got {spec!r}"
-            )
-        catalog.register(name, _load_graph(path))
+    for name, graph in _named_graphs(args.graphs):
+        catalog.register(name, graph)
     admission = AdmissionController(
         max_concurrency=args.max_concurrency,
         max_queue=args.max_queue,
@@ -550,13 +540,7 @@ def _cmd_shard_serve(args: argparse.Namespace) -> int:
             allow_degraded=args.allow_degraded,
             supervisor=supervisor,
         ) as coordinator:
-            for spec in args.graphs or ():
-                name, _, path = spec.partition("=")
-                if not path:
-                    raise SystemExit(
-                        f"--graphs entries must be name=path.json, got {spec!r}"
-                    )
-                graph = _load_graph(path)
+            for name, graph in _named_graphs(args.graphs):
                 if args.replicated:
                     info = coordinator.replicate_graph(name, graph)
                 else:
@@ -626,97 +610,115 @@ def _cmd_shard_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _on_fleet(args: argparse.Namespace, run, tracer=None, **options):
+    """``(run(coordinator), None)`` with a coordinator over the ``--shards``
+    fleet, or ``(None, 1)`` once a fleet failure — ``shard_unavailable``, an
+    unreachable shard, a typed shard error — is reported on stderr."""
+    from contextlib import nullcontext
+
+    from repro.distributed import ShardCoordinator
+    from repro.engine.tracing import use_tracer
+    from repro.server.client import ConnectionLost, ServerError
+    from repro.server.protocol import ShardUnavailableError
+
+    addresses = [_parse_address(part) for part in args.shards.split(",") if part]
+    try:
+        with use_tracer(tracer) if tracer is not None else nullcontext(), \
+                ShardCoordinator(addresses, **options) as coordinator:
+            return run(coordinator), None
+    except ShardUnavailableError as exc:
+        print(f"error [shard_unavailable]: {exc.message}", file=sys.stderr)
+        if exc.details.get("retry_after"):
+            print(f"# retry after {exc.details['retry_after']}s", file=sys.stderr)
+    except ServerError as exc:
+        print(f"error [{exc.code}]: {exc.message}", file=sys.stderr)
+    except (ConnectionLost, OSError) as exc:
+        print(f"error: cannot reach shard fleet: {exc}", file=sys.stderr)
+    return None, 1
+
+
+def _on_shards(args: argparse.Namespace, run, tracer=None, **options):
+    """:func:`_on_fleet` with ``args.graph`` put on the fleet first —
+    partitioned by ``--partition``, or replicated with ``--replicated`` —
+    and rounds slower than ``--slow-round-ms`` logged; ``run`` gets the
+    coordinator and the graph's name there."""
+    graph = _load_graph(args.graph)
+    name = f"cli:{args.graph}"
+
+    def distribute_then_run(coordinator):
+        if getattr(args, "replicated", False):
+            coordinator.replicate_graph(name, graph)
+        else:
+            coordinator.partition_graph(name, graph, strategy=args.partition)
+        return run(coordinator, name)
+
+    return _on_fleet(
+        args, distribute_then_run, tracer, slow_round_ms=args.slow_round_ms,
+        **options,
+    )
+
+
+def _evaluate_on_shards(args, coordinator, name, budget=None, sources=None):
+    """The CRPQ or RPQ ``args.query`` over a partitioned graph."""
+    from repro.engine.explain import query_kind
+
+    if query_kind(args.query) == "crpq":
+        return coordinator.evaluate_crpq(name, args.query, budget=budget)
+    return coordinator.evaluate_rpq(
+        name, args.query, sources=sources, budget=budget
+    )
+
+
+def _write_shard_trace(tracer, path, drain=True) -> None:
+    """Append the stitched span trees to ``--trace-out`` (if given)."""
+    if tracer is not None and path:
+        written = tracer.write_jsonl(path, drain=drain)
+        print(f"# wrote {written} span trees to {path}", file=sys.stderr)
+
+
 def _query_via_shards(args: argparse.Namespace) -> int:
     """Distribute a graph across a running fleet and query it there."""
     import json
 
-    from repro.distributed import ShardCoordinator
     from repro.engine.explain import query_kind
     from repro.engine.limits import BudgetExceeded
-    from repro.server.client import ConnectionLost, ServerError
-    from repro.server.protocol import ShardUnavailableError
 
-    addresses = [
-        _parse_address(part) for part in args.shards.split(",") if part
-    ]
-    graph = _load_graph(args.graph)
     budget = _make_budget(args)
-    trace_out = getattr(args, "trace_out", None)
-    if trace_out:
-        from repro.engine.tracing import Tracer, use_tracer
+    tracer = None
+    if args.trace_out:
+        from repro.engine.tracing import Tracer
 
         tracer = Tracer()
-        tracer_scope = use_tracer(tracer)
-    else:
-        from contextlib import nullcontext
 
-        tracer = None
-        tracer_scope = nullcontext()
-    degraded = False
+    def evaluate(coordinator, name):
+        if not args.replicated:
+            sources = [args.source] if args.source else None
+            return _evaluate_on_shards(args, coordinator, name, budget, sources), False
+        # The result-dict path, not evaluate_*: hedging and the degraded
+        # fallback live on replica routing, and only this shape can carry
+        # the degraded marker to the caller.
+        if query_kind(args.query) == "crpq":
+            result = coordinator.crpq(name, args.query, **_limits(args))
+            rows = {tuple(row) for row in result["rows"]}
+        else:
+            result = coordinator.rpq(
+                name, args.query, source=args.source, **_limits(args)
+            )
+            rows = {tuple(pair) for pair in result["pairs"]}
+        return rows, bool(result.get("degraded"))
+
     try:
-        with tracer_scope, ShardCoordinator(
-            addresses,
-            slow_round_ms=getattr(args, "slow_round_ms", None),
-            hedge_after=getattr(args, "hedge_after", None),
-            allow_degraded=getattr(args, "allow_degraded", False),
-        ) as coordinator:
-            name = f"cli:{args.graph}"
-            if args.replicated:
-                coordinator.replicate_graph(name, graph)
-                # The result-dict path, not evaluate_*: hedging and the
-                # degraded fallback live on replica routing, and only this
-                # shape can carry the degraded marker to the caller.
-                limits = {
-                    "timeout": getattr(args, "timeout", None),
-                    "max_rows": getattr(args, "max_rows", None),
-                    "max_states": getattr(args, "max_states", None),
-                }
-                if query_kind(args.query) == "crpq":
-                    result = coordinator.crpq(name, args.query, **limits)
-                    rows = {tuple(row) for row in result["rows"]}
-                else:
-                    result = coordinator.rpq(
-                        name, args.query, source=args.source, **limits
-                    )
-                    rows = {tuple(pair) for pair in result["pairs"]}
-                degraded = bool(result.get("degraded"))
-            else:
-                coordinator.partition_graph(
-                    name, graph, strategy=args.partition
-                )
-                if query_kind(args.query) == "crpq":
-                    rows = coordinator.evaluate_crpq(
-                        name, args.query, budget=budget
-                    )
-                else:
-                    sources = [args.source] if args.source else None
-                    rows = coordinator.evaluate_rpq(
-                        name, args.query, sources=sources, budget=budget
-                    )
-    except BudgetExceeded as exc:
-        for row in sorted(exc.partial or (), key=repr):
-            if isinstance(row, tuple):
-                print("\t".join(str(value) for value in row))
-            else:
-                print(row)
-        return _report_trip(exc)
-    except ShardUnavailableError as exc:
-        print(f"error [shard_unavailable]: {exc.message}", file=sys.stderr)
-        retry_after = exc.details.get("retry_after")
-        if retry_after:
-            print(f"# retry after {retry_after}s", file=sys.stderr)
-        return 1
-    except (ConnectionLost, OSError) as exc:
-        print(f"error: cannot reach shard fleet: {exc}", file=sys.stderr)
-        return 1
-    except ServerError as exc:
-        print(f"error [{exc.code}]: {exc.message}", file=sys.stderr)
-        return 1
-    if tracer is not None:
-        written = tracer.write_jsonl(trace_out)
-        print(
-            f"# wrote {written} span trees to {trace_out}", file=sys.stderr
+        outcome, code = _on_shards(
+            args, evaluate, tracer,
+            hedge_after=args.hedge_after, allow_degraded=args.allow_degraded,
         )
+    except BudgetExceeded as exc:
+        _print_rows(sorted(exc.partial or (), key=repr))
+        return _report_trip(exc)
+    if code is not None:
+        return code
+    rows, degraded = outcome
+    _write_shard_trace(tracer, args.trace_out)
     if degraded:
         print(
             "# degraded: served from the coordinator's local copy "
@@ -735,8 +737,7 @@ def _query_via_shards(args: argparse.Namespace) -> int:
             )
         )
         return 0
-    for row in sorted(rows, key=repr):
-        print("\t".join(str(value) for value in row))
+    _print_rows(sorted(rows, key=repr))
     print(f"# {len(rows)} answers", file=sys.stderr)
     return 0
 
@@ -745,20 +746,13 @@ def _cmd_cluster_stats(args: argparse.Namespace) -> int:
     """Fetch and merge every shard's metrics registry (exactly)."""
     import json
 
-    from repro.distributed import ShardCoordinator
-    from repro.server.client import ConnectionLost
-
-    addresses = [
-        _parse_address(part) for part in args.shards.split(",") if part
-    ]
-    try:
-        with ShardCoordinator(addresses) as coordinator:
-            # This coordinator exists only to ask; its own (empty)
-            # registry would just add zero-count noise.
-            merged = coordinator.cluster_metrics(include_coordinator=False)
-    except (ConnectionLost, OSError) as exc:
-        print(f"error: cannot reach shard fleet: {exc}", file=sys.stderr)
-        return 1
+    # This coordinator exists only to ask; its own (empty) registry would
+    # just add zero-count noise.
+    merged, code = _on_fleet(
+        args, lambda coordinator: coordinator.cluster_metrics(include_coordinator=False)
+    )
+    if code is not None:
+        return code
     if args.json:
         text = json.dumps(merged.as_dict(), indent=2, sort_keys=True) + "\n"
     else:
@@ -785,11 +779,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     retry = (
         RetryPolicy(max_attempts=args.retries) if args.retries > 1 else None
     )
-    limits = {
-        "timeout": args.timeout,
-        "max_rows": args.max_rows,
-        "max_states": args.max_states,
-    }
+    limits = _limits(args)
     try:
         with _connect(args.connect, retry=retry) as client:
             if args.explain:
@@ -803,11 +793,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     except ServerError as exc:
         if exc.code in ("timeout", "budget_exceeded"):
             # A structured partial result: print what the server salvaged.
-            for row in exc.details.get("partial") or []:
-                if isinstance(row, (list, tuple)):
-                    print("\t".join(str(value) for value in row))
-                else:
-                    print(row)
+            _print_rows(exc.details.get("partial") or [])
             limit = exc.details.get("limit", exc.code)
             rows_so_far = exc.details.get("rows_so_far", "?")
             print(
@@ -821,8 +807,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     if args.json or args.explain:
         print(json.dumps(result, indent=2, sort_keys=True, default=str))
         return 0
-    for row in result.get("pairs") or result.get("rows") or []:
-        print("\t".join(str(value) for value in row))
+    _print_rows(result.get("pairs") or result.get("rows") or [])
     print(f"# {result['count']} answers", file=sys.stderr)
     return 0
 
@@ -874,6 +859,41 @@ def build_parser() -> argparse.ArgumentParser:
         subparser.add_argument(
             "--max-states", type=int, default=None, metavar="N",
             help="cap on product-graph states visited (memory guard)",
+        )
+
+    def add_fleet_flags(subparser: argparse.ArgumentParser) -> None:
+        """What ``--shards`` runs take beside the fleet's addresses."""
+        subparser.add_argument(
+            "--partition", default="hash", choices=("hash", "edge-cut"),
+            help="with --shards: the partitioning strategy (default hash)",
+        )
+        subparser.add_argument(
+            "--trace-out", metavar="FILE.jsonl",
+            help="with --shards: trace the scatter-gather and append the "
+            "stitched cross-process span trees, one JSON tree per line",
+        )
+        subparser.add_argument(
+            "--slow-round-ms", type=float, default=None, metavar="MS",
+            help="with --shards: log a structured record for every frontier "
+            "round slower than MS milliseconds",
+        )
+
+    def add_replica_flags(subparser: argparse.ArgumentParser) -> None:
+        subparser.add_argument(
+            "--replicated", action="store_true",
+            help="upload full replicas to every shard instead of partitioning "
+            "(read-throughput mode: whole queries route to one replica)",
+        )
+        subparser.add_argument(
+            "--hedge-after", type=float, default=None, metavar="SECONDS",
+            help="race a replicated read at the next rendezvous replica after "
+            "this many seconds without an answer (default: no hedging)",
+        )
+        subparser.add_argument(
+            "--allow-degraded", action="store_true",
+            help="when every replica of a graph is down, serve replicated "
+            "reads from the coordinator's retained copy marked "
+            "'degraded: true' instead of failing (never cached)",
         )
 
     rpq = commands.add_parser("rpq", help="evaluate an RPQ ([[R]]_G pairs)")
@@ -966,20 +986,7 @@ def build_parser() -> argparse.ArgumentParser:
         "partitioned across it and the stitched cross-process span tree "
         "(coordinator rounds + per-shard frontier steps) is rendered",
     )
-    profile.add_argument(
-        "--partition", default="hash", choices=("hash", "edge-cut"),
-        help="with --shards: the partitioning strategy (default hash)",
-    )
-    profile.add_argument(
-        "--trace-out", metavar="FILE.jsonl",
-        help="with --shards: also append the stitched span trees, one JSON "
-        "tree per line",
-    )
-    profile.add_argument(
-        "--slow-round-ms", type=float, default=None, metavar="MS",
-        help="with --shards: log a structured record for every frontier "
-        "round slower than MS milliseconds",
-    )
+    add_fleet_flags(profile)
     profile.set_defaults(handler=_cmd_profile)
 
     workload = commands.add_parser(
@@ -1164,11 +1171,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="partitioning strategy for the distributed graphs",
     )
     shard_serve.add_argument(
-        "--replicated", action="store_true",
-        help="upload full replicas to every shard instead of partitioning "
-        "(read-throughput mode: whole queries route to one replica)",
-    )
-    shard_serve.add_argument(
         "--query-timeout", type=float, default=30.0,
         help="per-query wall-clock budget each worker enforces",
     )
@@ -1192,17 +1194,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="restart budget per worker per 60s window; a worker "
         "crash-looping past it is left down (default 3)",
     )
-    shard_serve.add_argument(
-        "--hedge-after", type=float, default=None, metavar="SECONDS",
-        help="race a replicated read at the next rendezvous replica after "
-        "this many seconds without an answer (default: no hedging)",
-    )
-    shard_serve.add_argument(
-        "--allow-degraded", action="store_true",
-        help="when every replica of a graph is down, serve replicated "
-        "reads from the coordinator's retained copy marked "
-        "'degraded: true' instead of failing (never cached)",
-    )
+    add_replica_flags(shard_serve)
     shard_serve.set_defaults(handler=_cmd_shard_serve)
 
     query = commands.add_parser(
@@ -1220,26 +1212,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard fleet addresses: the graph argument (fig2/fig3/file) "
         "is partitioned across the fleet and the query runs scatter-gather",
     )
-    query.add_argument(
-        "--partition", default="hash", choices=("hash", "edge-cut"),
-        help="with --shards: the partitioning strategy (default hash)",
-    )
-    query.add_argument(
-        "--replicated", action="store_true",
-        help="with --shards: replicate instead of partition and route the "
-        "whole query to one replica",
-    )
-    query.add_argument(
-        "--hedge-after", type=float, default=None, metavar="SECONDS",
-        help="with --shards --replicated: race the read at the next "
-        "rendezvous replica after this many seconds without an answer",
-    )
-    query.add_argument(
-        "--allow-degraded", action="store_true",
-        help="with --shards --replicated: if every replica is down, "
-        "answer from the coordinator's local copy (marked degraded) "
-        "instead of failing",
-    )
+    add_fleet_flags(query)
+    add_replica_flags(query)
     query.add_argument(
         "graph",
         help="cataloged graph name (with --connect), or a graph spec "
@@ -1257,16 +1231,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--retries", type=int, default=1, metavar="N",
         help="retry idempotent requests up to N times on lost connections "
         "or 'overloaded' rejections (exponential backoff with jitter)",
-    )
-    query.add_argument(
-        "--trace-out", metavar="FILE.jsonl",
-        help="with --shards: trace the scatter-gather and append the "
-        "stitched cross-process span trees, one JSON tree per line",
-    )
-    query.add_argument(
-        "--slow-round-ms", type=float, default=None, metavar="MS",
-        help="with --shards: log a structured record for every frontier "
-        "round slower than MS milliseconds",
     )
     query.set_defaults(handler=_cmd_query)
 

@@ -32,17 +32,24 @@ surfaced as a *typed* budget trip, never as a silently-short result set.
 
 **Replicas**: :meth:`ShardCoordinator.replicate_graph` uploads full copies
 to a rendezvous-hashed subset of shards; :meth:`rpq`/:meth:`crpq` route
-whole queries to a replica (with failover down the preference list) and
-memoize through a coordinator-level answer cache — the read-throughput
-path ``benchmarks/bench_shard.py`` gates.
+whole queries to a replica (with failover down the preference list) — the
+read-throughput path ``benchmarks/bench_shard.py`` gates.
+
+**One answer-cache path**: routed reads, :meth:`evaluate_rpq` and
+:meth:`evaluate_crpq` all memoize through the service's
+:meth:`~repro.server.service.AnswerCache.lookup` under the service's
+:func:`~repro.server.service.answer_key`, keyed on the upload token, so the
+rule of what may be cached (complete answers only) is the service's.
 
 **Resilience** (DESIGN.md §14): a per-shard
 :class:`~repro.distributed.breaker.CircuitBreaker` turns repeated shard
-deaths into instant typed refusals carrying a ``retry_after`` hint;
-``hedge_after`` races slow replicated reads at the next rendezvous replica
-(first answer wins); ``allow_degraded`` serves replicated reads from the
-coordinator's retained copy — marked ``degraded: true`` and never cached —
-when every replica is down.  Pair with a
+deaths into instant typed refusals carrying a ``retry_after`` hint — one
+rule, :meth:`ShardCoordinator._settle`, classifies every shard call's
+outcome for it; ``hedge_after`` races slow replicated reads at the next
+rendezvous replica (first answer wins); ``allow_degraded`` answers
+replicated reads with the service's own handler on the coordinator's
+retained copy — marked ``degraded: true`` and never cached — when every
+replica is down.  Pair with a
 :class:`~repro.distributed.fleet.FleetSupervisor` (``supervisor=``) and
 dead workers are restarted and re-seeded behind the scenes.
 
@@ -95,9 +102,10 @@ from repro.server.client import ConnectionLost, ServerClient, ServerError
 from repro.server.protocol import (
     BadRequestError,
     GraphNotFoundError,
+    Request,
     ShardUnavailableError,
 )
-from repro.server.service import AnswerCache
+from repro.server.service import AnswerCache, QueryService, answer_key
 
 #: Seconds of network slack subtracted from the coordinator's remaining
 #: deadline before it is shipped as a shard-side round timeout, so the
@@ -602,34 +610,64 @@ class ShardCoordinator:
                 f"graph {name!r} is partitioned, not replicated; "
                 "use evaluate_rpq/evaluate_crpq"
             )
-        cache_key = (
-            name, entry.token, op,
-            json.dumps(params, sort_keys=True, default=str),
+        result, _hit = self.answer_cache.lookup(
+            answer_key(name, entry.token, op, params),
+            partial(self._read_replicas, op, entry, route_key, params),
         )
-        cached = self.answer_cache.get(cache_key)
-        if cached is not None:
-            return cached
-        preference = rendezvous(f"{name}|{route_key}", entry.replicas)
-        if self.hedge_after is not None and len(preference) > 1:
-            result, last_failure = self._route_hedged(op, name, preference, params)
-        else:
-            result, last_failure = self._route_failover(op, name, preference, params)
-        if result is _NO_ANSWER:
-            # Deliberately *before* the cache put: degraded answers (and
-            # typed failures) must never alias the exact result under the
-            # full-result token key.
-            return self._all_replicas_down(op, entry, params, preference, last_failure)
-        # Span subtrees are per-request routing payload, not part of
-        # the answer: cache the clean result, hand the caller the
-        # traced copy (a cached replay must never carry stale spans).
-        trace_spans = None
-        if isinstance(result, dict):
-            trace_spans = result.pop("trace_spans", None)
-        self.answer_cache.put(cache_key, result)
-        if trace_spans is not None:
-            result = dict(result)
-            result["trace_spans"] = trace_spans
         return result
+
+    def _read_replicas(self, op, entry, route_key, params) -> dict:
+        """One routed read: the first replica answer down the rendezvous
+        preference (hedged or failing over), else the degraded local
+        answer, else a typed ``shard_unavailable``."""
+        preference = rendezvous(f"{entry.name}|{route_key}", entry.replicas)
+        if self.hedge_after is not None and len(preference) > 1:
+            result, last_failure = self._route_hedged(op, entry.name, preference, params)
+        else:
+            result, last_failure = self._route_failover(op, entry.name, preference, params)
+        if result is not _NO_ANSWER:
+            return result
+        if self.allow_degraded and entry.graph is not None:
+            # Every replica is down: the service's own handler answers on
+            # the copy the replicas were seeded from.  That copy may trail
+            # worker-side mutations, so the answer is marked — and the
+            # marker keeps it out of the answer cache.
+            if self.metrics is not None:
+                self.metrics.inc("coordinator_degraded_reads_total")
+            request = Request(op, params={"graph": entry.name, **params})
+            return {**QueryService.evaluate(request, entry.graph), "degraded": True}
+        waits = [self.breakers[shard].retry_after() for shard in preference]
+        raise ShardUnavailableError(
+            f"every replica of {entry.name!r} failed; "
+            f"last error: {last_failure}",
+            graph=entry.name,
+            replicas=list(entry.replicas),
+            retry_after=round(min((wait for wait in waits if wait > 0), default=0.0), 3),
+        )
+
+    def _settle(self, shard: int, call):
+        """``(call(), None)``, or ``(None, failure)`` when the shard is down.
+
+        The one breaker-outcome rule: a lost transport or a shard-down error
+        code records a failure on the shard's breaker; any other outcome —
+        an answer, a typed query error, a budget trip — records a success,
+        because the shard answered (a straggler is not a corpse), and a
+        typed error is re-raised to the caller.
+        """
+        breaker = self.breakers[shard]
+        try:
+            answer = call()
+        except (ConnectionLost, OSError) as exc:
+            breaker.record_failure()
+            return None, exc
+        except ServerError as exc:
+            if exc.code not in _SHARD_DOWN_CODES:
+                breaker.record_success()
+                raise
+            breaker.record_failure()
+            return None, exc
+        breaker.record_success()
+        return answer, None
 
     def _route_failover(self, op, name, preference, params):
         """Walk the preference list on the persistent clients, one at a
@@ -642,25 +680,13 @@ class ShardCoordinator:
             if not breaker.allow():
                 last_failure = BreakerOpenError(shard, breaker.retry_after())
                 continue
-            try:
-                if fault_point("shard.crash"):
-                    raise ConnectionLost("injected shard death (dropped)")
-                result = self._clients[shard].request(op, graph=name, **params)
-            except (ConnectionLost, OSError) as exc:
-                breaker.record_failure()
-                last_failure = exc
-                continue
-            except ServerError as exc:
-                if exc.code in _SHARD_DOWN_CODES:
-                    breaker.record_failure()
-                    last_failure = exc
-                    continue
-                # The shard answered (a typed query error, not a death):
-                # resolve any half-open probe in the shard's favour.
-                breaker.record_success()
-                raise
-            breaker.record_success()
-            return result, None
+            result, failure = self._settle(
+                shard,
+                partial(self._replica_call, self._clients[shard], op, name, params),
+            )
+            if failure is None:
+                return result, None
+            last_failure = failure
         return _NO_ANSWER, last_failure
 
     def _route_hedged(self, op, name, preference, params):
@@ -708,28 +734,21 @@ class ShardCoordinator:
                     self.metrics.inc("coordinator_hedged_requests_total")
                 continue
             for future in done:
-                shard = inflight.pop(future)
-                breaker = self.breakers[shard]
-                try:
-                    result = future.result()
-                except (ConnectionLost, OSError) as exc:
-                    breaker.record_failure()
-                    state["last_failure"] = exc
+                result, failure = self._settle(inflight.pop(future), future.result)
+                if failure is not None:
+                    state["last_failure"] = failure
                     launch()  # failover immediately, don't wait the timer
                     continue
-                except ServerError as exc:
-                    if exc.code in _SHARD_DOWN_CODES:
-                        breaker.record_failure()
-                        state["last_failure"] = exc
-                        launch()
-                        continue
-                    breaker.record_success()
-                    raise
-                breaker.record_success()
                 if order[future] > 0 and self.metrics is not None:
                     self.metrics.inc("coordinator_hedge_wins_total")
                 return result, None
         return _NO_ANSWER, state["last_failure"]
+
+    @staticmethod
+    def _replica_call(client, op, name, params):
+        if fault_point("shard.crash"):
+            raise ConnectionLost("injected shard death (dropped)")
+        return client.request(op, graph=name, **params)
 
     def _replica_attempt(self, shard, op, name, params):
         """One hedged replica attempt, on its own fresh connection.
@@ -740,70 +759,9 @@ class ShardCoordinator:
         server-side work runs to completion and is discarded with its
         connection — a connect handshake is noise next to the query.
         """
-        if fault_point("shard.crash"):
-            raise ConnectionLost("injected shard death (dropped)")
         host, port = self.addresses[shard]
-        client = ServerClient(host, port, timeout=self.timeout)
-        try:
-            return client.request(op, graph=name, **params)
-        finally:
-            client.close()
-
-    def _all_replicas_down(self, op, entry, params, preference, last_failure):
-        waits = [self.breakers[shard].retry_after() for shard in preference]
-        retry_after = min((wait for wait in waits if wait > 0), default=0.0)
-        if self.allow_degraded and entry.graph is not None:
-            return self._degraded_local(op, entry, params)
-        raise ShardUnavailableError(
-            f"every replica of {entry.name!r} failed; "
-            f"last error: {last_failure}",
-            graph=entry.name,
-            replicas=list(entry.replicas),
-            retry_after=round(retry_after, 3),
-        )
-
-    def _degraded_local(self, op, entry, params) -> dict:
-        """Serve a replicated read from the coordinator's retained copy.
-
-        The escape hatch behind ``allow_degraded``: every replica is down,
-        so instead of a typed refusal the caller gets an answer computed
-        on the copy the replicas were seeded from, marked ``degraded:
-        true`` — the copy may trail worker-side mutations, so the marker
-        is the caller's cue to treat it as stale-tolerant.  Degraded
-        results are **never** written to the answer cache (they would
-        alias the exact result under the same token key; the chaos suite
-        pins this).
-        """
-        if self.metrics is not None:
-            self.metrics.inc("coordinator_degraded_reads_total")
-        query = params["query"]
-        if op == "rpq":
-            from repro.rpq.evaluation import evaluate_rpq
-
-            sources = [params["source"]] if "source" in params else None
-            pairs = evaluate_rpq(query, entry.graph, sources)
-            return {
-                "pairs": sorted(([s, t] for s, t in pairs), key=repr),
-                "count": len(pairs),
-                "degraded": True,
-            }
-        if op == "crpq":
-            from repro.crpq.evaluation import evaluate_crpq
-
-            kwargs = {}
-            if params.get("planner") is not None:
-                kwargs["planner"] = params["planner"]
-            rows = evaluate_crpq(query, entry.graph, **kwargs)
-            return {
-                "rows": sorted((list(row) for row in rows), key=repr),
-                "count": len(rows),
-                "degraded": True,
-            }
-        raise ShardUnavailableError(
-            f"no degraded local path for op {op!r} on {entry.name!r}",
-            graph=entry.name,
-            op=op,
-        )
+        with ServerClient(host, port, timeout=self.timeout) as client:
+            return self._replica_call(client, op, name, params)
 
     def rpq(self, name: str, query: str, source=None, **limits) -> dict:
         """Route one whole RPQ to a replica (result dict, like the client)."""
@@ -843,30 +801,28 @@ class ShardCoordinator:
             sources = list(
                 dict.fromkeys(s for s in sources if s in order_index)
             )
-        source_key = (
-            None if sources is None
-            else repr(sorted(sources, key=repr))
-        )
-        cache_key = (name, entry.token, "rpq:pairs", query, source_key)
-        cached = self.answer_cache.get(cache_key)
-        if cached is not None:
-            # A cache hit trivially beats any deadline, but the row ceiling
-            # is about answer *size*, not effort — enforce it either way.
-            if (
-                budget is not None
-                and budget.max_rows is not None
-                and len(cached) > budget.max_rows
-            ):
-                raise BudgetExceeded(
-                    f"evaluation produced more than {budget.max_rows} "
-                    "answer rows",
-                    limit="max_rows",
-                    rows_so_far=len(cached),
-                ).attach_partial(set(islice(cached, budget.max_rows)))
-            return cached
-        pairs = self._scatter_gather(entry, query, sources, budget)
+        source_key = None if sources is None else repr(sorted(sources, key=repr))
         # Immutable, so the cache and every caller share the one relation.
-        self.answer_cache.put(cache_key, pairs)
+        pairs, hit = self.answer_cache.lookup(
+            answer_key(
+                name, entry.token, "rpq:pairs",
+                {"query": query, "sources": source_key},
+            ),
+            partial(self._scatter_gather, entry, query, sources, budget),
+        )
+        # A cache hit trivially beats any deadline, but the row ceiling is
+        # about answer *size*, not effort — enforce it either way.
+        if (
+            hit
+            and budget is not None
+            and budget.max_rows is not None
+            and len(pairs) > budget.max_rows
+        ):
+            raise BudgetExceeded(
+                f"evaluation produced more than {budget.max_rows} answer rows",
+                limit="max_rows",
+                rows_so_far=len(pairs),
+            ).attach_partial(set(islice(pairs, budget.max_rows)))
         return pairs
 
     def _replicated_pairs(self, entry, query, sources, budget) -> set[tuple]:
@@ -874,19 +830,17 @@ class ShardCoordinator:
         limits = {}
         if budget is not None and budget.deadline is not None:
             limits["timeout"] = max(budget.deadline.remaining(), 0.001)
-        if sources is not None:
-            sources = list(sources)
-        if sources is not None and len(sources) == 1:
-            result = self.rpq(entry.name, query, source=sources[0], **limits)
-            self._require_exact(entry, result)
-            return {tuple(pair) for pair in result["pairs"]}
-        result = self.rpq(entry.name, query, **limits)
+        sources = None if sources is None else list(sources)
+        single = sources is not None and len(sources) == 1
+        result = self.rpq(
+            entry.name, query, source=sources[0] if single else None, **limits
+        )
         self._require_exact(entry, result)
         pairs = {tuple(pair) for pair in result["pairs"]}
-        if sources is not None:
-            keep = set(sources)
-            pairs = {pair for pair in pairs if pair[0] in keep}
-        return pairs
+        if sources is None or single:
+            return pairs
+        keep = set(sources)
+        return {pair for pair in pairs if pair[0] in keep}
 
     @staticmethod
     def _require_exact(entry, result) -> None:
@@ -998,7 +952,7 @@ class ShardCoordinator:
                         latencies: list[float] = []
                         bytes_sent = bytes_received = 0
                         for (shard, frontier), fetch in fetches:
-                            envelope = self._collect(shard, fetch, rounds)
+                            envelope = fetch()
                             result = envelope["result"]
                             latencies.append(envelope["elapsed"])
                             bytes_sent += envelope["sent_bytes"]
@@ -1175,20 +1129,30 @@ class ShardCoordinator:
         alone) and *recorded* on the coordinator thread, because the
         registry is not thread-safe.  The byte counts are the lengths of
         the request line the client wrote and the response line it read,
-        envelope included.
+        envelope included.  Failures come out typed: a refused, lost or
+        dead shard as :class:`ShardUnavailableError` naming the shard and
+        round, a shard-side budget trip as :class:`BudgetExceeded`.
         """
         self.frontier_calls += 1
-        breaker = self.breakers[shard]
-        # Fail fast on a shard already declared dead: the refusal costs
-        # microseconds instead of a transport timeout per round, and the
-        # caller surfaces it as a typed shard_unavailable with retry_after.
-        breaker.check()
-        client = self._clients[shard]
-        started = time.perf_counter()
+        host, port = self.addresses[shard]
         try:
+            # Fail fast on a shard already declared dead: the refusal costs
+            # microseconds instead of a transport timeout per round.
+            self.breakers[shard].check()
+        except BreakerOpenError as exc:
+            raise ShardUnavailableError(
+                f"shard {shard} ({host}:{port}) refused by its open "
+                f"circuit breaker during frontier round {round_number}",
+                shard=shard,
+                round=round_number,
+                retry_after=round(exc.retry_after, 3),
+            ) from exc
+        client = self._clients[shard]
+
+        def step() -> dict:
             if fault_point("shard.crash"):
                 raise ConnectionLost("injected shard death (dropped)")
-            result = client.frontier_step(
+            return client.frontier_step(
                 entry.name,
                 query,
                 frontier=encode_pairs(frontier),
@@ -1199,62 +1163,40 @@ class ShardCoordinator:
                 trace=trace,
                 timeout=round_timeout,
             )
-        except (ConnectionLost, OSError):
-            breaker.record_failure()
-            raise
+
+        started = time.perf_counter()
+        try:
+            result, failure = self._settle(shard, step)
         except ServerError as exc:
-            if exc.code in _SHARD_DOWN_CODES:
-                breaker.record_failure()
-            else:
-                # Budget trips and query errors mean the shard is alive
-                # and answering — a straggler is not a corpse.
-                breaker.record_success()
-            raise
-        breaker.record_success()
+            if exc.code not in ("timeout", "budget_exceeded"):
+                raise
+            limit = exc.details.get("limit", "timeout")
+            raise BudgetExceeded(
+                f"shard {shard} tripped its round budget: {exc.message}",
+                limit=limit if limit in ("timeout", "cancelled", "max_states")
+                else "timeout",
+            ) from exc
+        if isinstance(failure, ServerError):
+            raise ShardUnavailableError(
+                f"shard {shard} ({host}:{port}) failed frontier round "
+                f"{round_number}: [{failure.code}] {failure.message}",
+                shard=shard,
+                round=round_number,
+                shard_code=failure.code,
+            ) from failure
+        if failure is not None:
+            raise ShardUnavailableError(
+                f"shard {shard} ({host}:{port}) lost during frontier round "
+                f"{round_number}: {failure}",
+                shard=shard,
+                round=round_number,
+            ) from failure
         return {
             "result": result,
             "elapsed": time.perf_counter() - started,
             "sent_bytes": client.last_request_bytes,
             "received_bytes": client.last_response_bytes,
         }
-
-    def _collect(self, shard: int, fetch, round_number: int) -> dict:
-        """``fetch()``'s envelope, its failures mapped to typed errors."""
-        host, port = self.addresses[shard]
-        try:
-            return fetch()
-        except BreakerOpenError as exc:
-            raise ShardUnavailableError(
-                f"shard {shard} ({host}:{port}) refused by its open "
-                f"circuit breaker during frontier round {round_number}",
-                shard=shard,
-                round=round_number,
-                retry_after=round(exc.retry_after, 3),
-            ) from exc
-        except (ConnectionLost, OSError) as exc:
-            raise ShardUnavailableError(
-                f"shard {shard} ({host}:{port}) lost during frontier round "
-                f"{round_number}: {exc}",
-                shard=shard,
-                round=round_number,
-            ) from exc
-        except ServerError as exc:
-            if exc.code in ("timeout", "budget_exceeded"):
-                limit = exc.details.get("limit", "timeout")
-                raise BudgetExceeded(
-                    f"shard {shard} tripped its round budget: {exc.message}",
-                    limit=limit if limit in ("timeout", "cancelled", "max_states")
-                    else "timeout",
-                ) from exc
-            if exc.code in _SHARD_DOWN_CODES:
-                raise ShardUnavailableError(
-                    f"shard {shard} ({host}:{port}) failed frontier round "
-                    f"{round_number}: [{exc.code}] {exc.message}",
-                    shard=shard,
-                    round=round_number,
-                    shard_code=exc.code,
-                ) from exc
-            raise
 
     # ------------------------------------------------------------------
     # CRPQ: atom-at-a-time joins over distributed RPQ relations
@@ -1279,16 +1221,17 @@ class ShardCoordinator:
                 f"graph {name!r} was attached without a local copy; "
                 "CRPQ planning needs the coordinator-side graph"
             )
-        cache_key = (name, entry.token, "crpq:rows", query, planner)
-        cached = self.answer_cache.get(cache_key)
-        if cached is not None:
-            return set(cached)
-        access = DistributedAtomAccess(self, name, budget=budget)
-        rows = evaluate_crpq(
-            query, entry.graph, planner=planner, budget=budget, access=access
+        rows, _hit = self.answer_cache.lookup(
+            answer_key(
+                name, entry.token, "crpq:rows",
+                {"query": query, "planner": planner},
+            ),
+            lambda: frozenset(evaluate_crpq(
+                query, entry.graph, planner=planner, budget=budget,
+                access=DistributedAtomAccess(self, name, budget=budget),
+            )),
         )
-        self.answer_cache.put(cache_key, frozenset(rows))
-        return rows
+        return set(rows)
 
 
 class DistributedAtomAccess:

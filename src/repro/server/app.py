@@ -4,9 +4,10 @@ One listening socket speaks both transports: the first line of a
 connection decides whether it is an HTTP request (``GET /healthz``,
 ``GET /metrics``, ``GET /stats``, ``POST /query``) or a JSON-lines session
 (any number of protocol requests, one per line, answered in order).
-Execution always flows through the same path — admission slot, worker-pool
-``run_in_executor``, per-query ``wait_for`` budget — so both transports
-share the typed error vocabulary and the metrics.
+Execution always flows through the same path — admission slot, the op
+table's parameter check, the budget derived from the checked limits,
+worker-pool ``run_in_executor``, per-query ``wait_for`` budget — so both
+transports share the typed error vocabulary and the metrics.
 
 **Graceful drain** (SIGTERM/SIGINT, or :meth:`QueryServer.request_drain`):
 
@@ -34,13 +35,13 @@ from repro.engine.limits import CancellationToken, make_budget
 from repro.engine.tracing import NULL_TRACER, Tracer, use_tracer
 from repro.server.admission import AdmissionController
 from repro.server.protocol import (
-    CONTROL_OPS,
-    BadRequestError,
+    OP_TABLE,
     QueryTimeoutError,
     Request,
     RequestTooLargeError,
     ServiceError,
     ShuttingDownError,
+    check_request,
     decode_request,
     encode_response,
     error_response,
@@ -199,21 +200,7 @@ class QueryServer:
     async def _on_connection(self, reader, writer) -> None:
         self._writers.add(writer)
         try:
-            try:
-                first = await reader.readline()
-            except (asyncio.LimitOverrunError, ValueError):
-                writer.write(
-                    encode_response(
-                        error_response(
-                            None,
-                            RequestTooLargeError(
-                                "request line exceeds the size limit"
-                            ),
-                        )
-                    )
-                )
-                await writer.drain()
-                return
+            first = await self._read_line(reader, writer)
             if not first:
                 return
             if first.startswith(_HTTP_METHODS):
@@ -237,6 +224,17 @@ class QueryServer:
     # ------------------------------------------------------------------
     # JSON-lines transport
     # ------------------------------------------------------------------
+    async def _read_line(self, reader, writer) -> bytes:
+        """The next line; ``b""`` once the connection is done: at EOF, or
+        after an over-long line was answered ``too_large``."""
+        try:
+            return await reader.readline()
+        except (asyncio.LimitOverrunError, ValueError):
+            exc = RequestTooLargeError("request line exceeds the size limit")
+            writer.write(encode_response(error_response(None, exc)))
+            await writer.drain()
+            return b""
+
     async def _handle_jsonl(self, first: bytes, reader, writer) -> None:
         line = first
         while line:
@@ -249,21 +247,7 @@ class QueryServer:
                 writer.write(encode_response(response))
                 await writer.drain()
                 self._flush_traces()
-            try:
-                line = await reader.readline()
-            except (asyncio.LimitOverrunError, ValueError):
-                writer.write(
-                    encode_response(
-                        error_response(
-                            None,
-                            RequestTooLargeError(
-                                "request line exceeds the size limit"
-                            ),
-                        )
-                    )
-                )
-                await writer.drain()
-                return
+            line = await self._read_line(reader, writer)
 
     async def _respond_to_line(self, line: bytes) -> dict:
         try:
@@ -277,39 +261,37 @@ class QueryServer:
     # request execution (shared by both transports)
     # ------------------------------------------------------------------
     async def handle_request(self, request: Request) -> dict:
+        """The response to one request: a result, or a typed error envelope
+        (counted under ``server_errors_<code>``)."""
         if self._draining:
             exc = ShuttingDownError("server is draining; try another replica")
-            self.service.record_error(exc.code)
-            return error_response(request.id, exc)
-        self._in_flight += 1
-        self._idle.clear()
-        try:
-            result = await self._execute(request)
-            return ok_response(request.id, result)
-        except ServiceError as exc:
-            self.service.record_error(exc.code)
-            return error_response(request.id, exc)
-        except asyncio.TimeoutError:
-            exc = QueryTimeoutError(
-                f"query exceeded the {self.admission.query_timeout}s "
-                "wall-clock budget",
-                timeout=self.admission.query_timeout,
-            )
-            self.service.record_error(exc.code)
-            return error_response(request.id, exc)
-        except Exception as exc:  # noqa: BLE001 - typed envelope boundary
             response = error_response(request.id, exc)
-            self.service.record_error(response["error"]["code"])
-            return response
-        finally:
-            self._in_flight -= 1
-            if self._in_flight == 0:
-                self._idle.set()
+        else:
+            self._in_flight += 1
+            self._idle.clear()
+            try:
+                return ok_response(request.id, await self._execute(request))
+            except asyncio.TimeoutError:
+                exc = QueryTimeoutError(
+                    f"query exceeded the {self.admission.query_timeout}s "
+                    "wall-clock budget",
+                    timeout=self.admission.query_timeout,
+                )
+                response = error_response(request.id, exc)
+            except Exception as exc:  # noqa: BLE001 - typed envelope boundary
+                response = error_response(request.id, exc)
+            finally:
+                self._in_flight -= 1
+                if self._in_flight == 0:
+                    self._idle.set()
+        self.service.record_error(response["error"]["code"])
+        return response
 
     async def _execute(self, request: Request):
         # Control ops answer from memory even when every slot is busy —
         # health checks must not be starved by an overload.
-        if request.op in CONTROL_OPS:
+        spec = OP_TABLE.get(request.op)
+        if spec is not None and spec.control:
             result = self.service.execute(request)
             if request.op == "stats":
                 result["admission"] = self.admission.snapshot()
@@ -322,15 +304,14 @@ class QueryServer:
                     result["status"] = "draining"
             return result
         async with self.admission.slot():
+            request = check_request(request)
             if request.op == "sleep":
-                seconds = request.param("seconds", 0.0)
-                if not isinstance(seconds, (int, float)) or seconds < 0:
-                    raise BadRequestError("'seconds' must be non-negative")
+                seconds = request.args["seconds"]
                 await asyncio.wait_for(
                     asyncio.sleep(seconds), self.admission.query_timeout
                 )
                 return {"slept": seconds}
-            budget, effective_timeout = self._budget_for(request)
+            budget, effective_timeout = self._budget_for(request.args)
             try:
                 return await asyncio.wait_for(
                     self._loop.run_in_executor(
@@ -348,41 +329,22 @@ class QueryServer:
                     budget.cancellation.cancel("timeout")
                 raise
 
-    def _budget_for(self, request: Request):
-        """The request's :class:`QueryBudget` plus its effective timeout.
+    def _budget_for(self, args: dict):
+        """The :class:`QueryBudget` of a checked request's ``args``, plus its
+        effective timeout.
 
         Per-request limits come from the ``timeout`` / ``max_rows`` /
         ``max_states`` params; the wall-clock budget is always on and is
         clamped by the server-wide ``query_timeout``, and every budget
         carries a fresh cancellation token the timeout handler can fire.
         """
-        timeout = request.param("timeout")
-        if timeout is not None:
-            if (
-                isinstance(timeout, bool)
-                or not isinstance(timeout, (int, float))
-                or timeout <= 0
-            ):
-                raise BadRequestError("'timeout' must be a positive number")
-            effective = min(float(timeout), self.admission.query_timeout)
-        else:
-            effective = self.admission.query_timeout
-        max_rows = request.param("max_rows")
-        if max_rows is not None and (
-            isinstance(max_rows, bool) or not isinstance(max_rows, int) or max_rows < 0
-        ):
-            raise BadRequestError("'max_rows' must be a non-negative integer")
-        max_states = request.param("max_states")
-        if max_states is not None and (
-            isinstance(max_states, bool)
-            or not isinstance(max_states, int)
-            or max_states < 1
-        ):
-            raise BadRequestError("'max_states' must be a positive integer")
+        effective = self.admission.query_timeout
+        if args["timeout"] is not None:
+            effective = min(float(args["timeout"]), effective)
         budget = make_budget(
             timeout=effective,
-            max_rows=max_rows,
-            max_states=max_states,
+            max_rows=args["max_rows"],
+            max_states=args["max_states"],
             cancellation=CancellationToken(),
         )
         return budget, effective

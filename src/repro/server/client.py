@@ -36,31 +36,11 @@ from repro.engine.faults import fault_point
 from repro.engine.tracing import get_tracer
 from repro.errors import ReproError
 from repro.graph.edge_labeled import EdgeLabeledGraph
-from repro.server.protocol import decode_response, encode_request
+from repro.server.protocol import OP_TABLE, OpSpec, decode_response, encode_request
 
-#: Ops safe to retry: they read state or are pure functions of it
-#: (``frontier_step`` is a pure function of graph version + frontier).
-IDEMPOTENT_OPS = frozenset(
-    {
-        "ping",
-        "stats",
-        "health",
-        "graphs.list",
-        "rpq",
-        "crpq",
-        "dlrpq",
-        "paths",
-        "explain",
-        "frontier_step",
-        "cluster_metrics",
-    }
-)
-
-#: Control-plane ops that answer from in-memory state.  They run under the
-#: client's (short) ``control_timeout`` instead of the query timeout, so a
-#: wedged worker stalls a health prober for at most the control timeout —
-#: never for a full query deadline.
-CONTROL_CLIENT_OPS = frozenset({"ping", "health", "cluster_metrics"})
+#: What the client assumes of an op the table does not name: not idempotent,
+#: not short.
+_UNKNOWN_OP = OpSpec(None)
 
 
 class ServerError(ReproError):
@@ -85,7 +65,8 @@ class ConnectionLost(ReproError, ConnectionError):
     """The transport died mid-exchange (EOF, truncated line, failed write).
 
     Typed and retryable: the request may or may not have executed, so the
-    automatic retry machinery only fires for :data:`IDEMPOTENT_OPS`.
+    automatic retry machinery only fires for ops the protocol's op table
+    marks idempotent.
     Subclasses ``ConnectionError`` so callers written against the plain
     exception keep working.
     """
@@ -148,8 +129,10 @@ class ServerClient:
         self.host = host
         self.port = port
         self.timeout = timeout
-        #: wall-clock cap for :data:`CONTROL_CLIENT_OPS` (``None`` disables
-        #: the override and control ops share the query timeout).
+        #: wall-clock cap for the ops the op table marks ``short_timeout``
+        #: (``None`` disables the override and they share the query
+        #: timeout), so a wedged worker stalls a health prober for at most
+        #: this long — never for a full query deadline.
         self.control_timeout = control_timeout
         self.retry = retry
         self.reconnects = 0
@@ -207,7 +190,7 @@ class ServerClient:
             if context is not None:
                 params["trace"] = context
         policy = self.retry
-        if policy is None or op not in IDEMPOTENT_OPS:
+        if policy is None or not OP_TABLE.get(op, _UNKNOWN_OP).idempotent:
             return self._request_once(op, **params)
         delays = policy.delays()
         attempt = 0
@@ -247,7 +230,7 @@ class ServerClient:
         # recv/send, so flipping it around one exchange is safe.
         wire_timeout = None
         if (
-            op in CONTROL_CLIENT_OPS
+            OP_TABLE.get(op, _UNKNOWN_OP).short_timeout
             and self.control_timeout is not None
             and self.control_timeout < self.timeout
         ):
@@ -316,15 +299,12 @@ class ServerClient:
     # ------------------------------------------------------------------
     # operations
     # ------------------------------------------------------------------
-    @staticmethod
-    def _with_limits(params: dict, timeout, max_rows, max_states) -> dict:
-        if timeout is not None:
-            params["timeout"] = timeout
-        if max_rows is not None:
-            params["max_rows"] = max_rows
-        if max_states is not None:
-            params["max_states"] = max_states
-        return params
+    def _send(self, op: str, params: dict, **optional: Any) -> dict:
+        """``op`` with ``params`` plus each ``optional`` one that is set."""
+        params.update(
+            (name, value) for name, value in optional.items() if value is not None
+        )
+        return self.request(op, **params)
 
     def ping(self) -> dict:
         return self.request("ping")
@@ -381,11 +361,9 @@ class ServerClient:
         max_rows: "int | None" = None,
         max_states: "int | None" = None,
     ) -> dict:
-        params: dict = {"graph": graph, "query": query}
-        if source is not None:
-            params["source"] = source
-        return self.request(
-            "rpq", **self._with_limits(params, timeout, max_rows, max_states)
+        return self._send(
+            "rpq", {"graph": graph, "query": query}, source=source,
+            timeout=timeout, max_rows=max_rows, max_states=max_states,
         )
 
     def crpq(
@@ -398,11 +376,9 @@ class ServerClient:
         max_rows: "int | None" = None,
         max_states: "int | None" = None,
     ) -> dict:
-        params: dict = {"graph": graph, "query": query}
-        if planner is not None:
-            params["planner"] = planner
-        return self.request(
-            "crpq", **self._with_limits(params, timeout, max_rows, max_states)
+        return self._send(
+            "crpq", {"graph": graph, "query": query}, planner=planner,
+            timeout=timeout, max_rows=max_rows, max_states=max_states,
         )
 
     def paths(
@@ -418,16 +394,11 @@ class ServerClient:
         max_rows: "int | None" = None,
         max_states: "int | None" = None,
     ) -> dict:
-        params: dict = {
-            "graph": graph,
-            "query": query,
-            "source": source,
-            "target": target,
-            "mode": mode,
-            "limit": limit,
-        }
-        return self.request(
-            "paths", **self._with_limits(params, timeout, max_rows, max_states)
+        return self._send(
+            "paths",
+            {"graph": graph, "query": query, "source": source,
+             "target": target, "mode": mode, "limit": limit},
+            timeout=timeout, max_rows=max_rows, max_states=max_states,
         )
 
     def dlrpq(
@@ -443,16 +414,11 @@ class ServerClient:
         max_rows: "int | None" = None,
         max_states: "int | None" = None,
     ) -> dict:
-        params: dict = {
-            "graph": graph,
-            "query": query,
-            "source": source,
-            "target": target,
-            "mode": mode,
-            "limit": limit,
-        }
-        return self.request(
-            "dlrpq", **self._with_limits(params, timeout, max_rows, max_states)
+        return self._send(
+            "dlrpq",
+            {"graph": graph, "query": query, "source": source,
+             "target": target, "mode": mode, "limit": limit},
+            timeout=timeout, max_rows=max_rows, max_states=max_states,
         )
 
     def frontier_step(
@@ -480,20 +446,11 @@ class ServerClient:
         whose own span stacks are empty, so auto-injection cannot see the
         round span and the context must ride in explicitly.
         """
-        params: dict = {
-            "graph": graph,
-            "query": query,
-            "frontier": frontier,
-            "owned": owned,
-            "state_bits": state_bits,
-            "alphabet": list(alphabet),
-        }
-        if round is not None:
-            params["round"] = round
-        if trace is not None:
-            params["trace"] = trace
-        return self.request(
-            "frontier_step", **self._with_limits(params, timeout, None, max_states)
+        return self._send(
+            "frontier_step",
+            {"graph": graph, "query": query, "frontier": frontier,
+             "owned": owned, "state_bits": state_bits, "alphabet": list(alphabet)},
+            round=round, trace=trace, timeout=timeout, max_states=max_states,
         )
 
     def cluster_metrics(self) -> dict:

@@ -1,25 +1,18 @@
-"""The service's JSON-lines protocol: requests, responses, typed errors.
+"""The service's JSON-lines protocol: the op table, requests, typed errors.
 
 One request is one JSON object on one line; one response is one JSON object
 on one line.  The same envelopes travel over the raw TCP framing and the
 HTTP façade (``POST /query`` carries a single request as its body), so every
-transport shares one error vocabulary:
+transport shares one error vocabulary, :data:`HTTP_STATUS`.
 
-=================  ============================================== =====
-code               meaning                                         HTTP
-=================  ============================================== =====
-``bad_request``    malformed JSON, unknown op, missing parameter    400
-``parse_error``    the query text failed to parse                   400
-``query_error``    well-formed query that cannot be evaluated       422
-``graph_not_found`` no cataloged graph under that name              404
-``too_large``      request line/body exceeds the size limit         413
-``overloaded``     admission queue full or queue-timeout hit        429
-``timeout``        per-query wall-clock budget exhausted            504
-``budget_exceeded`` a row/state ceiling stopped the evaluation      422
-``shutting_down``  server is draining; no new work accepted         503
-``shard_unavailable`` a shard worker died mid-query (coordinator)   503
-``internal``       anything else (a server bug, by definition)      500
-=================  ============================================== =====
+**What a request may be is data.**  :data:`OP_TABLE` maps each op to its
+parameters (shape, required or default, which are budget limits), its
+flags (control, short client timeout, cacheable, idempotent) and the name
+of its :class:`~repro.server.service.QueryService` handler.
+:func:`check_request` reads it once per request, before any budget or cache
+key is built: a value of the wrong shape is a ``bad_request`` whose
+``details.param`` names it.  The app, the service and the client read
+their op sets off the table.
 
 ``timeout`` and ``budget_exceeded`` responses are *structured partial
 results*: their ``details`` name the limit that tripped, how far the
@@ -47,43 +40,168 @@ from repro.errors import (
     ReproError,
 )
 
-#: Every operation the service understands.  ``sleep`` holds an admission
-#: slot in the event loop for a given number of seconds — it exists so
-#: overload and drain behavior can be tested deterministically.
-OPS = frozenset(
-    {
-        "ping",
-        "stats",
-        "health",
-        "graphs.list",
-        "graphs.upload",
-        "graphs.mutate",
-        "rpq",
-        "crpq",
-        "dlrpq",
-        "paths",
-        "explain",
-        "frontier_step",
-        "cluster_metrics",
-        "sleep",
-    }
-)
+#: Every error code, with the HTTP status the façade answers it with.
+HTTP_STATUS = {
+    "bad_request": 400,        # malformed JSON, unknown op, bad parameter
+    "parse_error": 400,        # the query text failed to parse
+    "query_error": 422,        # well-formed query that cannot be evaluated
+    "graph_not_found": 404,    # no cataloged graph under that name
+    "too_large": 413,          # request line/body exceeds the size limit
+    "overloaded": 429,         # admission queue full or queue-timeout hit
+    "timeout": 504,            # per-query wall-clock budget exhausted
+    "budget_exceeded": 422,    # a row/state ceiling stopped the evaluation
+    "shutting_down": 503,      # server is draining; no new work accepted
+    "shard_unavailable": 503,  # a shard worker died mid-query (coordinator)
+    "internal": 500,           # anything else (a server bug, by definition)
+}
 
 #: How many partial-result rows a timeout/budget_exceeded envelope carries.
 PARTIAL_ROWS_CAP = 100
 
-#: Ops that answer from in-memory state without touching the worker pool;
-#: they bypass admission control so health checks still answer under load.
-CONTROL_OPS = frozenset(
-    {"ping", "stats", "health", "graphs.list", "cluster_metrics"}
-)
+
+def is_json_scalar(value) -> bool:
+    """A string, number or boolean: what a node id or label can be."""
+    return isinstance(value, (str, int, float, bool))
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _planner(value) -> bool:
+    from repro.crpq.planning import PLANNERS
+
+    return isinstance(value, str) and value in PLANNERS
+
+
+def _trace(value) -> bool:
+    return isinstance(value, dict) and all(
+        isinstance(value.get(key), str) for key in ("trace_id", "span_id")
+    )
+
+
+#: Parameter shapes: a test, and what a ``bad_request`` says a value must be.
+SHAPES = {
+    "any": (lambda value: True, "any JSON value"),
+    "string": (lambda value: isinstance(value, str), "a string"),
+    "scalar": (is_json_scalar, "a JSON scalar"),
+    "count": (lambda value: _number(value) and value >= 0 and isinstance(value, int),
+              "a non-negative integer"),
+    "positive": (lambda value: _number(value) and value > 0, "a positive number"),
+    "positive_count": (lambda value: _number(value) and value > 0 and isinstance(value, int),
+                       "a positive integer"),
+    "seconds": (lambda value: _number(value) and value >= 0, "a non-negative number"),
+    "list": (lambda value: isinstance(value, list), "a list"),
+    "document": (lambda value: isinstance(value, dict), "a serialized graph document"),
+    "edits": (lambda value: isinstance(value, list) and all(isinstance(edit, dict) for edit in value),
+              "a list of edit objects"),
+    "planner": (_planner, "a known planner name"),
+    "trace": (_trace, "an object with string 'trace_id' and 'span_id' fields"),
+}
+
+
+@dataclass(frozen=True)
+class Param:
+    """One declared request parameter."""
+
+    shape: str
+    required: bool = False
+    default: Any = None
+    nullable: bool = False
+
+
+@dataclass(frozen=True)
+class OpSpec:
+    """One op: its parameters, how it is served, and its handler."""
+
+    #: the QueryService method that answers it (``None``: the app does)
+    handler: "str | None"
+    params: dict = field(default_factory=dict)
+    #: answers from memory, so it bypasses admission and answers under load
+    control: bool = False
+    #: the client waits its short ``control_timeout``, not the query timeout
+    short_timeout: bool = False
+    #: answers are pure functions of (graph version, query, options)
+    cacheable: bool = False
+    #: safe for a client to retry
+    idempotent: bool = False
+
+
+#: The budget limits: every op that runs under admission takes them, and the
+#: app derives the request's QueryBudget from them.
+BUDGET_PARAMS = {
+    "timeout": Param("positive", nullable=True),
+    "max_rows": Param("count", nullable=True),
+    "max_states": Param("positive_count", nullable=True),
+}
+#: ``trace`` is a remote caller's span context; any op may carry it.
+_TRACE = {"trace": Param("trace", nullable=True)}
+_GRAPH_QUERY = {"graph": Param("string", required=True), "query": Param("string", required=True)}
+_PATH = {
+    "source": Param("scalar", required=True, nullable=True),
+    "target": Param("scalar", required=True, nullable=True),
+    "mode": Param("any", default="shortest"),
+    "limit": Param("count", default=1000, nullable=True),
+}
+
+
+def _control(handler: str, short_timeout: bool = False) -> OpSpec:
+    return OpSpec(handler, _TRACE, control=True, short_timeout=short_timeout, idempotent=True)
+
+
+def _query(handler: str, **params: Param) -> OpSpec:
+    params = {**BUDGET_PARAMS, **_TRACE, **_GRAPH_QUERY, **params}
+    return OpSpec(handler, params, cacheable=True, idempotent=True)
+
+
+#: Every op the service understands.  ``sleep`` holds an admission slot in
+#: the event loop for a given number of seconds — it exists so overload and
+#: drain behavior can be tested deterministically.
+OP_TABLE: dict[str, OpSpec] = {
+    "ping": _control("_ping", short_timeout=True),
+    "stats": _control("stats"),
+    "health": _control("health", short_timeout=True),
+    "graphs.list": _control("_list_graphs"),
+    "cluster_metrics": _control("_cluster_metrics", short_timeout=True),
+    "graphs.upload": OpSpec("_upload", {
+        **BUDGET_PARAMS, **_TRACE,
+        "name": Param("string", required=True),
+        "graph": Param("document", required=True),
+    }),
+    "graphs.mutate": OpSpec("_mutate", {
+        **BUDGET_PARAMS, **_TRACE,
+        "graph": Param("string", required=True),
+        "edits": Param("edits", required=True),
+    }),
+    # A pure function of (graph version, query, frontier), but frontiers
+    # are unique per round: caching one would only churn the LRU.
+    "frontier_step": OpSpec("_frontier_step", {
+        **BUDGET_PARAMS, **_TRACE, **_GRAPH_QUERY,
+        "alphabet": Param("list", default=()),
+        "state_bits": Param("count", required=True),
+        "owned": Param("any", required=True),
+        "frontier": Param("any", required=True),
+        "round": Param("any"),
+    }, idempotent=True),
+    "rpq": _query("_run_rpq", source=Param("scalar", nullable=True)),
+    "crpq": _query("_run_crpq", planner=Param("planner", nullable=True)),
+    "dlrpq": _query("_run_dlrpq", **_PATH),
+    "paths": _query("_run_paths", **_PATH),
+    "explain": _query("_run_explain", planner=Param("planner", default="cost")),
+    "sleep": OpSpec(None, {**_TRACE, "seconds": Param("seconds", default=0.0)}),
+}
+OPS = frozenset(OP_TABLE)
+CONTROL_OPS = frozenset(op for op, spec in OP_TABLE.items() if spec.control)
 
 
 class ServiceError(ReproError):
     """Base class of every typed protocol error."""
 
     code = "internal"
-    http_status = 500
+
+    @property
+    def http_status(self) -> int:
+        return HTTP_STATUS[self.code]
 
     def __init__(self, message: str, **details: Any):
         super().__init__(message)
@@ -100,27 +218,22 @@ class ServiceError(ReproError):
 
 class BadRequestError(ServiceError):
     code = "bad_request"
-    http_status = 400
 
 
 class GraphNotFoundError(ServiceError):
     code = "graph_not_found"
-    http_status = 404
 
 
 class RequestTooLargeError(ServiceError):
     code = "too_large"
-    http_status = 413
 
 
 class OverloadedError(ServiceError):
     code = "overloaded"
-    http_status = 429
 
 
 class QueryTimeoutError(ServiceError):
     code = "timeout"
-    http_status = 504
 
 
 def _partial_rows(partial) -> "list | None":
@@ -157,7 +270,6 @@ def budget_envelope(exc: BudgetExceeded) -> dict:
 
 class ShuttingDownError(ServiceError):
     code = "shutting_down"
-    http_status = 503
 
 
 class ShardUnavailableError(ServiceError):
@@ -171,7 +283,6 @@ class ShardUnavailableError(ServiceError):
     """
 
     code = "shard_unavailable"
-    http_status = 503
 
 
 def error_envelope(exc: BaseException) -> dict:
@@ -196,19 +307,7 @@ def error_envelope(exc: BaseException) -> dict:
 
 def http_status_for(error: dict) -> int:
     """The HTTP status the façade sends for an error envelope."""
-    statuses = {
-        "bad_request": 400,
-        "parse_error": 400,
-        "query_error": 422,
-        "graph_not_found": 404,
-        "too_large": 413,
-        "overloaded": 429,
-        "timeout": 504,
-        "budget_exceeded": 422,
-        "shutting_down": 503,
-        "shard_unavailable": 503,
-    }
-    return statuses.get(error.get("code", "internal"), 500)
+    return HTTP_STATUS.get(error.get("code"), 500)
 
 
 @dataclass(frozen=True)
@@ -219,9 +318,6 @@ class Request:
     id: "int | str | None" = None
     params: dict = field(default_factory=dict)
 
-    def param(self, name: str, default: Any = None) -> Any:
-        return self.params.get(name, default)
-
     def require(self, name: str) -> Any:
         """The parameter ``name``, or a ``bad_request`` if absent."""
         try:
@@ -230,6 +326,48 @@ class Request:
             raise BadRequestError(
                 f"op {self.op!r} requires parameter {name!r}", param=name
             ) from None
+
+
+@dataclass(frozen=True)
+class CheckedRequest(Request):
+    """A request that passed :func:`check_request`.
+
+    ``args`` holds every parameter its op declares: the request's value, or
+    the table's default when absent.  ``params`` stays as sent (it is what
+    answer-cache keys are built from).
+    """
+
+    args: dict = field(default_factory=dict)
+
+
+def check_request(request: Request) -> CheckedRequest:
+    """Check every parameter ``request``'s op declares, once.
+
+    A missing required parameter or a value of the wrong shape is a
+    ``bad_request`` naming the parameter in ``details.param``; parameters
+    the op does not declare pass through unchecked.  An already checked
+    request is returned as it is, so a caller that checks early (the app,
+    before it derives the budget) and :meth:`QueryService.execute` never
+    check twice.
+    """
+    if isinstance(request, CheckedRequest):
+        return request
+    spec = OP_TABLE.get(request.op)
+    if spec is None:
+        raise BadRequestError(f"unknown op {request.op!r}", known=sorted(OPS))
+    args = {}
+    for name, param in spec.params.items():
+        if name not in request.params:
+            if param.required:
+                request.require(name)  # raises the missing-parameter error
+            args[name] = param.default
+            continue
+        value = args[name] = request.params[name]
+        test, shape = SHAPES[param.shape]
+        if not (test(value) or (value is None and param.nullable)):
+            shape += " or null" if param.nullable else ""
+            raise BadRequestError(f"parameter {name!r} must be {shape}", param=name)
+    return CheckedRequest(request.op, request.id, request.params, args)
 
 
 def encode_request(op: str, id: "int | str | None" = None, **params: Any) -> bytes:

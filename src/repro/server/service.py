@@ -1,10 +1,17 @@
 """The resident engine: graph catalog, answer cache, query execution.
 
-This is where the per-process amortization the engine built in PRs 1-3
-finally outlives a single query: the :class:`GraphCatalog` keeps named
-graphs (and therefore their CSR snapshots) alive across
-requests, the process-wide compile cache stays warm, and the
-:class:`AnswerCache` short-circuits repeated queries entirely.
+This is where the per-process amortization of the engine finally outlives
+a single query: the :class:`GraphCatalog` keeps named graphs (and therefore
+their CSR snapshots) alive across requests, the process-wide compile cache
+stays warm, and the :class:`AnswerCache` short-circuits repeated queries
+entirely.
+
+**One request pipeline.**  :meth:`QueryService.execute` checks the request
+against the protocol's op table and runs the handler the table names.
+Cacheable ops go through :meth:`AnswerCache.lookup` under
+:func:`answer_key` — the one cache path, which the shard coordinator uses
+too — and their handlers are functions of (graph, arguments), which the
+coordinator's degraded reads run on its own copy.
 
 **Cache invalidation is by version, not by notification.**  An answer is
 keyed on ``(graph name, catalog generation, graph.version, op, query,
@@ -27,6 +34,7 @@ import json
 import os
 import threading
 import time
+from contextlib import nullcontext
 
 from repro.engine.cache import DEFAULT_CACHE
 from repro.engine.faults import FaultError, fault_point
@@ -42,29 +50,13 @@ from repro.engine.tracing import (
 from repro.graph.edge_labeled import EdgeLabeledGraph
 from repro.graph.property_graph import PropertyGraph
 from repro.server.protocol import (
+    OP_TABLE,
     BadRequestError,
     GraphNotFoundError,
     Request,
+    check_request,
+    is_json_scalar,
 )
-
-
-def _checked(name: str, value):
-    """``value`` of query parameter ``name``, or a ``bad_request`` naming it.
-
-    ``source`` / ``target`` are JSON scalars (``null`` means "all sources"
-    where a handler allows it); ``limit`` is a non-negative int or ``null``.
-    """
-    if name == "limit":
-        valid = value is None or (
-            isinstance(value, int) and not isinstance(value, bool) and value >= 0
-        )
-        shape = "a non-negative integer or null"
-    else:
-        valid = value is None or isinstance(value, (str, int, float, bool))
-        shape = "a JSON scalar"
-    if not valid:
-        raise BadRequestError(f"parameter {name!r} must be {shape}", param=name)
-    return value
 
 
 class CatalogEntry:
@@ -313,11 +305,30 @@ class GraphCatalog:
 _MISSING = object()
 
 
+def answer_key(graph: str, version, op: str, params: dict) -> tuple:
+    """``(graph, version, op, query, canonical JSON of the other params)``.
+
+    The one answer-cache key.  ``trace`` is per-request routing context,
+    not a query option: a fresh caller span id every request would make
+    every lookup a miss.  The graph name comes first because
+    :meth:`AnswerCache.invalidate_graph` matches on it.
+    """
+    options = {
+        key: value for key, value in params.items()
+        if key not in ("graph", "query", "trace")
+    }
+    return (
+        graph, version, op, params.get("query"),
+        json.dumps(options, sort_keys=True, default=str),
+    )
+
+
 class AnswerCache:
     """A thread-safe LRU of fully-materialized query answers.
 
-    Values are the JSON-ready result dicts the protocol ships, so a hit
-    costs one dict lookup — no compile, no index, no BFS, no re-sorting.
+    The service stores the JSON-ready result dicts the protocol ships, so a
+    hit costs one dict lookup — no compile, no index, no BFS, no re-sorting;
+    the shard coordinator stores relations and routed result dicts.
     """
 
     def __init__(self, maxsize: int = 512):
@@ -355,6 +366,36 @@ class AnswerCache:
                 del self._entries[oldest]
                 self.evictions += 1
 
+    def lookup(self, key: tuple, compute, on_put_failure=None) -> tuple:
+        """``(answer, hit)``: the answer cached under ``key``, else ``compute()``'s.
+
+        The one rule of what may be cached: only complete answers.  A
+        partial answer is a budget trip, which raises out of ``compute``
+        before anything is stored; a result dict marked ``degraded`` is
+        handed back unstored (stored, it would alias the exact answer after
+        the fleet heals); and a result's ``trace_spans`` ride only on the
+        copy handed back, never in the cache.  A failed insert (the
+        ``service.cache_put`` fault site) degrades to an uncached answer and
+        calls ``on_put_failure``.
+        """
+        cached = self.get(key)
+        if cached is not None:
+            return cached, True
+        answer = compute()
+        stored = answer
+        if isinstance(answer, dict):
+            if answer.get("degraded"):
+                return answer, False
+            if "trace_spans" in answer:
+                stored = {k: v for k, v in answer.items() if k != "trace_spans"}
+        try:
+            fault_point("service.cache_put")
+            self.put(key, stored)
+        except FaultError:
+            if on_put_failure is not None:
+                on_put_failure()
+        return answer, False
+
     def invalidate_graph(self, name: str) -> int:
         """Drop every entry whose key belongs to graph ``name``.
 
@@ -391,14 +432,11 @@ class QueryService:
     worker pool via ``run_in_executor``, so each request's ``server.request``
     span opens on that worker's empty thread-local stack and becomes a root
     tree with the kernel's spans nested inside.
-    """
 
-    #: ops whose answers are pure functions of (graph version, query text,
-    #: options) and therefore cacheable.  Budget limits (timeout/max_rows/
-    #: max_states) travel in the request params, hence in the cache key's
-    #: options — and a tripped budget *raises* before the cache write, so
-    #: the cache only ever holds complete answers.
-    CACHEABLE_OPS = frozenset({"rpq", "crpq", "dlrpq", "paths", "explain"})
+    Budget limits (timeout/max_rows/max_states) travel in the request
+    params, hence in the cache key's options; a tripped budget *raises*
+    before the cache write, so the cache only ever holds complete answers.
+    """
 
     def __init__(
         self,
@@ -424,28 +462,38 @@ class QueryService:
         threaded into the evaluators; a tripped budget raises
         :class:`BudgetExceeded` — counted under ``server_budget_exceeded``
         — before any cache write happens.
+
+        A remote ``trace`` context (``{"trace_id": <32-hex>, "span_id":
+        <16-hex>}``, ``span_id`` naming the *caller's* span) makes this
+        request's ``server.request`` root its remote child.
         """
+        request = check_request(request)
         tracer = get_tracer()
-        trace_ctx = self._trace_context(request)
+        trace_ctx = request.args["trace"]
         started = time.perf_counter()
         fault_point("service.execute")
         try:
-            if trace_ctx is not None and not tracer.enabled:
-                # A remote caller sent a trace context but this process
-                # traces nothing: run the request under a per-request
-                # ephemeral tracer so the caller still gets its subtree.
-                # Safe because execute() runs synchronously on one worker
-                # thread — the override is thread-local and unwinds here.
-                with use_thread_tracer(Tracer()) as ephemeral:
-                    result, cache_hit = self._traced_dispatch(
-                        request, budget, ephemeral, trace_ctx
-                    )
-            elif tracer.enabled:
-                result, cache_hit = self._traced_dispatch(
-                    request, budget, tracer, trace_ctx
-                )
-            else:
+            if trace_ctx is None and not tracer.enabled:
                 result, cache_hit = self._dispatch(request, budget)
+            else:
+                # With a remote trace context but no tracing here, the
+                # request runs under a per-request ephemeral tracer so the
+                # caller still gets its subtree.  Safe because execute()
+                # runs synchronously on one worker thread — the override is
+                # thread-local and unwinds here.
+                # The root adopts the caller's trace_id/span_id, and the
+                # finished subtree ships back as ``trace_spans`` on a
+                # shallow copy, so the answer cache never holds spans.
+                scope = nullcontext(tracer) if tracer.enabled else use_thread_tracer(Tracer())
+                with scope as active, active.span(
+                    "server.request", op=request.op, id=request.id
+                ) as span:
+                    if trace_ctx is not None:
+                        span.adopt_remote(trace_ctx)
+                    result, cache_hit = self._dispatch(request, budget)
+                    span.set(cache_hit=cache_hit)
+                if trace_ctx is not None:
+                    result = {**result, "trace_spans": [span_tree_dict(span)]}
         except BudgetExceeded as exc:
             with self._metrics_lock:
                 self.metrics.inc("server_budget_exceeded")
@@ -456,7 +504,7 @@ class QueryService:
             self.metrics.inc("server_requests_total")
             self.metrics.inc(f"server_requests_{request.op.replace('.', '_')}")
             self.metrics.observe("server_request_seconds", elapsed)
-            if request.op in self.CACHEABLE_OPS:
+            if OP_TABLE[request.op].cacheable:
                 self.metrics.inc(
                     "server_answer_cache_hits" if cache_hit
                     else "server_answer_cache_misses"
@@ -468,86 +516,40 @@ class QueryService:
                 )
         return result
 
-    @staticmethod
-    def _trace_context(request: Request) -> "dict | None":
-        """The validated remote trace context, or ``None`` when absent.
-
-        The wire form is ``{"trace_id": <32-hex>, "span_id": <16-hex>}``
-        where ``span_id`` names the *caller's* span — this request's
-        ``server.request`` root becomes its remote child.
-        """
-        ctx = request.param("trace")
-        if ctx is None:
-            return None
-        if (
-            not isinstance(ctx, dict)
-            or not isinstance(ctx.get("trace_id"), str)
-            or not isinstance(ctx.get("span_id"), str)
-        ):
-            raise BadRequestError(
-                "parameter 'trace' must be an object with string "
-                "'trace_id' and 'span_id' fields"
-            )
-        return ctx
-
-    def _traced_dispatch(
-        self, request: Request, budget, tracer, trace_ctx: "dict | None"
-    ) -> tuple[dict, bool]:
-        """Dispatch under a ``server.request`` span.
-
-        With a remote ``trace_ctx``, the root adopts the caller's
-        trace_id/span_id and the finished subtree ships back on the
-        result as ``trace_spans`` (size-capped dicts) — attached to a
-        *shallow copy*, so the answer cache never holds span payloads.
-        """
-        with tracer.span("server.request", op=request.op, id=request.id) as span:
-            if trace_ctx is not None:
-                span.adopt_remote(trace_ctx)
-            result, cache_hit = self._dispatch(request, budget)
-            span.set(cache_hit=cache_hit)
-        if trace_ctx is not None:
-            result = dict(result)
-            result["trace_spans"] = [span_tree_dict(span)]
-        return result, cache_hit
-
     def record_error(self, code: str) -> None:
         """Count one failed request (the app calls this per error envelope)."""
         with self._metrics_lock:
             self.metrics.inc("server_errors_total")
             self.metrics.inc(f"server_errors_{code}")
 
-    def _dispatch(self, request: Request, budget=None) -> tuple[dict, bool]:
-        op = request.op
-        if op == "ping":
-            return {"pong": True}, False
-        if op == "stats":
-            return self.stats(), False
-        if op == "health":
-            return self.health(), False
-        if op == "graphs.list":
-            return {"graphs": self.catalog.list_info()}, False
-        if op == "graphs.upload":
-            return self._upload(request), False
-        if op == "graphs.mutate":
-            return self._mutate(request), False
-        if op == "cluster_metrics":
-            # The fleet-aggregation op: this process's registry in the
-            # lossless dump form (raw bucket counts) so a coordinator can
-            # merge registries across shards exactly.
-            with self._metrics_lock:
-                return {"metrics": self.metrics.dump()}, False
-        if op == "frontier_step":
-            # One round of the distributed product BFS: pure function of
-            # (graph version, query, frontier), but frontiers are unique
-            # per round, so caching would only churn the LRU.
-            return self._frontier_step(request, budget), False
-        if op in self.CACHEABLE_OPS:
+    def _dispatch(self, request, budget=None) -> tuple[dict, bool]:
+        """Run the handler the op table names: control handlers take no
+        arguments, cacheable ones go through the answer cache, the rest take
+        the checked request and the budget."""
+        spec = OP_TABLE[request.op]
+        if spec.handler is None:
+            raise BadRequestError(f"op {request.op!r} is not executable by the service")
+        if spec.cacheable:
             return self._query(request, budget)
-        raise BadRequestError(f"op {op!r} is not executable by the service")
+        handler = getattr(self, spec.handler)
+        return (handler() if spec.control else handler(request, budget)), False
 
     # ------------------------------------------------------------------
     # operations
     # ------------------------------------------------------------------
+    def _ping(self) -> dict:
+        return {"pong": True}
+
+    def _list_graphs(self) -> dict:
+        return {"graphs": self.catalog.list_info()}
+
+    def _cluster_metrics(self) -> dict:
+        """This process's registry in the lossless dump form (raw bucket
+        counts), so a coordinator can merge registries across shards
+        exactly."""
+        with self._metrics_lock:
+            return {"metrics": self.metrics.dump()}
+
     def stats(self) -> dict:
         with self._metrics_lock:
             metrics = self.metrics.as_dict()
@@ -592,23 +594,17 @@ class QueryService:
         last acknowledged mutation is durable on disk."""
         self.catalog.close()
 
-    def _upload(self, request: Request) -> dict:
+    def _upload(self, request, budget=None) -> dict:
         from repro.graph.serialize import graph_from_dict
 
-        name = request.require("name")
-        document = request.require("graph")
-        if not isinstance(document, dict):
-            raise BadRequestError(
-                "parameter 'graph' must be a serialized graph document"
-            )
-        graph = graph_from_dict(document)
-        entry = self.catalog.register(name, graph)
+        name = request.args["name"]
+        entry = self.catalog.register(name, graph_from_dict(request.args["graph"]))
         dropped = self.answer_cache.invalidate_graph(name)
         info = entry.info()
         info["cache_entries_dropped"] = dropped
         return info
 
-    def _mutate(self, request: Request) -> dict:
+    def _mutate(self, request, budget=None) -> dict:
         """Apply in-place edits to a cataloged graph (write-through).
 
         Edits apply sequentially and in place; an invalid edit raises a
@@ -618,19 +614,12 @@ class QueryService:
         flush below is the durability barrier: once the reply is on the
         wire, the mutation survives ``kill -9``.
         """
-        name = request.require("graph")
-        edits = request.require("edits")
-        if not isinstance(edits, list) or not all(
-            isinstance(edit, dict) for edit in edits
-        ):
-            raise BadRequestError(
-                "parameter 'edits' must be a list of edit objects"
-            )
+        name = request.args["graph"]
         entry = self.catalog.get(name)
         graph = entry.graph  # materializes a lazy entry before writing
         applied = 0
         try:
-            for index, edit in enumerate(edits):
+            for index, edit in enumerate(request.args["edits"]):
                 self._apply_edit(graph, edit, index)
                 applied += 1
         finally:
@@ -648,13 +637,21 @@ class QueryService:
 
     @staticmethod
     def _apply_edit(graph, edit: dict, index: int) -> None:
-        def field(key):
+        def field(key, scalar=True):
+            """Object ids, labels and property names are JSON scalars."""
             try:
-                return edit[key]
+                value = edit[key]
             except KeyError:
                 raise BadRequestError(
-                    f"edit {index}: missing field {key!r}"
+                    f"edit {index}: missing field {key!r}", param="edits"
                 ) from None
+            if scalar and value is not None and not is_json_scalar(value):
+                raise BadRequestError(
+                    f"parameter 'edits': edit {index} field {key!r} must be "
+                    "a JSON scalar",
+                    param="edits",
+                )
+            return value
 
         kind = edit.get("kind")
         is_property = isinstance(graph, PropertyGraph)
@@ -672,7 +669,7 @@ class QueryService:
             if is_property:
                 graph.add_node(
                     field("id"),
-                    label=edit.get("label"),
+                    label=field("label") if "label" in edit else None,
                     properties=edit.get("properties"),
                 )
             else:
@@ -682,7 +679,9 @@ class QueryService:
                 raise BadRequestError(
                     f"edit {index}: set_property needs a property graph"
                 )
-            graph.set_property(field("id"), field("name"), field("value"))
+            graph.set_property(
+                field("id"), field("name"), field("value", scalar=False)
+            )
         else:
             raise BadRequestError(f"edit {index}: unknown edit kind {kind!r}")
 
@@ -704,59 +703,31 @@ class QueryService:
 
         return handle.view(query_labels(query, handle.labels))
 
-    def _query(self, request: Request, budget=None) -> tuple[dict, bool]:
-        name = request.require("graph")
-        query = request.require("query")
-        if not isinstance(query, str):
-            raise BadRequestError("parameter 'query' must be a string")
+    def _query(self, request, budget=None) -> tuple[dict, bool]:
+        name = request.args["graph"]
         entry = self.catalog.get(name)
-        # "trace" is per-request routing context, not a query option: a
-        # fresh caller span id every request would make every lookup a
-        # miss and churn the LRU with never-again-matched keys.
-        options = {
-            key: value
-            for key, value in request.params.items()
-            if key not in ("graph", "query", "trace")
-        }
-        key = (
-            name,
-            entry.version,
-            request.op,
-            query,
-            json.dumps(options, sort_keys=True, default=str),
-        )
-        cached = self.answer_cache.get(key)
-        if cached is not None:
-            return cached, True
-        stats = EngineStats()
-        handler = {
-            "rpq": self._run_rpq,
-            "crpq": self._run_crpq,
-            "dlrpq": self._run_dlrpq,
-            "paths": self._run_paths,
-            "explain": self._run_explain,
-        }[request.op]
-        result = handler(
-            self._graph_for(entry, request.op, query), query, request, stats,
-            budget,
-        )
-        result["graph"] = name
-        result["graph_version"] = list(entry.version)
-        with self._metrics_lock:
-            self.metrics.fold_stats(stats)
-        # The cache write happens only on this clean-completion path — a
-        # tripped budget raised out of the handler above, so failed,
-        # cancelled or partial results can never populate the cache.  A
-        # failed cache *write* degrades to an uncached (but correct) answer.
-        try:
-            fault_point("service.cache_put")
-            self.answer_cache.put(key, result)
-        except FaultError:
-            with self._metrics_lock:
-                self.metrics.inc("server_cache_put_failures")
-        return result, False
 
-    def _frontier_step(self, request: Request, budget=None) -> dict:
+        def compute() -> dict:
+            stats = EngineStats()
+            graph = self._graph_for(entry, request.op, request.args["query"])
+            result = self.evaluate(request, graph, stats, budget)
+            result["graph"] = name
+            result["graph_version"] = list(entry.version)
+            with self._metrics_lock:
+                self.metrics.fold_stats(stats)
+            return result
+
+        return self.answer_cache.lookup(
+            answer_key(name, entry.version, request.op, request.params),
+            compute,
+            on_put_failure=self._count_put_failure,
+        )
+
+    def _count_put_failure(self) -> None:
+        with self._metrics_lock:
+            self.metrics.inc("server_cache_put_failures")
+
+    def _frontier_step(self, request, budget=None) -> dict:
         """The shard half of the scatter-gather product BFS (DESIGN.md §11)."""
         from repro.distributed.frontier import (
             decode_mask,
@@ -764,39 +735,26 @@ class QueryService:
             local_frontier_step,
         )
 
-        name = request.require("graph")
-        query = request.require("query")
-        if not isinstance(query, str):
-            raise BadRequestError("parameter 'query' must be a string")
-        alphabet = request.param("alphabet", [])
-        if not isinstance(alphabet, list):
-            raise BadRequestError("parameter 'alphabet' must be a list")
-        state_bits = request.require("state_bits")
-        if isinstance(state_bits, bool) or not isinstance(state_bits, int) \
-                or state_bits < 0:
-            raise BadRequestError(
-                "parameter 'state_bits' must be a non-negative integer"
-            )
+        args = request.args
         try:
-            owned_mask = decode_mask(request.require("owned"))
-            frontier = decode_pairs(request.require("frontier"))
+            owned_mask = decode_mask(args["owned"])
+            frontier = decode_pairs(args["frontier"])
         except ValueError as exc:
             raise BadRequestError(f"malformed frontier: {exc}") from None
+        name = args["graph"]
         entry = self.catalog.get(name)
         stats = EngineStats()
-        tracer = get_tracer()
         try:
-            if tracer.enabled:
-                with tracer.span(
-                    "frontier_step",
-                    graph=name,
-                    round=request.param("round"),
-                    frontier=len(frontier),
-                ) as span:
-                    result = local_frontier_step(
-                        entry.graph, query, alphabet, state_bits, owned_mask,
-                        frontier, stats=stats, budget=budget,
-                    )
+            with get_tracer().span(
+                "frontier_step", graph=name, round=args["round"],
+                frontier=len(frontier),
+            ) as span:
+                result = local_frontier_step(
+                    entry.graph, args["query"], args["alphabet"],
+                    args["state_bits"], owned_mask, frontier, stats=stats,
+                    budget=budget,
+                )
+                if span is not None:
                     span.set(
                         expanded=result["expanded"],
                         relaxed=result["relaxed"],
@@ -804,11 +762,6 @@ class QueryService:
                         cross=len(result["cross"]),
                         bounced=result.get("bounced", 0),
                     )
-            else:
-                result = local_frontier_step(
-                    entry.graph, query, alphabet, state_bits, owned_mask,
-                    frontier, stats=stats, budget=budget,
-                )
         except ValueError as exc:
             raise BadRequestError(str(exc)) from None
         result["op"] = "frontier_step"
@@ -818,36 +771,54 @@ class QueryService:
             self.metrics.fold_stats(stats)
         return result
 
-    def _run_rpq(self, graph, query, request: Request, stats, budget=None) -> dict:
+    # ------------------------------------------------------------------
+    # the cacheable ops: functions of (graph, checked arguments)
+    # ------------------------------------------------------------------
+    @staticmethod
+    def evaluate(request, graph, stats=None, budget=None) -> dict:
+        """The answer of a cacheable ``request`` on ``graph``, uncached.
+
+        Runs the handler the op table names on the graph it is given; the
+        service passes its catalog entry (or a lazy label view), the shard
+        coordinator's degraded reads pass their retained copy.
+        """
+        request = check_request(request)
+        handler = getattr(QueryService, OP_TABLE[request.op].handler)
+        return handler(graph, request.args, stats, budget)
+
+    @staticmethod
+    def _run_rpq(graph, args, stats, budget) -> dict:
         from repro.rpq.evaluation import evaluate_rpq
 
-        source = _checked("source", request.param("source"))
-        sources = [source] if source is not None else None
+        source = args["source"]
         pairs = evaluate_rpq(
-            query, graph, sources=sources, stats=stats, budget=budget
+            args["query"], graph, sources=None if source is None else [source],
+            stats=stats, budget=budget,
         )
         return {
             "op": "rpq",
-            "query": query,
+            "query": args["query"],
             "pairs": sorted(([s, t] for s, t in pairs), key=repr),
             "count": len(pairs),
         }
 
-    def _run_crpq(self, graph, query, request: Request, stats, budget=None) -> dict:
+    @staticmethod
+    def _run_crpq(graph, args, stats, budget) -> dict:
         from repro.crpq.evaluation import evaluate_crpq
 
-        planner = request.param("planner")
         rows = evaluate_crpq(
-            query, graph, planner=planner, stats=stats, budget=budget
+            args["query"], graph, planner=args["planner"], stats=stats,
+            budget=budget,
         )
         return {
             "op": "crpq",
-            "query": query,
+            "query": args["query"],
             "rows": sorted((list(row) for row in rows), key=repr),
             "count": len(rows),
         }
 
-    def _run_dlrpq(self, graph, query, request: Request, stats, budget=None) -> dict:
+    @staticmethod
+    def _run_dlrpq(graph, args, stats, budget) -> dict:
         from repro.datatests.dlrpq import evaluate_dlrpq
 
         if not isinstance(graph, PropertyGraph):
@@ -855,74 +826,75 @@ class QueryService:
                 "dlrpq queries need a property graph (data tests read "
                 "edge properties)"
             )
-        source = _checked("source", request.require("source"))
-        target = _checked("target", request.require("target"))
-        mode = request.param("mode", "shortest")
-        limit = _checked("limit", request.param("limit", 1000))
-        bindings = []
-        try:
-            for binding in evaluate_dlrpq(
-                query, graph, source, target, mode=mode, limit=limit,
-                budget=budget,
-            ):
-                bindings.append(
-                    {
-                        "path": list(binding.path.objects),
-                        "lists": {
-                            str(variable): list(values)
-                            for variable, values in binding.mu.items()
-                        },
-                    }
+        bindings = _rows(
+            (
+                {
+                    "path": list(binding.path.objects),
+                    "lists": {
+                        str(variable): list(values)
+                        for variable, values in binding.mu.items()
+                    },
+                }
+                for binding in evaluate_dlrpq(
+                    args["query"], graph, args["source"], args["target"],
+                    mode=args["mode"], limit=args["limit"], budget=budget,
                 )
-                if budget is not None:
-                    budget.check_rows(len(bindings))
-        except BudgetExceeded as exc:
-            raise exc.attach_partial(self._capped(bindings, exc, budget))
+            ),
+            budget,
+        )
         return {
             "op": "dlrpq",
-            "query": query,
+            "query": args["query"],
             "bindings": bindings,
             "count": len(bindings),
         }
 
-    def _run_paths(self, graph, query, request: Request, stats, budget=None) -> dict:
+    @staticmethod
+    def _run_paths(graph, args, stats, budget) -> dict:
         from repro.rpq.path_modes import matching_paths
 
-        source = _checked("source", request.require("source"))
-        target = _checked("target", request.require("target"))
-        mode = request.param("mode", "shortest")
-        limit = _checked("limit", request.param("limit", 1000))
-        paths = []
-        try:
-            for path in matching_paths(
-                query, graph, source, target, mode=mode, limit=limit,
-                stats=stats, budget=budget,
-            ):
-                paths.append(list(path.objects))
-                if budget is not None:
-                    budget.check_rows(len(paths))
-        except BudgetExceeded as exc:
-            raise exc.attach_partial(self._capped(paths, exc, budget))
+        paths = _rows(
+            (
+                list(path.objects)
+                for path in matching_paths(
+                    args["query"], graph, args["source"], args["target"],
+                    mode=args["mode"], limit=args["limit"], stats=stats,
+                    budget=budget,
+                )
+            ),
+            budget,
+        )
         return {
             "op": "paths",
-            "query": query,
-            "mode": mode,
+            "query": args["query"],
+            "mode": args["mode"],
             "paths": paths,
             "count": len(paths),
         }
 
     @staticmethod
-    def _capped(rows: list, exc: BudgetExceeded, budget) -> list:
-        """The rows to attach as the partial result (max_rows trips keep
-        exactly the first ``max_rows`` — enumeration order is deterministic
-        for path-shaped results)."""
-        if budget is not None and exc.limit == "max_rows" and budget.max_rows is not None:
-            return rows[: budget.max_rows]
-        return rows
-
-    def _run_explain(self, graph, query, request: Request, stats, budget=None) -> dict:
+    def _run_explain(graph, args, stats, budget) -> dict:
         from repro.engine.explain import explain_query
 
-        planner = request.param("planner", "cost")
-        report = explain_query(query, graph, planner=planner)
+        report = explain_query(args["query"], graph, planner=args["planner"])
         return {"op": "explain", "report": report}
+
+
+def _rows(rows, budget) -> list:
+    """The enumerated ``rows`` as a list, the row ceiling checked per row.
+
+    A trip carries the rows so far as its partial result; a ``max_rows``
+    trip keeps exactly the first ``max_rows`` (enumeration order is
+    deterministic for path-shaped results).
+    """
+    listed: list = []
+    try:
+        for row in rows:
+            listed.append(row)
+            if budget is not None:
+                budget.check_rows(len(listed))
+    except BudgetExceeded as exc:
+        if budget is not None and exc.limit == "max_rows" and budget.max_rows is not None:
+            listed = listed[: budget.max_rows]
+        raise exc.attach_partial(listed)
+    return listed

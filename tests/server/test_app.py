@@ -107,6 +107,25 @@ class TestJsonLinesTransport:
         assert excinfo.value.code == "bad_request"
         assert "limit" in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        ("op", "params", "bad"),
+        [
+            ("rpq", {"graph": ["fig2"], "query": "Transfer"}, "graph"),
+            ("crpq", {"graph": "fig2", "query": "Ans(x) :- Transfer(x, y)",
+                      "planner": "bogus"}, "planner"),
+            ("graphs.mutate", {"graph": "fig2", "edits": [
+                {"kind": "add_edge", "id": [1], "src": "a1", "tgt": "a2",
+                 "label": "Transfer"}]}, "edits"),
+        ],
+    )
+    def test_malformed_param_is_bad_request_on_the_wire(
+        self, client, op, params, bad
+    ):
+        with pytest.raises(ServerError) as excinfo:
+            client.request(op, **params)
+        assert excinfo.value.code == "bad_request"
+        assert excinfo.value.details["param"] == bad
+
     def test_malformed_line_still_answers(self, harness):
         with ServerClient(*harness.address) as raw:
             raw._file.write(b"this is not json\n")

@@ -238,6 +238,8 @@ class TestQueryService:
 ONE_CHEAP = "(_) ([Transfer](_))* [Transfer][amount < 4500000](_) ([Transfer](_))*"
 PATHS = {"graph": "fig2", "query": "Transfer+", "source": "a3", "target": "a5"}
 DLRPQ = {"graph": "fig3", "query": ONE_CHEAP, "source": "a3", "target": "a5"}
+CRPQ = {"graph": "fig2", "query": "Ans(x, y) :- Transfer(x, y)"}
+EDGE = {"kind": "add_edge", "id": "t99", "src": "a1", "tgt": "a2", "label": "Transfer"}
 
 
 class TestMalformedQueryParams:
@@ -258,6 +260,18 @@ class TestMalformedQueryParams:
             ("dlrpq", {**DLRPQ, "source": ["a3"]}, "source"),
             ("dlrpq", {**DLRPQ, "source": {"id": "a3"}}, "source"),
             ("dlrpq", {**DLRPQ, "limit": "2"}, "limit"),
+            ("rpq", {"graph": ["fig2"], "query": "Transfer"}, "graph"),
+            ("paths", {**PATHS, "graph": {"name": "fig2"}}, "graph"),
+            ("dlrpq", {**DLRPQ, "graph": ["fig3"]}, "graph"),
+            ("explain", {"graph": ["fig2"], "query": "Transfer"}, "graph"),
+            ("graphs.mutate", {"graph": ["fig2"], "edits": []}, "graph"),
+            ("crpq", {**CRPQ, "planner": "bogus"}, "planner"),
+            ("crpq", {**CRPQ, "planner": 3}, "planner"),
+            ("explain", {**CRPQ, "planner": "bogus"}, "planner"),
+            ("explain", {"graph": "fig2", "query": "Transfer", "planner": 3}, "planner"),
+            ("graphs.mutate", {"graph": "fig2", "edits": [{**EDGE, "id": [1]}]}, "edits"),
+            ("graphs.mutate", {"graph": "fig2", "edits": [{**EDGE, "src": {"id": "a1"}}]}, "edits"),
+            ("graphs.mutate", {"graph": "fig2", "edits": [{**EDGE, "label": ["Transfer"]}]}, "edits"),
         ],
     )
     def test_is_a_bad_request_naming_the_parameter(self, op, params, bad):
