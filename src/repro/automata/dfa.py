@@ -161,7 +161,7 @@ def _all_keys(dfa: DFA):
             yield (state, symbol)
 
 
-def _product(left: DFA, right: DFA, final_rule) -> DFA:
+def _synchronous_product(left: DFA, right: DFA, final_rule) -> DFA:
     if left.alphabet != right.alphabet:
         raise ValueError("product requires identical alphabets")
     initial = (left.initial, right.initial)
@@ -186,17 +186,17 @@ def _product(left: DFA, right: DFA, final_rule) -> DFA:
 
 def intersect(left: DFA, right: DFA) -> DFA:
     """The product automaton for the intersection of two languages."""
-    return _product(left, right, lambda a, b: a and b)
+    return _synchronous_product(left, right, lambda a, b: a and b)
 
 
 def union_dfa(left: DFA, right: DFA) -> DFA:
     """The product automaton for the union of two languages."""
-    return _product(left, right, lambda a, b: a or b)
+    return _synchronous_product(left, right, lambda a, b: a or b)
 
 
 def difference(left: DFA, right: DFA) -> DFA:
     """The product automaton for ``L(left) - L(right)``."""
-    return _product(left, right, lambda a, b: a and not b)
+    return _synchronous_product(left, right, lambda a, b: a and not b)
 
 
 def is_empty_dfa(dfa: DFA) -> bool:

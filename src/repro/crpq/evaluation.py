@@ -20,6 +20,11 @@ partial bindings are tuples over a schema (the variables in binding order)
 and an atom reads its bound terms by column position.  Reachability calls
 are memoized per (expression, start), so star-shaped joins do not recompute
 the same BFS.
+
+Two access objects answer those three questions: :class:`_AtomAccess` reads
+the graph's own relations, and :class:`PairsAccess` adapts relations
+computed elsewhere — by the shard fleet, or by the dl-RPQ evaluator — so
+every CRPQ flavour runs this one join.
 """
 
 from __future__ import annotations
@@ -125,6 +130,50 @@ class _AtomAccess:
         return self._full[regex]
 
 
+class PairsAccess:
+    """Atom access paths over relations computed elsewhere.
+
+    ``pairs(regex, sources, budget)`` returns the atom's ``(source,
+    target)`` pairs, from ``sources`` only, or all of them when ``sources``
+    is ``None``: the shard fleet's ``evaluate_rpq`` for a distributed CRPQ,
+    ``dlrpq_pairs`` for a dl-CRPQ.  ``forward`` asks for one source's pairs,
+    ``full`` for all, and ``backward`` groups the full relation by target
+    in one pass (it decodes lazily, so a filter per bound target would
+    decode it once per target).  Memoized per evaluation, like
+    :class:`_AtomAccess`, and budgeted via ``budget.subquery()``: atom
+    relations are intermediate results, so the deadline applies and the
+    row ceiling does not.
+    """
+
+    def __init__(self, pairs, budget=None):
+        self.pairs = pairs
+        self.budget = budget.subquery() if budget is not None else None
+        self._forward: dict = {}
+        self._backward: dict = {}
+        self._full: dict = {}
+
+    def forward(self, regex, source) -> set:
+        key = (regex, source)
+        if key not in self._forward:
+            self._forward[key] = {
+                target for _source, target in self.pairs(regex, [source], self.budget)
+            }
+        return self._forward[key]
+
+    def backward(self, regex, target) -> set:
+        by_target = self._backward.get(regex)
+        if by_target is None:
+            by_target = self._backward[regex] = {}
+            for source, candidate in self.full(regex):
+                by_target.setdefault(candidate, set()).add(source)
+        return by_target.get(target, set())
+
+    def full(self, regex):
+        if regex not in self._full:
+            self._full[regex] = self.pairs(regex, None, self.budget)
+        return self._full[regex]
+
+
 def evaluate_crpq_bindings(
     query: "CRPQ | str",
     graph: EdgeLabeledGraph,
@@ -139,10 +188,11 @@ def evaluate_crpq_bindings(
     """All node homomorphisms from ``query`` to ``graph`` as variable->node
     dictionaries (before head projection).
 
-    ``access`` swaps in an alternative atom-access object (the distributed
-    coordinator injects one that evaluates each relation on the shard
-    fleet); planning still runs over ``graph``, so the cost model keeps
-    choosing the atom order — and thereby which atoms run bound
+    ``access`` swaps in an alternative atom-access object: a
+    :class:`PairsAccess` over relations computed elsewhere (the distributed
+    coordinator's shard fleet, the dl-CRPQ evaluator's ``dlrpq_pairs``).
+    Planning still runs over ``graph``, so unless ``plan`` fixes the order
+    the cost model keeps choosing it — and thereby which atoms run bound
     (shard-local scatter) versus unbound (broadcast sweep).
 
     ``planner`` selects the atom ordering: ``"cost"`` (the engine's
@@ -155,9 +205,9 @@ def evaluate_crpq_bindings(
     :class:`BudgetExceeded` the bindings completed so far are attached as
     the partial result (callers with a more final answer shape overwrite).
 
-    This is the engine behind :func:`evaluate_crpq`; the l-CRPQ evaluator of
-    Section 3.1.5 also starts from these homomorphisms before attaching list
-    bindings per atom.
+    This is the engine behind :func:`evaluate_crpq`; the moded CRPQs of
+    Sections 3.1.5 and 3.2.2 (l-CRPQs and dl-CRPQs alike) also start from
+    these homomorphisms before attaching list bindings per atom.
     """
     schema, rows = _join(
         query, graph, plan, use_index, planner, stats, budget, access
@@ -248,7 +298,7 @@ def _apply_atom(
     atom: RPQAtom,
     schema: tuple,
     rows: list[tuple],
-    access: _AtomAccess,
+    access: "_AtomAccess | PairsAccess",
     graph: EdgeLabeledGraph,
     budget=None,
 ) -> "tuple[tuple, list[tuple]]":

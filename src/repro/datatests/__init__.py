@@ -14,10 +14,15 @@ assignment) triples, and the active domain of the graph keeps the space
 finite.
 
 * :mod:`~repro.datatests.ast` — atoms and the ETest grammar;
-* :mod:`~repro.datatests.parser` — the paper's surface syntax;
+* :mod:`~repro.datatests.parser` — the paper's surface syntax: the RPQ
+  parser with its atoms swapped for node and edge atoms;
 * :mod:`~repro.datatests.register` — the configuration graph;
 * :mod:`~repro.datatests.dlrpq` — evaluation of single dl-RPQs under modes;
-* :mod:`~repro.datatests.dlcrpq` — dl-CRPQs (Section 3.2.2).
+* :mod:`~repro.datatests.dlcrpq` — dl-CRPQs (Section 3.2.2): the l-CRPQ
+  layer of :mod:`repro.listvars.lcrpq` with dl-RPQ atoms.
+
+Only the atom language is new here: the regex grammar, the CRPQ node join
+and the moded-CRPQ combiner are the ones plain RPQs and l-RPQs use.
 """
 
 from repro.datatests.ast import (

@@ -17,9 +17,12 @@ Atom grammar (inside ``(...)`` for nodes, ``[...]`` for edges)::
     OP      :=  '=' | '!=' | '≠' | '<' | '>'
     value   :=  NUMBER | 'quoted string' | VAR   -- bare identifier = data var
 
-The regex operators around atoms are the usual ones: juxtaposition or ``.``
-for concatenation, ``+`` for union (postfix ``+`` for Kleene plus, same
-lookahead rule as the RPQ parser), ``*``, ``?``, ``{n,m}``.
+A quoted string is one unit inside an atom, so it may contain brackets
+(``[note = 'x]y']``).  Around atoms the grammar *is* the RPQ grammar: the
+parser subclasses :mod:`repro.regex.parser`'s and overrides only what an
+atom is — juxtaposition or ``.`` for concatenation, ``+`` / ``|`` for union
+(postfix ``+`` for Kleene plus, by the same lookahead), ``*``, ``?``,
+``{n,m}``.
 """
 
 from __future__ import annotations
@@ -35,26 +38,18 @@ from repro.datatests.ast import (
     LabelMatch,
     VarTest,
 )
-from repro.regex.ast import (
-    Concat,
-    Epsilon,
-    Regex,
-    Star,
-    Symbol,
-    Union,
-    concat,
-    optional,
-    plus,
-    repeat,
-    star,
-    union,
-)
+from repro.regex.ast import Regex, Symbol
+from repro.regex.parser import _Parser, _tokenize
+
+#: An atom's inside: anything but brackets, where a quoted constant is one
+#: unit (so ``(owner = 'Mike (Jr)')`` is one node atom).
+_CONTENT = r"""(?:[^()\[\]'"]|'[^']*'|"[^"]*")*?"""
 
 _TOKEN_PATTERN = _stdlib_re.compile(
     r"""
     (?P<WS>\s+)
-  | (?P<NODEATOM>\(\s*[^()\[\]]*?\s*\))
-  | (?P<EDGEATOM>\[\s*[^()\[\]]*?\s*\])
+  | (?P<NODEATOM>\(\s*""" + _CONTENT + r"""\s*\))
+  | (?P<EDGEATOM>\[\s*""" + _CONTENT + r"""\s*\])
   | (?P<REPEAT>\{\s*\d+\s*(?:,\s*\d*\s*)?\})
   | (?P<OP>[().+|*?])
 """,
@@ -70,6 +65,9 @@ _COMPARE = _stdlib_re.compile(
     rf"^(?P<prop>{_IDENT})\s*(?P<op>!=|≠|=|<|>)\s*(?P<value>.+)$"
 )
 _NUMBER = _stdlib_re.compile(r"^-?\d+(\.\d+)?$")
+
+#: Atom token kind -> the kind of object the atom tests.
+_KINDS = {"NODEATOM": Kind.NODE, "EDGEATOM": Kind.EDGE}
 
 
 def _parse_value(text: str):
@@ -109,148 +107,26 @@ def _parse_atom_content(content: str, kind: Kind) -> DLAtom:
     raise ParseError(f"cannot parse atom content {content!r}")
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens: list[tuple[str, str]] = []
-    position = 0
-    while position < len(text):
-        match = _TOKEN_PATTERN.match(text, position)
-        if match is None:
-            raise ParseError(
-                f"unexpected character {text[position]!r} at {position} in dl-RPQ"
-            )
-        kind = match.lastgroup
-        value = match.group()
-        position = match.end()
-        if kind != "WS":
-            tokens.append((kind, value))
-    return tokens
+class _DLParser(_Parser):
+    """The RPQ grammar of :mod:`repro.regex.parser`; only an atom differs.
 
-
-class _DLParser:
-    """Recursive descent mirroring the RPQ parser, with atom tokens.
-
-    A ``(`` only opens a *group* when it cannot be read as a node atom —
-    the tokenizer prefers atoms, so grouping requires the group to contain
+    An atom is a node atom ``(...)`` or an edge atom ``[...]`` token.  A
+    ``(`` only opens a *group* when it cannot be read as a node atom — the
+    tokenizer prefers atoms, so grouping requires the group to contain
     operators, which is always the case in practice (``((a))`` is therefore
     read as a group around the node atom ``(a)``).
     """
 
-    def __init__(self, tokens: list[tuple[str, str]]):
-        self._tokens = tokens
-        self._index = 0
-
-    def _peek(self):
-        if self._index < len(self._tokens):
-            return self._tokens[self._index]
-        return None
-
-    def _next(self):
-        token = self._peek()
-        if token is None:
-            raise ParseError("unexpected end of dl-RPQ")
-        self._index += 1
-        return token
-
-    def _expect(self, value: str) -> None:
-        token = self._peek()
-        if token is None or token[1] != value:
-            found = token[1] if token else "end of input"
-            raise ParseError(f"expected {value!r}, found {found!r}")
-        self._index += 1
-
-    def _atom_follows(self) -> bool:
-        token = self._peek()
-        return token is not None and (
-            token[0] in ("NODEATOM", "EDGEATOM") or token[1] == "("
-        )
-
-    def parse(self) -> Regex:
-        result = self.union()
-        token = self._peek()
-        if token is not None:
-            raise ParseError(f"trailing input starting at {token[1]!r}")
-        return result
-
-    def union(self) -> Regex:
-        parts = [self.concatenation()]
-        while True:
-            token = self._peek()
-            if token is None or token[1] not in ("+", "|"):
-                break
-            self._index += 1
-            parts.append(self.concatenation())
-        return union(*parts)
-
-    def concatenation(self) -> Regex:
-        parts = [self.postfix()]
-        while True:
-            token = self._peek()
-            if token is None:
-                break
-            if token[1] == ".":
-                self._index += 1
-                parts.append(self.postfix())
-            elif self._atom_follows():
-                parts.append(self.postfix())
-            else:
-                break
-        return concat(*parts)
-
-    def postfix(self) -> Regex:
-        result = self.atom()
-        while True:
-            token = self._peek()
-            if token is None:
-                break
-            kind, value = token
-            if value == "*":
-                self._index += 1
-                result = star(result)
-            elif value == "?":
-                self._index += 1
-                result = optional(result)
-            elif value == "+" and not self._atom_follows_after_plus():
-                self._index += 1
-                result = plus(result)
-            elif kind == "REPEAT":
-                self._index += 1
-                result = self._apply_repeat(result, value)
-            else:
-                break
-        return result
-
-    def _atom_follows_after_plus(self) -> bool:
-        if self._index + 1 < len(self._tokens):
-            kind, value = self._tokens[self._index + 1]
-            return kind in ("NODEATOM", "EDGEATOM") or value == "("
-        return False
-
-    def _apply_repeat(self, inner: Regex, text: str) -> Regex:
-        body = text.strip("{} \t")
-        if "," in body:
-            low_text, high_text = body.split(",", 1)
-            low = int(low_text)
-            high = int(high_text) if high_text.strip() else None
-        else:
-            low = high = int(body)
-        try:
-            return repeat(inner, low, high)
-        except ValueError as error:
-            raise ParseError(str(error)) from None
+    _atom_starters = frozenset(_KINDS)
 
     def atom(self) -> Regex:
-        kind, value = self._next()
-        if kind == "NODEATOM":
-            return Symbol(_parse_atom_content(value[1:-1], Kind.NODE))
-        if kind == "EDGEATOM":
-            return Symbol(_parse_atom_content(value[1:-1], Kind.EDGE))
-        if value == "(":
-            inner = self.union()
-            self._expect(")")
-            return inner
-        raise ParseError(f"unexpected token {value!r} in dl-RPQ")
+        token = self._peek()
+        if token is not None and token[0] in _KINDS:
+            self._index += 1
+            return Symbol(_parse_atom_content(token[1][1:-1], _KINDS[token[0]]))
+        return super().atom()
 
 
 def parse_dlrpq(text: str) -> Regex:
     """Parse a dl-RPQ from the paper's surface syntax (see module docstring)."""
-    return _DLParser(_tokenize(text)).parse()
+    return _DLParser(_tokenize(text, _TOKEN_PATTERN)).parse()

@@ -117,19 +117,23 @@ def build_config_graph(
     result.configs.update(seeds)
 
     def candidate_moves(position):
-        """(object, append?) pairs reachable from the current position."""
+        """(object, append?) pairs reachable from the current position.
+
+        Out-edges are taken in ``repr`` order, the order every path search
+        extends in: insertion order differs between a resident graph and a
+        lazily loaded one, and must not change which answers come first."""
         moves = []
         if position is None:
             if graph.has_node(source):
                 moves.append((source, True))
-                for edge in graph.out_edges(source):
+                for edge in sorted(graph.out_edges(source), key=repr):
                     moves.append((edge, True))
         elif graph.has_edge(position):
             moves.append((position, False))  # stay on the edge
             moves.append((graph.tgt(position), True))
         else:
             moves.append((position, False))  # stay on the node
-            for edge in graph.out_edges(position):
+            for edge in sorted(graph.out_edges(position), key=repr):
                 moves.append((edge, True))
         return moves
 

@@ -1208,12 +1208,15 @@ class ShardCoordinator:
 
         The *plan* still comes from the engine's cost planner running over
         the coordinator's retained copy of the graph (label statistics are
-        a coordinator-local concern); execution of each atom goes through
-        :class:`DistributedAtomAccess` — bound atoms scatter from their
-        bound node, unbound atoms run the full broadcast sweep (or one
-        shard-local replica query when the graph is replicated).
+        a coordinator-local concern); each atom's relation comes from
+        :meth:`evaluate_rpq` through the join's
+        :class:`~repro.crpq.evaluation.PairsAccess` — bound atoms scatter
+        from their bound node, unbound atoms run the full broadcast sweep
+        (or one shard-local replica query when the graph is replicated),
+        and a backward atom groups the full relation: shards hold only
+        forward-partitioned edges, so there is no reversed walk here.
         """
-        from repro.crpq.evaluation import evaluate_crpq
+        from repro.crpq.evaluation import PairsAccess, evaluate_crpq
 
         entry = self._entry(name)
         if entry.graph is None:
@@ -1221,6 +1224,12 @@ class ShardCoordinator:
                 f"graph {name!r} was attached without a local copy; "
                 "CRPQ planning needs the coordinator-side graph"
             )
+
+        def pairs(regex, sources, atom_budget):
+            return self.evaluate_rpq(
+                name, to_string(regex), sources, budget=atom_budget
+            )
+
         rows, _hit = self.answer_cache.lookup(
             answer_key(
                 name, entry.token, "crpq:rows",
@@ -1228,59 +1237,10 @@ class ShardCoordinator:
             ),
             lambda: frozenset(evaluate_crpq(
                 query, entry.graph, planner=planner, budget=budget,
-                access=DistributedAtomAccess(self, name, budget=budget),
+                access=PairsAccess(pairs, budget),
             )),
         )
         return set(rows)
-
-
-class DistributedAtomAccess:
-    """CRPQ atom access paths backed by a :class:`ShardCoordinator`.
-
-    The drop-in distributed twin of
-    :class:`repro.crpq.evaluation._AtomAccess`: ``forward`` scatters from
-    the bound node, ``full`` runs the broadcast sweep (or a shard-local
-    replica query), ``backward`` groups the memoized full relation — the
-    reversed-graph trick stays single-node-only because shards only hold
-    forward-partitioned edges.  Memoized per evaluation, like the local
-    access object, and budgeted via ``budget.subquery()`` (atom relations
-    are intermediate results: deadline applies, the row ceiling does not).
-    """
-
-    def __init__(self, coordinator: ShardCoordinator, name: str, budget=None):
-        self.coordinator = coordinator
-        self.name = name
-        self.budget = budget.subquery() if budget is not None else None
-        self._forward: dict = {}
-        self._backward: dict = {}
-        self._full: dict = {}
-
-    def forward(self, regex, source) -> set:
-        key = (regex, source)
-        if key not in self._forward:
-            pairs = self.coordinator.evaluate_rpq(
-                self.name, to_string(regex), sources=[source],
-                budget=self.budget,
-            )
-            self._forward[key] = {target for _source, target in pairs}
-        return self._forward[key]
-
-    def backward(self, regex, target) -> set:
-        by_target = self._backward.get(regex)
-        if by_target is None:
-            # One pass groups the whole relation: it decodes lazily, so a
-            # filter per bound target would decode it once per target.
-            by_target = self._backward[regex] = {}
-            for source, candidate in self.full(regex):
-                by_target.setdefault(candidate, set()).add(source)
-        return by_target.get(target, set())
-
-    def full(self, regex) -> set:
-        if regex not in self._full:
-            self._full[regex] = self.coordinator.evaluate_rpq(
-                self.name, to_string(regex), budget=self.budget
-            )
-        return self._full[regex]
 
 
 def _parse(query: str):

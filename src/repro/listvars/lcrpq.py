@@ -15,12 +15,19 @@ the mode, which is exactly what makes ``shortest`` group by endpoint pairs
 Well-formedness (conditions 3-5): list variables are disjoint from node
 variables, disjoint across atoms, and head entries are node or list
 variables of the body.
+
+This module is the one moded-CRPQ layer.  dl-CRPQs (Section 3.2.2) are
+defined "verbatim the same" with dl-RPQ atoms, so the parser, the
+well-formedness check and the evaluator here serve both; only the atom
+class differs (see :class:`LCRPQAtom`), and
+:mod:`repro.datatests.dlcrpq` subclasses it.
 """
 
 from __future__ import annotations
 
 import re as _stdlib_re
 from dataclasses import dataclass
+from itertools import product
 
 from repro.crpq.ast import CRPQ, RPQAtom, Var, _parse_term, _split_top_level
 from repro.crpq.evaluation import evaluate_crpq_bindings
@@ -34,7 +41,8 @@ from repro.rpq.path_modes import PATH_MODES
 
 @dataclass(frozen=True, slots=True)
 class ListVar:
-    """A list variable of an l-CRPQ head (bound to a list of edges)."""
+    """A list variable of an l-CRPQ head (bound to a list of edges; in a
+    dl-CRPQ, of nodes and edges)."""
 
     name: str
 
@@ -44,12 +52,25 @@ class ListVar:
 
 @dataclass(frozen=True, slots=True)
 class LCRPQAtom:
-    """``m R(y, y')`` — a moded l-RPQ atom between two terms."""
+    """``m R(y, y')`` — a moded l-RPQ atom between two terms.
+
+    The atom class *is* the atom language.  The moded-CRPQ layer below
+    asks it four things and nothing else: how an expression parses
+    (``parse_expression``), where its list variables are
+    (``variables_of``), how its ``(p, mu)`` results are enumerated
+    (``enumerate_results``), and how its endpoint-pair relations reach the
+    node join (:meth:`homomorphisms`).  A dl-CRPQ atom
+    (:class:`repro.datatests.dlcrpq.DLCRPQAtom`) answers them for dl-RPQs.
+    """
 
     mode: str
     regex: Regex
     left: object
     right: object
+
+    parse_expression = staticmethod(parse_lrpq)
+    variables_of = staticmethod(list_variables)
+    enumerate_results = staticmethod(evaluate_lrpq)
 
     def __post_init__(self) -> None:
         if self.mode not in PATH_MODES:
@@ -64,7 +85,21 @@ class LCRPQAtom:
         return frozenset(found)
 
     def list_variables(self) -> frozenset:
-        return list_variables(self.regex)
+        return self.variables_of(self.regex)
+
+    @staticmethod
+    def homomorphisms(query: "LCRPQ", graph: EdgeLabeledGraph) -> list[dict]:
+        """The node homomorphisms of the erased CRPQ: the engine plans the
+        join and reads every atom relation off the graph."""
+        erased = CRPQ(
+            head=(),
+            atoms=tuple(
+                RPQAtom(erase_list_variables(atom.regex), atom.left, atom.right)
+                for atom in query.atoms
+            ),
+            name=query.name,
+        )
+        return evaluate_crpq_bindings(erased, graph)
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,6 +109,9 @@ class LCRPQ:
     head: tuple
     atoms: tuple[LCRPQAtom, ...]
     name: str = "q"
+
+    #: The atom class, hence the language, the parser builds atoms of.
+    atom_type = LCRPQAtom
 
     def __post_init__(self) -> None:
         node_vars: set[Var] = set()
@@ -118,8 +156,14 @@ def parse_lcrpq(text: str) -> LCRPQ:
     ``all`` modifiers "to simplify notation").  Head names that occur as
     list variables in the body become list entries of the output.
     """
+    return _parse_moded(text, LCRPQ)
+
+
+def _parse_moded(text: str, query_type: type) -> LCRPQ:
+    """``head :- [mode] R(t, t'), ...`` as a ``query_type``, whose
+    ``atom_type`` parses each ``R``."""
     if ":-" not in text:
-        raise ParseError("an l-CRPQ needs a ':-' between head and body")
+        raise ParseError("a CRPQ needs a ':-' between head and body")
     head_text, body_text = text.split(":-", 1)
     head_text = head_text.strip()
     if not head_text.endswith(")") or "(" not in head_text:
@@ -141,21 +185,20 @@ def parse_lcrpq(text: str) -> LCRPQ:
         if match:
             mode = match.group(1)
             part = part[match.end() :].strip()
-        atoms.append(_parse_lcrpq_atom(mode, part))
+        atoms.append(_parse_atom(query_type.atom_type, mode, part))
 
     list_vars: set = set()
     for atom in atoms:
         list_vars |= atom.list_variables()
-    head: list = []
-    for entry in head_names:
-        if entry in list_vars:
-            head.append(ListVar(entry))
-        else:
-            head.append(Var(entry))
-    return LCRPQ(head=tuple(head), atoms=tuple(atoms), name=name.strip() or "q")
+    head = tuple(
+        ListVar(entry) if entry in list_vars else Var(entry) for entry in head_names
+    )
+    return query_type(head=head, atoms=tuple(atoms), name=name.strip() or "q")
 
 
-def _parse_lcrpq_atom(mode: str, text: str) -> LCRPQAtom:
+def _parse_atom(atom_type: type, mode: str, text: str) -> LCRPQAtom:
+    """One ``R(t, t')``: the trailing ``(t, t')`` is an argument list (for
+    a dl-RPQ it would read as a node atom too), so it is peeled off the end."""
     if not text.endswith(")"):
         raise ParseError(f"atom {text!r} does not end with a term list")
     depth = 0
@@ -177,9 +220,9 @@ def _parse_lcrpq_atom(mode: str, text: str) -> LCRPQAtom:
     terms = _split_top_level(text[open_index + 1 : -1], ",")
     if len(terms) != 2:
         raise ParseError(f"atom {text!r} must have exactly two terms")
-    return LCRPQAtom(
+    return atom_type(
         mode=mode,
-        regex=parse_lrpq(regex_text),
+        regex=atom_type.parse_expression(regex_text),
         left=_parse_term(terms[0]),
         right=_parse_term(terms[1]),
     )
@@ -193,7 +236,9 @@ def evaluate_lcrpq(
     For every node homomorphism of the erased CRPQ and every atom, the
     moded path-binding set is computed between the homomorphism's endpoint
     images; the atom results are combined by cartesian product, as each
-    choice of ``(p, mu)`` per atom yields its own path homomorphism.
+    choice of ``(p, mu)`` per atom yields its own path homomorphism.  The
+    atoms' class supplies the homomorphisms and the ``(p, mu)`` results, so
+    a dl-CRPQ (Section 3.2.2) evaluates here too.
 
     ``limit`` bounds the per-atom enumeration for mode ``all`` on cyclic
     matches (without it, such queries raise
@@ -202,68 +247,39 @@ def evaluate_lcrpq(
     """
     if isinstance(query, str):
         query = parse_lcrpq(query)
-
-    erased = CRPQ(
-        head=(),
-        atoms=tuple(
-            RPQAtom(erase_list_variables(atom.regex), atom.left, atom.right)
-            for atom in query.atoms
-        ),
-        name=query.name,
-    )
-    homomorphisms = evaluate_crpq_bindings(erased, graph)
+    homomorphisms = query.atom_type.homomorphisms(query, graph)
 
     mu_cache: dict = {}
 
     def atom_bindings(atom: LCRPQAtom, source, target) -> list:
         key = (id(atom), source, target)
         if key not in mu_cache:
-            seen = set()
-            ordered = []
-            for binding in evaluate_lrpq(
-                atom.regex, graph, source, target, mode=atom.mode, limit=limit
-            ):
-                mu = binding.mu.restrict(atom.list_variables())
-                if mu not in seen:
-                    seen.add(mu)
-                    ordered.append(mu)
-            mu_cache[key] = ordered
+            variables = atom.list_variables()
+            mu_cache[key] = list(dict.fromkeys(
+                binding.mu.restrict(variables)
+                for binding in atom.enumerate_results(
+                    atom.regex, graph, source, target, mode=atom.mode, limit=limit
+                )
+            ))
         return mu_cache[key]
 
     results: set[tuple] = set()
     for h in homomorphisms:
         choices: list[list] = []
-        feasible = True
         for atom in query.atoms:
             source = h[atom.left] if isinstance(atom.left, Var) else atom.left
             target = h[atom.right] if isinstance(atom.right, Var) else atom.right
             mus = atom_bindings(atom, source, target)
             if not mus:
-                feasible = False
                 break
             choices.append(mus)
-        if not feasible:
-            continue
-        for combination in _product(choices):
-            merged: dict = {}
-            for mu in combination:
-                for variable, values in mu.items():
-                    merged[variable] = values
-            row = []
-            for entry in query.head:
-                if isinstance(entry, Var):
-                    row.append(h[entry])
-                else:
-                    row.append(merged.get(entry.name, ()))
-            results.add(tuple(row))
+        else:
+            for combination in product(*choices):
+                merged: dict = {}
+                for mu in combination:
+                    merged.update(mu.items())
+                results.add(tuple(
+                    h[entry] if isinstance(entry, Var) else merged.get(entry.name, ())
+                    for entry in query.head
+                ))
     return results
-
-
-def _product(choices: list[list]):
-    if not choices:
-        yield ()
-        return
-    head, *tail = choices
-    for item in head:
-        for rest in _product(tail):
-            yield (item,) + rest

@@ -52,14 +52,13 @@ _TOKEN_PATTERN = _stdlib_re.compile(
     _stdlib_re.VERBOSE,
 )
 
-_ATOM_STARTERS = {"LABEL", "QUOTED", "NOTSET", "EPS", "UNDERSCORE"}
 
-
-def _tokenize(text: str) -> list[tuple[str, str]]:
+def _tokenize(text: str, pattern=_TOKEN_PATTERN) -> list[tuple[str, str]]:
+    """``(kind, text)`` tokens by ``pattern``'s named groups, spaces dropped."""
     tokens: list[tuple[str, str]] = []
     position = 0
     while position < len(text):
-        match = _TOKEN_PATTERN.match(text, position)
+        match = pattern.match(text, position)
         if match is None:
             raise ParseError(f"unexpected character {text[position]!r} at {position}")
         kind = match.lastgroup
@@ -71,6 +70,10 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
 
 
 class _Parser:
+    #: Token kinds that begin an atom (besides ``(``): what juxtaposition
+    #: concatenates and what makes a ``+`` infix union.
+    _atom_starters = frozenset({"LABEL", "QUOTED", "NOTSET", "EPS", "UNDERSCORE"})
+
     def __init__(self, tokens: list[tuple[str, str]], normalize: bool = True):
         self._tokens = tokens
         self._index = 0
@@ -123,7 +126,7 @@ class _Parser:
     def _atom_follows(self) -> bool:
         token = self._peek()
         return token is not None and (
-            token[0] in _ATOM_STARTERS or token[1] == "("
+            token[0] in self._atom_starters or token[1] == "("
         )
 
     # -- grammar -------------------------------------------------------
@@ -186,7 +189,7 @@ class _Parser:
         """Disambiguate infix union from postfix plus by one-token lookahead."""
         if self._index + 1 < len(self._tokens):
             kind, value = self._tokens[self._index + 1]
-            return kind in _ATOM_STARTERS or value == "("
+            return kind in self._atom_starters or value == "("
         return False
 
     def _apply_repeat(self, inner: Regex, text: str) -> Regex:

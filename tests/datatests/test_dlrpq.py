@@ -345,3 +345,56 @@ class TestBudget:
             lambda: service.execute(request, QueryBudget(timeout=0.05))
         )
         assert len(service.answer_cache) == 0
+
+
+class TestServedOrder:
+    """A served ``dlrpq`` with a ``limit`` answers alike on every catalog.
+
+    Configurations extend in ``repr`` order of the out-edges, as path
+    searches do, not in the order a graph inserted them: a lazy label view
+    inserts its edges label by label, so on a durable catalog ``e2`` (label
+    ``a``) came before ``e1`` (label ``b``) and ``limit=1`` picked it."""
+
+    @staticmethod
+    def two_edges():
+        graph = PropertyGraph()
+        graph.add_node("n0")
+        graph.add_node("n1")
+        graph.add_edge("e1", "n0", "n1", "b")
+        graph.add_edge("e2", "n0", "n1", "a")
+        return graph
+
+    def test_memory_durable_and_mutated_catalogs_agree(self, tmp_path):
+        from repro.server.protocol import Request
+        from repro.server.service import GraphCatalog, QueryService
+
+        request = Request(
+            op="dlrpq",
+            params={
+                "graph": "g", "query": "(_)[_](_)", "source": "n0",
+                "target": "n1", "mode": "all", "limit": 1,
+            },
+        )
+
+        def paths(service):
+            return [b["path"] for b in service.execute(request)["bindings"]]
+
+        memory = QueryService()
+        memory.catalog.register("g", self.two_edges())
+        data_dir = str(tmp_path / "data")
+        seeded = GraphCatalog(data_dir)
+        seeded.register("g", self.two_edges())
+        seeded.close()
+        durable = QueryService(GraphCatalog(data_dir))
+        try:
+            assert paths(memory) == [["n0", "e1", "n1"]]
+            assert paths(durable) == paths(memory)
+            durable.execute(
+                Request(
+                    op="graphs.mutate",
+                    params={"graph": "g", "edits": [{"kind": "add_node", "id": "n2"}]},
+                )
+            )
+            assert paths(durable) == paths(memory)
+        finally:
+            durable.catalog.close()

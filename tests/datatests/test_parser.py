@@ -63,6 +63,26 @@ class TestAtoms:
         assert parse_dlrpq("(date > x)") == sym(Kind.NODE, VarTest("date", ">", "x"))
         assert parse_dlrpq("[date < x]") == sym(Kind.EDGE, VarTest("date", "<", "x"))
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("(owner = 'Mike (Jr)')", sym(Kind.NODE, ConstTest("owner", "=", "Mike (Jr)"))),
+            ("[note = 'x]y']", sym(Kind.EDGE, ConstTest("note", "=", "x]y"))),
+            ("[note != '[a](b)']", sym(Kind.EDGE, ConstTest("note", "!=", "[a](b)"))),
+            ('(owner = "a)(")', sym(Kind.NODE, ConstTest("owner", "=", "a)("))),
+            (
+                "(_)[note = 'x]y'](_)",
+                concat(
+                    sym(Kind.NODE, LabelMatch(None, None)),
+                    sym(Kind.EDGE, ConstTest("note", "=", "x]y")),
+                    sym(Kind.NODE, LabelMatch(None, None)),
+                ),
+            ),
+        ],
+    )
+    def test_quoted_constants_may_hold_brackets(self, text, expected):
+        assert parse_dlrpq(text) == expected
+
 
 class TestCombinators:
     def test_example21_nodes(self):
