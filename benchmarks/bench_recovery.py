@@ -80,10 +80,12 @@ class SlowService(QueryService):
         super().__init__(**kwargs)
         self.delay = delay
 
-    def execute(self, request: Request, budget=None) -> dict:
-        if request.op in ("rpq", "crpq"):
+    def execute(self, request: Request, budget=None, **options):
+        # Only a computing call sleeps: the server's event-loop cache
+        # probe (cached_only=True) must stay instant.
+        if request.op in ("rpq", "crpq") and not options.get("cached_only"):
             time.sleep(self.delay)
-        return super().execute(request, budget)
+        return super().execute(request, budget, **options)
 
 
 def _percentile(samples, fraction):

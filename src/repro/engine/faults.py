@@ -41,7 +41,9 @@ SITES = frozenset(
         "kernel.step",          # per product-pair expansion (CSR and dict)
         "cache.compile",        # compilation-cache fill path
         "batch.worker",         # start of each batch work item
-        "service.execute",      # worker-pool entry of a server request
+        "service.execute",      # worker-pool entry of a server request: once per
+                                # pool request, never on the event loop (cache
+                                # hits and control ops do not pass it)
         "service.cache_put",    # answer-cache insertion on clean completion
         "server.read",          # server's per-line read loop
         "server.write",         # server's response write path

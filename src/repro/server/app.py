@@ -5,9 +5,20 @@ connection decides whether it is an HTTP request (``GET /healthz``,
 ``GET /metrics``, ``GET /stats``, ``POST /query``) or a JSON-lines session
 (any number of protocol requests, one per line, answered in order).
 Execution always flows through the same path — admission slot, the op
-table's parameter check, the budget derived from the checked limits,
-worker-pool ``run_in_executor``, per-query ``wait_for`` budget — so both
-transports share the typed error vocabulary and the metrics.
+table's parameter check, one answer-cache probe, then on a miss the budget
+derived from the checked limits, worker-pool ``run_in_executor`` and the
+per-query ``wait_for`` budget — so both transports share the typed error
+vocabulary and the metrics.
+
+**Hits on the loop, misses on the pool.**  A cacheable request whose
+answer the cache holds is answered on the event loop by
+``QueryService.execute(request, cached_only=True)``: one dict lookup, no
+thread hand-off.  The probe never computes and never faults a lazy graph
+in, so nothing it does can block the loop.  Everything else runs on the
+worker pool, which stays because a miss can run for seconds and must not
+stall other connections; ``server_executor_wait_seconds`` measures the
+hop that remains (submit to worker start) and ``server_answers_on_loop``
+counts the hits that skipped it.
 
 **Graceful drain** (SIGTERM/SIGINT, or :meth:`QueryServer.request_drain`):
 
@@ -29,6 +40,7 @@ import signal
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 from repro.engine.faults import FaultError, fault_point
 from repro.engine.limits import CancellationToken, make_budget
@@ -56,6 +68,11 @@ _HTTP_METHODS = (b"GET ", b"POST ", b"HEAD ", b"PUT ", b"DELETE ", b"OPTIONS ")
 #: so the worker's own (informative, partial-result-carrying) BudgetExceeded
 #: normally wins the race against the bare asyncio timeout.
 _WAIT_GRACE = 0.1
+
+#: Seconds a worker whose cancellation token the hard timeout fired gets to
+#: reach its next stride check and answer with its own BudgetExceeded; past
+#: that the worker counts as wedged and the request gets the bare timeout.
+_UNWIND_GRACE = 1.0
 
 
 class QueryServer:
@@ -311,23 +328,36 @@ class QueryServer:
                     asyncio.sleep(seconds), self.admission.query_timeout
                 )
                 return {"slept": seconds}
+            # An answer-cache hit answers here, on the loop: one dict
+            # lookup costs less than the two cross-thread wake-ups of the
+            # pool.  The probe never computes; a miss returns None and the
+            # request goes to a worker.
+            cached = self.service.execute(request, cached_only=True)
+            if cached is not None:
+                return cached
             budget, effective_timeout = self._budget_for(request.args)
+            future = self._loop.run_in_executor(
+                self._pool,
+                partial(
+                    self.service.execute, request, budget,
+                    queued_at=time.perf_counter(),
+                ),
+            )
             try:
                 return await asyncio.wait_for(
-                    self._loop.run_in_executor(
-                        self._pool, self.service.execute, request, budget
-                    ),
-                    effective_timeout + _WAIT_GRACE,
+                    asyncio.shield(future), effective_timeout + _WAIT_GRACE
                 )
             except asyncio.TimeoutError:
                 # The hard asyncio timeout fired before the worker noticed
                 # its deadline (it is mid-stride, or wedged).  Cancelling
                 # the token makes the worker unwind at its next stride
                 # check, so the pool slot this admission slot maps to is
-                # actually freed instead of burning until the fixpoint.
-                if budget is not None and budget.cancellation is not None:
-                    budget.cancellation.cancel("timeout")
-                raise
+                # actually freed instead of burning until the fixpoint, and
+                # its own BudgetExceeded (limit, states visited, partial
+                # rows) is the answer.  Only a worker that does not come
+                # back within the unwind grace gets the bare timeout.
+                budget.cancellation.cancel("timeout")
+                return await asyncio.wait_for(future, _UNWIND_GRACE)
 
     def _budget_for(self, args: dict):
         """The :class:`QueryBudget` of a checked request's ``args``, plus its

@@ -342,12 +342,15 @@ class AnswerCache:
         self.evictions = 0
         self.invalidations = 0
 
-    def get(self, key: tuple):
-        """The cached answer for ``key``, or ``None`` (and a miss count)."""
+    def get(self, key: tuple, *, count_miss: bool = True):
+        """The cached answer for ``key``, or ``None`` (and a miss count,
+        unless ``count_miss`` is off: a probe whose miss the computing
+        :meth:`lookup` will count)."""
         with self._lock:
             value = self._entries.get(key, _MISSING)
             if value is _MISSING:
-                self.misses += 1
+                if count_miss:
+                    self.misses += 1
                 return None
             # LRU refresh: dicts iterate in insertion order, so re-inserting
             # moves the key to the most-recently-used end.
@@ -428,10 +431,15 @@ class AnswerCache:
 class QueryService:
     """Execute protocol requests against the resident catalog and engine.
 
-    :meth:`execute` is synchronous and thread-safe — the app calls it on a
-    worker pool via ``run_in_executor``, so each request's ``server.request``
-    span opens on that worker's empty thread-local stack and becomes a root
-    tree with the kernel's spans nested inside.
+    :meth:`execute` is synchronous and thread-safe.  The app calls it
+    twice over for a cacheable request: first on the event loop with
+    ``cached_only=True``, which answers an answer-cache hit from one
+    :meth:`AnswerCache.get` and otherwise returns ``None`` without
+    computing; then, on a miss, on a worker pool via ``run_in_executor``,
+    where the request's ``server.request`` span opens on the worker's empty
+    thread-local stack and becomes a root tree with the kernel's spans
+    nested inside.  Both calls share the metrics and span code below, so a
+    request is counted once whichever of them answers it.
 
     Budget limits (timeout/max_rows/max_states) travel in the request
     params, hence in the cache key's options; a tripped budget *raises*
@@ -454,7 +462,10 @@ class QueryService:
     # ------------------------------------------------------------------
     # the entry point
     # ------------------------------------------------------------------
-    def execute(self, request: Request, budget=None) -> dict:
+    def execute(
+        self, request: Request, budget=None, *, cached_only: bool = False,
+        queued_at: "float | None" = None,
+    ) -> "dict | None":
         """Run one request to a JSON-ready result (raises typed errors).
 
         ``budget`` (a :class:`~repro.engine.limits.QueryBudget`, built by
@@ -466,20 +477,43 @@ class QueryService:
         A remote ``trace`` context (``{"trace_id": <32-hex>, "span_id":
         <16-hex>}``, ``span_id`` naming the *caller's* span) makes this
         request's ``server.request`` root its remote child.
+
+        ``cached_only`` is the app's event-loop probe: the answer comes
+        from one :meth:`AnswerCache.get` (counted as a hit and under
+        ``server_answers_on_loop``) or not at all — ``None``, nothing
+        computed and nothing counted, since the call that computes the
+        answer counts the miss.  It reads only the entry's version, so a
+        lazy entry faults nothing in.  ``queued_at`` is the
+        ``perf_counter()`` reading at which the app submitted the request
+        to its worker pool; the wait until this call starts is observed as
+        ``server_executor_wait_seconds``.
         """
         request = check_request(request)
+        spec = OP_TABLE[request.op]
+        started = time.perf_counter()
+        cached = None
+        if cached_only:
+            cached = self._cached(request) if spec.cacheable else None
+            if cached is None:
+                return None
+        elif not spec.control:
+            if queued_at is not None:
+                with self._metrics_lock:
+                    self.metrics.observe(
+                        "server_executor_wait_seconds", started - queued_at
+                    )
+            fault_point("service.execute")
         tracer = get_tracer()
         trace_ctx = request.args["trace"]
-        started = time.perf_counter()
-        fault_point("service.execute")
         try:
             if trace_ctx is None and not tracer.enabled:
-                result, cache_hit = self._dispatch(request, budget)
+                result, cache_hit = self._dispatch(request, budget, cached)
             else:
                 # With a remote trace context but no tracing here, the
                 # request runs under a per-request ephemeral tracer so the
                 # caller still gets its subtree.  Safe because execute()
-                # runs synchronously on one worker thread — the override is
+                # runs synchronously on one thread (a pool worker, or the
+                # event loop for a cache hit) — the override is
                 # thread-local and unwinds here.
                 # The root adopts the caller's trace_id/span_id, and the
                 # finished subtree ships back as ``trace_spans`` on a
@@ -490,7 +524,7 @@ class QueryService:
                 ) as span:
                     if trace_ctx is not None:
                         span.adopt_remote(trace_ctx)
-                    result, cache_hit = self._dispatch(request, budget)
+                    result, cache_hit = self._dispatch(request, budget, cached)
                     span.set(cache_hit=cache_hit)
                 if trace_ctx is not None:
                     result = {**result, "trace_spans": [span_tree_dict(span)]}
@@ -504,7 +538,7 @@ class QueryService:
             self.metrics.inc("server_requests_total")
             self.metrics.inc(f"server_requests_{request.op.replace('.', '_')}")
             self.metrics.observe("server_request_seconds", elapsed)
-            if OP_TABLE[request.op].cacheable:
+            if spec.cacheable:
                 self.metrics.inc(
                     "server_answer_cache_hits" if cache_hit
                     else "server_answer_cache_misses"
@@ -514,6 +548,8 @@ class QueryService:
                     else "server_cache_miss_seconds",
                     elapsed,
                 )
+                if cached_only:
+                    self.metrics.inc("server_answers_on_loop")
         return result
 
     def record_error(self, code: str) -> None:
@@ -522,10 +558,13 @@ class QueryService:
             self.metrics.inc("server_errors_total")
             self.metrics.inc(f"server_errors_{code}")
 
-    def _dispatch(self, request, budget=None) -> tuple[dict, bool]:
+    def _dispatch(self, request, budget=None, cached=None) -> tuple[dict, bool]:
         """Run the handler the op table names: control handlers take no
         arguments, cacheable ones go through the answer cache, the rest take
-        the checked request and the budget."""
+        the checked request and the budget.  A ``cached`` answer the probe
+        already holds is the hit itself."""
+        if cached is not None:
+            return cached, True
         spec = OP_TABLE[request.op]
         if spec.handler is None:
             raise BadRequestError(f"op {request.op!r} is not executable by the service")
@@ -702,6 +741,16 @@ class QueryService:
         from repro.storage.lazy import query_labels
 
         return handle.view(query_labels(query, handle.labels))
+
+    def _cached(self, request) -> "dict | None":
+        """The cached answer of a cacheable ``request``, or ``None``: one
+        :meth:`AnswerCache.get` that leaves a miss uncounted."""
+        name = request.args["graph"]
+        entry = self.catalog.get(name)
+        return self.answer_cache.get(
+            answer_key(name, entry.version, request.op, request.params),
+            count_miss=False,
+        )
 
     def _query(self, request, budget=None) -> tuple[dict, bool]:
         name = request.args["graph"]

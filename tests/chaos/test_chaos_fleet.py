@@ -59,11 +59,13 @@ class SlowService(QueryService):
         self.delay = delay
         self.queries = 0
 
-    def execute(self, request: Request, budget=None) -> dict:
-        if request.op in ("rpq", "crpq"):
+    def execute(self, request: Request, budget=None, **options):
+        # Only a computing call sleeps: the server's event-loop cache
+        # probe (cached_only=True) must stay instant.
+        if request.op in ("rpq", "crpq") and not options.get("cached_only"):
             self.queries += 1
             time.sleep(self.delay)
-        return super().execute(request, budget)
+        return super().execute(request, budget, **options)
 
 
 @pytest.fixture()

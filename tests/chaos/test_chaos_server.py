@@ -7,17 +7,20 @@ controller with ``active == 0`` — a leaked slot would wedge the server at
 one tenant's third slow query.
 """
 
+import time
+
 import pytest
 
-from repro.graph.generators import label_cycle
+from repro.graph.generators import label_cycle, random_transfer_network
 from repro.server.admission import AdmissionController
-from repro.server.app import ServerThread
+from repro.server.app import _UNWIND_GRACE, _WAIT_GRACE, ServerThread
 from repro.server.client import (
     ConnectionLost,
     RetryPolicy,
     ServerClient,
     ServerError,
 )
+from repro.server.service import QueryService
 
 #: Wall-clock budget for the deliberately-slow queries below (seconds).
 SHORT_TIMEOUT = 0.25
@@ -55,6 +58,32 @@ def upload_cycle(client):
     client.upload_graph("cycle", label_cycle(9))
 
 
+def dlrpq_server():
+    """:func:`slow_server` over a small transfer network: the dlrpq below
+    pops ~1200 configurations, each a pass through ``kernel.step`` and one
+    budget tick, so a delay armed there lands inside a stride."""
+    service = QueryService()
+    service.catalog.register("transfers", random_transfer_network(100, 600, seed=1))
+    return ServerThread(
+        service=service,
+        admission=AdmissionController(
+            max_concurrency=1, max_queue=1, query_timeout=SHORT_TIMEOUT
+        ),
+    )
+
+
+def slow_dlrpq(client):
+    return client.request(
+        "dlrpq",
+        graph="transfers",
+        query="(_) [Transfer][x := date] ( (_)[Transfer][date > x][x := date] )* (_)",
+        source="a0",
+        target="a1",
+        mode="shortest",
+        limit=5,
+    )
+
+
 class TestTimeoutsFreeTheirSlots:
     def test_n_timeouts_leave_active_zero(self):
         with slow_server() as harness:
@@ -84,6 +113,47 @@ class TestTimeoutsFreeTheirSlots:
                 assert exc.details.get("limit") == "timeout"
                 assert exc.details.get("states_visited", 0) > 0
 
+    def test_a_stride_outlasting_the_grace_keeps_the_structured_envelope(
+        self, faults
+    ):
+        """The hard ``wait_for`` fires while the worker is mid-stride: the
+        first configuration of a dlrpq build sleeps past the deadline plus
+        ``_WAIT_GRACE``.  The worker still comes back — at its next stride
+        check, its token cancelled — and its own BudgetExceeded is the
+        answer, not the bare asyncio timeout."""
+        # drop=True makes the site a pure delay: kernel.step has no
+        # transport to sever, so it sleeps and carries on.
+        faults.arm("kernel.step", delay=SHORT_TIMEOUT + 2 * _WAIT_GRACE, drop=True)
+        with dlrpq_server() as harness:
+            with ServerClient(*harness.address) as client:
+                started = time.perf_counter()
+                with pytest.raises(ServerError) as excinfo:
+                    slow_dlrpq(client)
+                elapsed = time.perf_counter() - started
+        exc = excinfo.value
+        assert elapsed > SHORT_TIMEOUT + _WAIT_GRACE  # the hard wait fired
+        assert exc.code == "timeout"
+        assert exc.details.get("limit") == "timeout"
+        assert exc.details.get("states_visited", 0) > 0
+
+    def test_a_wedged_worker_gets_the_bare_timeout(self, faults):
+        """A worker that does not reach a stride check within the unwind
+        grace either is wedged: the request answers the bare ``timeout``
+        (no ``limit``, no ``states_visited``) instead of waiting for it."""
+        faults.arm(
+            "kernel.step",
+            delay=SHORT_TIMEOUT + _WAIT_GRACE + _UNWIND_GRACE + 0.3,
+            drop=True,
+        )
+        with dlrpq_server() as harness:
+            with ServerClient(*harness.address) as client:
+                with pytest.raises(ServerError) as excinfo:
+                    slow_dlrpq(client)
+        exc = excinfo.value
+        assert exc.code == "timeout"
+        assert "limit" not in exc.details
+        assert "states_visited" not in exc.details
+
     def test_row_ceiling_maps_to_budget_exceeded(self):
         with slow_server() as harness:
             with ServerClient(*harness.address) as client:
@@ -99,6 +169,23 @@ class TestTimeoutsFreeTheirSlots:
                 assert full["count"] > 1
                 partial_pair = tuple(exc.details["partial"][0])
                 assert partial_pair in {tuple(p) for p in full["pairs"]}
+
+
+class TestPoolEntrySite:
+    def test_hits_and_control_ops_never_pass_it(self, faults):
+        """``service.execute`` marks the worker-pool entry: a cache hit and
+        a ping answer on the event loop, so a delay armed there cannot
+        stall them (or the loop)."""
+        with ServerThread() as harness:
+            with ServerClient(*harness.address) as client:
+                cold = client.rpq("fig2", "Transfer")  # the miss enters the pool
+                faults.arm("service.execute", delay=5.0, drop=True)
+                started = time.perf_counter()
+                assert client.rpq("fig2", "Transfer") == cold
+                assert client.ping() == {"pong": True}
+                assert time.perf_counter() - started < 1.0
+                assert faults.armed_sites() == ["service.execute"]  # unfired
+                faults.disarm("service.execute")
 
 
 class TestTornConnections:

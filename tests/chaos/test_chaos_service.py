@@ -91,7 +91,7 @@ class TestPathsOp:
                 "source": "a4",
                 "target": "a4",
                 "mode": "all",
-                "limit": 10**6,
+                "limit": 10**3,
             },
         )
         with pytest.raises(BudgetExceeded) as excinfo:

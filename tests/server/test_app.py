@@ -188,6 +188,84 @@ class TestHttpFacade:
         assert status == 404
 
 
+class TestAnswerCacheHitsOnTheLoop:
+    """A cached answer is served on the event loop: only the miss goes to
+    the worker pool, and every request is still counted exactly once."""
+
+    N = 6
+    CTX = {"trace_id": "ab" * 16, "span_id": "cd" * 8}
+
+    @pytest.fixture()
+    def watched(self, monkeypatch):
+        """A fresh server whose pool submissions are recorded, and whose
+        answer computations record the thread they ran on."""
+        submitted, computed = [], []
+        with ServerThread() as running:
+            pool, service = running.server._pool, running.server.service
+            real_submit, real_evaluate = pool.submit, service.evaluate
+
+            def submit(fn, *args, **kwargs):
+                submitted.append(fn)
+                return real_submit(fn, *args, **kwargs)
+
+            def evaluate(*args, **kwargs):
+                computed.append(threading.current_thread().name)
+                return real_evaluate(*args, **kwargs)
+
+            monkeypatch.setattr(pool, "submit", submit)
+            monkeypatch.setattr(service, "evaluate", evaluate)
+            yield running, submitted, computed
+
+    def test_n_identical_reads_submit_once(self, watched):
+        harness, submitted, computed = watched
+        with ServerClient(*harness.address) as connection:
+            results = [connection.rpq("fig2", "Transfer+") for _ in range(self.N)]
+            stats = connection.stats()
+        assert len(submitted) == 1
+        assert len(computed) == 1 and computed[0].startswith("repro-query")
+        assert stats["answer_cache"]["hits"] == self.N - 1
+        assert stats["answer_cache"]["misses"] == 1
+        counters = stats["metrics"]["counters"]
+        assert counters["server_requests_total"] == self.N
+        assert counters["server_answers_on_loop"] == self.N - 1
+        histograms = stats["metrics"]["histograms"]
+        assert histograms["server_executor_wait_seconds"]["count"] == 1
+        assert histograms["server_request_seconds"]["count"] == self.N
+        assert histograms["server_cache_hit_seconds"]["count"] == self.N - 1
+        assert histograms["server_cache_miss_seconds"]["count"] == 1
+        assert all(result == results[0] for result in results)
+
+    def test_new_names_reach_the_prometheus_exposition(self, watched):
+        harness, _, _ = watched
+        with ServerClient(*harness.address) as connection:
+            connection.rpq("fig2", "Transfer")
+            connection.rpq("fig2", "Transfer")
+        status, body = http_get(*harness.address, "/metrics")
+        assert status == 200
+        assert "repro_server_answers_on_loop 1" in body
+        assert "repro_server_executor_wait_seconds_count 1" in body
+
+    def test_a_traced_hit_still_returns_its_span_tree(self, watched):
+        harness, submitted, _ = watched
+        with ServerClient(*harness.address) as connection:
+            cold = connection.request(
+                "rpq", graph="fig2", query="owner", trace=self.CTX
+            )
+            warm = connection.request(
+                "rpq", graph="fig2", query="owner", trace=self.CTX
+            )
+        assert len(submitted) == 1
+        assert cold["trace_spans"][0]["attributes"]["cache_hit"] is False
+        (tree,) = warm["trace_spans"]
+        assert tree["name"] == "server.request"
+        assert tree["trace_id"] == self.CTX["trace_id"]
+        assert tree["parent_span_id"] == self.CTX["span_id"]
+        assert tree["attributes"]["cache_hit"] is True
+        assert {k: v for k, v in warm.items() if k != "trace_spans"} == {
+            k: v for k, v in cold.items() if k != "trace_spans"
+        }
+
+
 class TestOverloadAndLimits:
     def test_queue_full_is_typed_and_fast(self):
         admission = AdmissionController(
