@@ -234,9 +234,13 @@ def _join(
             if plan is not None:
                 ordered = plan
             elif planner is not None:
-                ordered = make_plan(query, graph, planner, stats=stats)
+                ordered = make_plan(
+                    query, graph, planner, stats=stats, budget=budget
+                )
             elif use_index:
-                ordered = make_plan(query, graph, "cost", stats=stats)
+                ordered = make_plan(
+                    query, graph, "cost", stats=stats, budget=budget
+                )
             else:
                 ordered = greedy_plan(query, graph)
             # When tracing, price the chosen order up front so every

@@ -144,6 +144,7 @@ def cost_plan(
     graph: EdgeLabeledGraph,
     *,
     stats=None,
+    budget=None,
 ) -> list[RPQAtom]:
     """Order atoms by estimated access cost with bound-variable propagation.
 
@@ -154,15 +155,19 @@ def cost_plan(
     appended and its variables join the bound set, so estimates tighten as
     the plan grows (classic greedy join ordering with sideways information
     passing).  Ties break on ``repr`` for determinism.
+
+    Pricing is quadratic in the number of atoms, so a ``budget`` is
+    checked once per compiled atom and once per chosen step.
     """
     from repro.engine import kernel
     from repro.engine.cardinality import CardinalityModel
 
     model = CardinalityModel(graph, stats)
-    compiled = {
-        id(atom): kernel.compile_query(atom.regex, graph, stats=stats)
-        for atom in query.atoms
-    }
+    compiled = {}
+    for atom in query.atoms:
+        if budget is not None:
+            budget.check()
+        compiled[id(atom)] = kernel.compile_query(atom.regex, graph, stats=stats)
 
     def term_bound(term, bound: set[Var]) -> bool:
         return not isinstance(term, Var) or term in bound
@@ -171,6 +176,8 @@ def cost_plan(
     bound: set[Var] = set()
     remaining = list(query.atoms)
     while remaining:
+        if budget is not None:
+            budget.check()
         best = min(
             remaining,
             key=lambda atom: (
@@ -282,10 +289,11 @@ def make_plan(
     planner: str = "cost",
     *,
     stats=None,
+    budget=None,
 ) -> list[RPQAtom]:
     """Dispatch to a named planner (``"cost"`` or ``"greedy"``)."""
     if planner == "cost":
-        return cost_plan(query, graph, stats=stats)
+        return cost_plan(query, graph, stats=stats, budget=budget)
     if planner == "greedy":
         return greedy_plan(query, graph)
     raise ValueError(

@@ -38,6 +38,7 @@ def explain_query(
     graph: EdgeLabeledGraph,
     *,
     planner: str = "cost",
+    budget=None,
 ) -> dict:
     """The plan (with estimates) the engine would run — no execution.
 
@@ -45,7 +46,7 @@ def explain_query(
     cost under bound-variable propagation, and the estimated size of the
     atom's full relation.  RPQs report the compiled automaton's shape and
     the cardinality model's pair/source/target estimates for the one-sweep
-    evaluation.
+    evaluation.  A ``budget`` is checked while the atoms are planned.
     """
     from repro.engine import kernel
     from repro.engine.cardinality import (
@@ -64,7 +65,7 @@ def explain_query(
         from repro.crpq.planning import explain_steps, make_plan
 
         parsed = parse_crpq(query)
-        ordered = make_plan(parsed, graph, planner)
+        ordered = make_plan(parsed, graph, planner, budget=budget)
         steps = explain_steps(ordered, graph)
         report["planner"] = planner
         report["head"] = [repr(var) for var in parsed.head]

@@ -9,6 +9,12 @@ kernel, the compilation cache, the batch executor and the server's read/write
 paths.  A test *arms* a site with a behaviour (raise, delay, or drop) and
 the next N passages through it fire deterministically.
 
+An armed *delay* models slow work, and slow work never runs on the
+server's event loop: inside :meth:`FaultInjector.delays_spill` (a served
+read's first attempt, on the loop) a site armed with a delay raises
+:class:`~repro.engine.limits.Spill` instead of sleeping, and the rerun on a
+worker sleeps there.
+
 Determinism rules:
 
 * a site armed with ``times=N`` fires on exactly its next N passages —
@@ -30,7 +36,9 @@ import os
 import random
 import threading
 import time
+from contextlib import contextmanager
 
+from repro.engine.limits import Spill
 from repro.errors import ReproError
 
 #: The catalog of sites the engine plants (arming an unknown site is an
@@ -42,8 +50,8 @@ SITES = frozenset(
         "cache.compile",        # compilation-cache fill path
         "batch.worker",         # start of each batch work item
         "service.execute",      # worker-pool entry of a server request: once per
-                                # pool request, never on the event loop (cache
-                                # hits and control ops do not pass it)
+                                # pool request, never on the event loop (reads
+                                # answered there and control ops do not pass it)
         "service.cache_put",    # answer-cache insertion on clean completion
         "server.read",          # server's per-line read loop
         "server.write",         # server's response write path
@@ -90,6 +98,7 @@ class FaultInjector:
         #: site -> passages observed while enabled (armed or not); chaos
         #: tests assert coverage ("the drain really crossed server.write").
         self.passages: dict[str, int] = {}
+        self._local = threading.local()
 
     # ------------------------------------------------------------------
     # control plane (tests)
@@ -151,8 +160,13 @@ class FaultInjector:
         if not self.enabled:
             return False
         with self._lock:
-            self.passages[site] = self.passages.get(site, 0) + 1
             arming = self._armed.get(site)
+            if (
+                arming is not None and arming.delay
+                and getattr(self._local, "spilling", False)
+            ):
+                raise Spill(f"a delay is armed at fault site {site!r}")
+            self.passages[site] = self.passages.get(site, 0) + 1
             if arming is None:
                 return False
             if arming.probability < 1.0 and self._rng.random() >= arming.probability:
@@ -170,6 +184,18 @@ class FaultInjector:
         if isinstance(error, type):
             raise error(f"injected fault at site {site!r}")
         raise error
+
+    @contextmanager
+    def delays_spill(self):
+        """Within this block, on this thread, a site armed with a delay
+        raises :class:`~repro.engine.limits.Spill` before it counts a
+        passage or fires (the server wraps a read's attempt on its event
+        loop in it)."""
+        self._local.spilling = True
+        try:
+            yield
+        finally:
+            self._local.spilling = False
 
 
 #: The process-wide injector every planted site consults.

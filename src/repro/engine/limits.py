@@ -24,6 +24,11 @@ Design constraints, in order:
    :class:`BudgetExceeded` names the limit that tripped and carries the
    rows produced so far, so servers and batch runners report structured
    partial results instead of a bare error string.
+4. **Running out of a spill allowance is neither.**  The server runs a
+   read on its event loop first under :meth:`QueryBudget.spill_after`;
+   past the allowance the next check raises :class:`Spill`, which carries
+   nothing, and the server reruns the request on its worker pool under
+   the rest of the request's own budget.
 """
 
 from __future__ import annotations
@@ -96,6 +101,16 @@ class BudgetExceeded(EvaluationError):
         if self.elapsed is not None:
             body["elapsed_seconds"] = round(self.elapsed, 6)
         return body
+
+
+class Spill(Exception):
+    """An attempt on the event loop outgrew its spill allowance, or reached
+    work the loop must not do (I/O): rerun the request on a worker.
+
+    Deliberately not a :class:`BudgetExceeded`: it names no limit of the
+    request, carries no partial result, is never counted as a budget trip
+    and never reaches a client.
+    """
 
 
 class Deadline:
@@ -172,6 +187,7 @@ class QueryBudget:
         "cancellation",
         "stride",
         "states_visited",
+        "spill_at",
         "_countdown",
     )
 
@@ -199,6 +215,9 @@ class QueryBudget:
         self.cancellation = cancellation
         self.stride = stride
         self.states_visited = 0
+        #: ``time.monotonic()`` past which :meth:`check` raises :class:`Spill`
+        #: (``None``: never; set by :meth:`spill_after`)
+        self.spill_at: "float | None" = None
         self._countdown = stride
 
     # ------------------------------------------------------------------
@@ -219,7 +238,10 @@ class QueryBudget:
 
     def check(self) -> None:
         """Run every limit check now (used at stride boundaries and at
-        natural barriers like "about to start the next atom")."""
+        natural barriers like "about to start the next atom").
+
+        The request's own limits come first, so when a limit and the spill
+        allowance run out at the same check, the limit is the answer."""
         cancellation = self.cancellation
         if cancellation is not None and cancellation.cancelled:
             reason = cancellation.reason or "cancelled"
@@ -247,6 +269,15 @@ class QueryBudget:
                 states_visited=self.states_visited,
                 elapsed=deadline.elapsed() if deadline else None,
             )
+        if self.spill_at is not None and time.monotonic() >= self.spill_at:
+            raise Spill("the spill allowance ran out")
+
+    def spill(self, reason: str) -> None:
+        """Raise :class:`Spill` now when this budget has a spill allowance:
+        work that must not run on the event loop (faulting a stored graph
+        in) calls this first.  A no-op on any other budget."""
+        if self.spill_at is not None:
+            raise Spill(reason)
 
     def check_rows(self, rows: int) -> None:
         """Raise when the evaluation has produced more than ``max_rows``.
@@ -270,13 +301,7 @@ class QueryBudget:
         """A budget for a sibling work item: same limits, same deadline and
         cancellation *objects*, fresh counters (the batch executor hands
         one to every work item)."""
-        return QueryBudget(
-            deadline=self.deadline,
-            max_rows=self.max_rows,
-            max_states=self.max_states,
-            cancellation=self.cancellation,
-            stride=self.stride,
-        )
+        return self._derive(self.max_rows)
 
     def subquery(self) -> "QueryBudget":
         """A budget for an *intermediate* traversal (a CRPQ atom's RPQ, a
@@ -285,13 +310,27 @@ class QueryBudget:
         answer, not to intermediate relations."""
         if self.max_rows is None:
             return self
-        return QueryBudget(
+        return self._derive(None)
+
+    def spill_after(self, seconds: float) -> "QueryBudget":
+        """A fork whose checks also raise :class:`Spill` from ``seconds``
+        on: the budget of a request's first attempt, on the event loop.
+        The budget itself stays untouched — same deadline, no counts — for
+        the rerun on a worker."""
+        budget = self.fork()
+        budget.spill_at = time.monotonic() + seconds
+        return budget
+
+    def _derive(self, max_rows: "int | None") -> "QueryBudget":
+        budget = QueryBudget(
             deadline=self.deadline,
-            max_rows=None,
+            max_rows=max_rows,
             max_states=self.max_states,
             cancellation=self.cancellation,
             stride=self.stride,
         )
+        budget.spill_at = self.spill_at
+        return budget
 
     def snapshot(self) -> dict:
         """A JSON-ready description (for traces and batch digests)."""

@@ -294,6 +294,13 @@ class Tracer:
                 with self._lock:
                     self.roots.append(span)
 
+    def discard(self, span: Span) -> None:
+        """Forget a finished root: an attempt whose work reruns elsewhere
+        (a served read that spilled to the worker pool) opens no tree."""
+        with self._lock:
+            if span in self.roots:
+                self.roots.remove(span)
+
     def annotate(self, **attributes) -> None:
         """Attach attributes to the current span (no-op outside any span)."""
         span = self.current()
@@ -399,6 +406,9 @@ class NullTracer:
         return _NULL_CONTEXT
 
     def current(self) -> None:
+        return None
+
+    def discard(self, span) -> None:
         return None
 
     def annotate(self, **attributes) -> None:

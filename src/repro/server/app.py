@@ -5,20 +5,33 @@ connection decides whether it is an HTTP request (``GET /healthz``,
 ``GET /metrics``, ``GET /stats``, ``POST /query``) or a JSON-lines session
 (any number of protocol requests, one per line, answered in order).
 Execution always flows through the same path — admission slot, the op
-table's parameter check, one answer-cache probe, then on a miss the budget
-derived from the checked limits, worker-pool ``run_in_executor`` and the
-per-query ``wait_for`` budget — so both transports share the typed error
-vocabulary and the metrics.
+table's parameter check, the budget derived from the checked limits, then
+a first attempt on the event loop for a read and, if it spills, the
+worker pool's ``run_in_executor`` under the per-query ``wait_for`` — so
+both transports share the typed error vocabulary and the metrics.
 
-**Hits on the loop, misses on the pool.**  A cacheable request whose
-answer the cache holds is answered on the event loop by
-``QueryService.execute(request, cached_only=True)``: one dict lookup, no
-thread hand-off.  The probe never computes and never faults a lazy graph
-in, so nothing it does can block the loop.  Everything else runs on the
-worker pool, which stays because a miss can run for seconds and must not
-stall other connections; ``server_executor_wait_seconds`` measures the
-hop that remains (submit to worker start) and ``server_answers_on_loop``
-counts the hits that skipped it.
+**Reads on the loop first, spill to the pool.**  Every op the op table
+marks ``idempotent`` and not ``control`` (``rpq``, ``crpq``, ``dlrpq``,
+``paths``, ``explain``, ``frontier_step``) runs first right on the event
+loop, as ``QueryService.execute(request, budget.spill_after(allowance),
+on_loop=True)``: a cache hit is one dict lookup, and a miss or a shard's
+frontier step that finishes within the spill allowance answers with no
+thread hand-off at all.  Past the allowance the read's next budget check
+raises :class:`~repro.engine.limits.Spill` (so does a miss on a stored
+graph that would fault segments in, and a fault site armed with a delay);
+the attempt leaves nothing counted or cached and the request reruns on
+the worker pool under the rest of its own deadline.  The caller cannot
+tell.  Uploads, mutations and ``sleep`` go to the pool directly.
+``_SPILL_ALLOWANCE`` is 2 ms: five or six pool round trips (~0.3-0.4 ms
+each on a 2-vCPU host), far above a single-source RPQ or a shard's
+frontier step on ``random_graph(2000, 16000)`` (~0.03-0.1 ms), and one
+budget stride (3-15 ms for the heaviest reads) bounds how far past it a
+spilling read holds the loop.  ``server_answers_on_loop`` counts the
+answers produced on the loop, ``server_spills_total`` the reads that moved,
+``server_executor_wait_seconds`` and ``server_executor_resume_seconds`` the
+two halves of the pool round trip (submit to worker start; worker done to
+loop resumed), and ``server_loop_lag_seconds`` how late a periodic loop
+callback runs.
 
 **Graceful drain** (SIGTERM/SIGINT, or :meth:`QueryServer.request_drain`):
 
@@ -40,10 +53,9 @@ import signal
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 
-from repro.engine.faults import FaultError, fault_point
-from repro.engine.limits import CancellationToken, make_budget
+from repro.engine.faults import FAULTS, FaultError, fault_point
+from repro.engine.limits import CancellationToken, Spill, make_budget
 from repro.engine.tracing import NULL_TRACER, Tracer, use_tracer
 from repro.server.admission import AdmissionController
 from repro.server.protocol import (
@@ -73,6 +85,16 @@ _WAIT_GRACE = 0.1
 #: reach its next stride check and answer with its own BudgetExceeded; past
 #: that the worker counts as wedged and the request gets the bare timeout.
 _UNWIND_GRACE = 1.0
+
+#: Seconds a read may run on the event loop before it spills to the worker
+#: pool: a few pool round trips (~0.3-0.4 ms each with one client on a
+#: 2-vCPU host, ~1.1 ms with two), far above a single-source RPQ or a
+#: shard's frontier step (~0.03-0.1 ms).  On ``shard_partitioned``, 0.5,
+#: 1, 2 and 5 ms gave the same ``read_p50_ms`` within noise.
+_SPILL_ALLOWANCE = 0.002
+
+#: Seconds between the loop-lag probe's wake-ups (``server_loop_lag_seconds``).
+_LAG_PERIOD = 0.01
 
 
 class QueryServer:
@@ -109,6 +131,7 @@ class QueryServer:
         self._idle: "asyncio.Event | None" = None
         self._done: "asyncio.Event | None" = None
         self._writers: set = set()
+        self._lag_probe: "asyncio.TimerHandle | None" = None
         #: set once the listening socket is bound (thread-safe: ServerThread
         #: waits on it from another thread before handing out the address)
         self.started = threading.Event()
@@ -140,6 +163,7 @@ class QueryServer:
             limit=self.admission.max_request_bytes + 4096,
         )
         self.port = self._server.sockets[0].getsockname()[1]
+        self._probe_loop_lag(self._loop.time())
         self.started.set()
         if self.announce:
             print(
@@ -162,6 +186,16 @@ class QueryServer:
                         pass
             await self._done.wait()
 
+    def _probe_loop_lag(self, due: float) -> None:
+        """Observe how late this periodic callback runs — the time the loop
+        spent on something else (an answer computed inline, a spill's
+        first part) — and schedule the next one."""
+        now = self._loop.time()
+        self.service.observe("server_loop_lag_seconds", now - due)
+        self._lag_probe = self._loop.call_at(
+            now + _LAG_PERIOD, self._probe_loop_lag, now + _LAG_PERIOD
+        )
+
     def request_drain(self) -> None:
         """Begin graceful shutdown (signal-handler and cross-thread safe)."""
         if self._loop is None or self._drain_task is not None:
@@ -180,6 +214,8 @@ class QueryServer:
 
     async def _drain(self) -> None:
         self._draining = True
+        if self._lag_probe is not None:
+            self._lag_probe.cancel()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -328,40 +364,59 @@ class QueryServer:
                     asyncio.sleep(seconds), self.admission.query_timeout
                 )
                 return {"slept": seconds}
-            # An answer-cache hit answers here, on the loop: one dict
-            # lookup costs less than the two cross-thread wake-ups of the
-            # pool.  The probe never computes; a miss returns None and the
-            # request goes to a worker.
-            cached = self.service.execute(request, cached_only=True)
-            if cached is not None:
-                return cached
-            budget, effective_timeout = self._budget_for(request.args)
-            future = self._loop.run_in_executor(
-                self._pool,
-                partial(
-                    self.service.execute, request, budget,
-                    queued_at=time.perf_counter(),
-                ),
+            budget = self._budget_for(request.args)
+            if spec.idempotent:
+                # A read runs here on the loop first: a hit or a small
+                # computation costs less than the two cross-thread wake-ups
+                # of the pool.  One that outgrows the spill allowance (or
+                # needs I/O) spills, with nothing counted or cached, and
+                # reruns on a worker under the rest of its own deadline.
+                try:
+                    with FAULTS.delays_spill():
+                        return self.service.execute(
+                            request, budget.spill_after(_SPILL_ALLOWANCE),
+                            on_loop=True,
+                        )
+                except Spill:
+                    pass
+            return await self._on_pool(request, budget)
+
+    async def _on_pool(self, request: Request, budget):
+        """The answer of ``request`` computed on a worker under ``budget``."""
+        future = self._loop.run_in_executor(
+            self._pool, self._run_on_worker, request, budget,
+            time.perf_counter(),
+        )
+        try:
+            result, done_at = await asyncio.wait_for(
+                asyncio.shield(future),
+                budget.deadline.remaining() + _WAIT_GRACE,
             )
-            try:
-                return await asyncio.wait_for(
-                    asyncio.shield(future), effective_timeout + _WAIT_GRACE
-                )
-            except asyncio.TimeoutError:
-                # The hard asyncio timeout fired before the worker noticed
-                # its deadline (it is mid-stride, or wedged).  Cancelling
-                # the token makes the worker unwind at its next stride
-                # check, so the pool slot this admission slot maps to is
-                # actually freed instead of burning until the fixpoint, and
-                # its own BudgetExceeded (limit, states visited, partial
-                # rows) is the answer.  Only a worker that does not come
-                # back within the unwind grace gets the bare timeout.
-                budget.cancellation.cancel("timeout")
-                return await asyncio.wait_for(future, _UNWIND_GRACE)
+        except asyncio.TimeoutError:
+            # The hard asyncio timeout fired before the worker noticed
+            # its deadline (it is mid-stride, or wedged).  Cancelling
+            # the token makes the worker unwind at its next stride
+            # check, so the pool slot this admission slot maps to is
+            # actually freed instead of burning until the fixpoint, and
+            # its own BudgetExceeded (limit, states visited, partial
+            # rows) is the answer.  Only a worker that does not come
+            # back within the unwind grace gets the bare timeout.
+            budget.cancellation.cancel("timeout")
+            result, done_at = await asyncio.wait_for(future, _UNWIND_GRACE)
+        self.service.observe(
+            "server_executor_resume_seconds", time.perf_counter() - done_at
+        )
+        return result
+
+    def _run_on_worker(self, request: Request, budget, queued_at: float):
+        """Pool body: the answer, and when the worker finished it (the
+        other half of the round trip, worker done to loop resumed, is
+        ``server_executor_resume_seconds``)."""
+        result = self.service.execute(request, budget, queued_at=queued_at)
+        return result, time.perf_counter()
 
     def _budget_for(self, args: dict):
-        """The :class:`QueryBudget` of a checked request's ``args``, plus its
-        effective timeout.
+        """The one :class:`QueryBudget` of a checked request's ``args``.
 
         Per-request limits come from the ``timeout`` / ``max_rows`` /
         ``max_states`` params; the wall-clock budget is always on and is
@@ -371,13 +426,12 @@ class QueryServer:
         effective = self.admission.query_timeout
         if args["timeout"] is not None:
             effective = min(float(args["timeout"]), effective)
-        budget = make_budget(
+        return make_budget(
             timeout=effective,
             max_rows=args["max_rows"],
             max_states=args["max_states"],
             cancellation=CancellationToken(),
         )
-        return budget, effective
 
     # ------------------------------------------------------------------
     # HTTP façade
@@ -400,20 +454,36 @@ class QueryServer:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        body = b""
-        length = int(headers.get("content-length", "0") or "0")
-        if length:
-            if length > self.admission.max_request_bytes:
-                await self._write_http(
-                    writer,
-                    413,
-                    {
-                        "error": "body exceeds the request size limit",
-                        "limit": self.admission.max_request_bytes,
-                    },
-                )
-                return
+        declared = headers.get("content-length", "0") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if length < 0:
+            await self._write_http(
+                writer, 400, {"error": f"malformed Content-Length {declared!r}"}
+            )
+            return
+        if length > self.admission.max_request_bytes:
+            await self._write_http(
+                writer,
+                413,
+                {
+                    "error": "body exceeds the request size limit",
+                    "limit": self.admission.max_request_bytes,
+                },
+            )
+            return
+        try:
             body = await reader.readexactly(length)
+        except asyncio.IncompleteReadError as exc:
+            await self._write_http(
+                writer,
+                400,
+                {"error": f"body ended after {len(exc.partial)} of "
+                          f"{length} Content-Length bytes"},
+            )
+            return
 
         path = target.split("?", 1)[0]
         if method == "GET" and path == "/healthz":

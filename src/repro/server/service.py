@@ -37,8 +37,9 @@ import time
 from contextlib import nullcontext
 
 from repro.engine.cache import DEFAULT_CACHE
+from repro.engine.csr import get_csr
 from repro.engine.faults import FaultError, fault_point
-from repro.engine.limits import BudgetExceeded
+from repro.engine.limits import BudgetExceeded, Spill
 from repro.engine.metrics import MetricsRegistry
 from repro.engine.stats import EngineStats
 from repro.engine.tracing import (
@@ -342,15 +343,12 @@ class AnswerCache:
         self.evictions = 0
         self.invalidations = 0
 
-    def get(self, key: tuple, *, count_miss: bool = True):
-        """The cached answer for ``key``, or ``None`` (and a miss count,
-        unless ``count_miss`` is off: a probe whose miss the computing
-        :meth:`lookup` will count)."""
+    def get(self, key: tuple):
+        """The cached answer for ``key``, or ``None`` (and a miss count)."""
         with self._lock:
             value = self._entries.get(key, _MISSING)
             if value is _MISSING:
-                if count_miss:
-                    self.misses += 1
+                self.misses += 1
                 return None
             # LRU refresh: dicts iterate in insertion order, so re-inserting
             # moves the key to the most-recently-used end.
@@ -384,7 +382,14 @@ class AnswerCache:
         cached = self.get(key)
         if cached is not None:
             return cached, True
-        answer = compute()
+        try:
+            answer = compute()
+        except Spill:
+            # The rerun on the worker pool looks the key up again and
+            # counts this request's one miss.
+            with self._lock:
+                self.misses -= 1
+            raise
         stored = answer
         if isinstance(answer, dict):
             if answer.get("degraded"):
@@ -431,15 +436,14 @@ class AnswerCache:
 class QueryService:
     """Execute protocol requests against the resident catalog and engine.
 
-    :meth:`execute` is synchronous and thread-safe.  The app calls it
-    twice over for a cacheable request: first on the event loop with
-    ``cached_only=True``, which answers an answer-cache hit from one
-    :meth:`AnswerCache.get` and otherwise returns ``None`` without
-    computing; then, on a miss, on a worker pool via ``run_in_executor``,
-    where the request's ``server.request`` span opens on the worker's empty
-    thread-local stack and becomes a root tree with the kernel's spans
-    nested inside.  Both calls share the metrics and span code below, so a
-    request is counted once whichever of them answers it.
+    :meth:`execute` is synchronous and thread-safe.  The app runs a read
+    on its event loop first (``on_loop=True``, under a spill allowance) and
+    reruns it on a worker pool via ``run_in_executor`` only when that
+    attempt spills; either way the request's ``server.request`` span opens
+    on the thread's empty stack and becomes a root tree with the kernel's
+    spans nested inside.  Both calls share the metrics and span code below,
+    and a spilled attempt counts nothing, so a request is counted once
+    whichever of them answers it.
 
     Budget limits (timeout/max_rows/max_states) travel in the request
     params, hence in the cache key's options; a tripped budget *raises*
@@ -463,9 +467,9 @@ class QueryService:
     # the entry point
     # ------------------------------------------------------------------
     def execute(
-        self, request: Request, budget=None, *, cached_only: bool = False,
+        self, request: Request, budget=None, *, on_loop: bool = False,
         queued_at: "float | None" = None,
-    ) -> "dict | None":
+    ) -> dict:
         """Run one request to a JSON-ready result (raises typed errors).
 
         ``budget`` (a :class:`~repro.engine.limits.QueryBudget`, built by
@@ -478,25 +482,24 @@ class QueryService:
         <16-hex>}``, ``span_id`` naming the *caller's* span) makes this
         request's ``server.request`` root its remote child.
 
-        ``cached_only`` is the app's event-loop probe: the answer comes
-        from one :meth:`AnswerCache.get` (counted as a hit and under
-        ``server_answers_on_loop``) or not at all — ``None``, nothing
-        computed and nothing counted, since the call that computes the
-        answer counts the miss.  It reads only the entry's version, so a
-        lazy entry faults nothing in.  ``queued_at`` is the
-        ``perf_counter()`` reading at which the app submitted the request
-        to its worker pool; the wait until this call starts is observed as
-        ``server_executor_wait_seconds``.
+        ``on_loop`` marks the app's first attempt at a read, on its event
+        loop, under a budget with a spill allowance
+        (:meth:`~repro.engine.limits.QueryBudget.spill_after`).  An answer
+        it produces — a cache hit or a finished computation — is counted
+        like any other and under ``server_answers_on_loop``.  When the
+        allowance runs out, or a lazy graph would have to fault in,
+        :class:`Spill` leaves with nothing counted or cached but
+        ``server_spills_total`` and no span tree kept; the app reruns the
+        request on its worker pool (``on_loop`` off), which counts it.
+        The ``service.execute`` fault site fires on that pool entry only.
+        ``queued_at`` is the ``perf_counter()`` reading at which the app
+        submitted the request to its worker pool; the wait until this call
+        starts is observed as ``server_executor_wait_seconds``.
         """
         request = check_request(request)
         spec = OP_TABLE[request.op]
         started = time.perf_counter()
-        cached = None
-        if cached_only:
-            cached = self._cached(request) if spec.cacheable else None
-            if cached is None:
-                return None
-        elif not spec.control:
+        if not (spec.control or on_loop):
             if queued_at is not None:
                 with self._metrics_lock:
                     self.metrics.observe(
@@ -507,31 +510,40 @@ class QueryService:
         trace_ctx = request.args["trace"]
         try:
             if trace_ctx is None and not tracer.enabled:
-                result, cache_hit = self._dispatch(request, budget, cached)
+                result, cache_hit = self._dispatch(request, budget)
             else:
                 # With a remote trace context but no tracing here, the
                 # request runs under a per-request ephemeral tracer so the
                 # caller still gets its subtree.  Safe because execute()
                 # runs synchronously on one thread (a pool worker, or the
-                # event loop for a cache hit) — the override is
-                # thread-local and unwinds here.
-                # The root adopts the caller's trace_id/span_id, and the
-                # finished subtree ships back as ``trace_spans`` on a
+                # event loop) — the override is thread-local and unwinds
+                # here.  The root adopts the caller's trace_id/span_id, and
+                # the finished subtree ships back as ``trace_spans`` on a
                 # shallow copy, so the answer cache never holds spans.
                 scope = nullcontext(tracer) if tracer.enabled else use_thread_tracer(Tracer())
-                with scope as active, active.span(
-                    "server.request", op=request.op, id=request.id
-                ) as span:
-                    if trace_ctx is not None:
-                        span.adopt_remote(trace_ctx)
-                    result, cache_hit = self._dispatch(request, budget, cached)
-                    span.set(cache_hit=cache_hit)
+                with scope as active:
+                    try:
+                        with active.span(
+                            "server.request", op=request.op, id=request.id
+                        ) as span:
+                            if trace_ctx is not None:
+                                span.adopt_remote(trace_ctx)
+                            result, cache_hit = self._dispatch(request, budget)
+                            span.set(cache_hit=cache_hit)
+                    except Spill:
+                        # The rerun on the pool opens the request's one root.
+                        active.discard(span)
+                        raise
                 if trace_ctx is not None:
                     result = {**result, "trace_spans": [span_tree_dict(span)]}
         except BudgetExceeded as exc:
             with self._metrics_lock:
                 self.metrics.inc("server_budget_exceeded")
                 self.metrics.inc(f"server_budget_exceeded_{exc.limit}")
+            raise
+        except Spill:
+            with self._metrics_lock:
+                self.metrics.inc("server_spills_total")
             raise
         elapsed = time.perf_counter() - started
         with self._metrics_lock:
@@ -548,9 +560,15 @@ class QueryService:
                     else "server_cache_miss_seconds",
                     elapsed,
                 )
-                if cached_only:
-                    self.metrics.inc("server_answers_on_loop")
+            if on_loop:
+                self.metrics.inc("server_answers_on_loop")
         return result
+
+    def observe(self, name: str, value: float) -> None:
+        """Record one observation of histogram ``name`` (the app's loop
+        lag and pool wake-up timings share the service's registry)."""
+        with self._metrics_lock:
+            self.metrics.observe(name, value)
 
     def record_error(self, code: str) -> None:
         """Count one failed request (the app calls this per error envelope)."""
@@ -558,13 +576,10 @@ class QueryService:
             self.metrics.inc("server_errors_total")
             self.metrics.inc(f"server_errors_{code}")
 
-    def _dispatch(self, request, budget=None, cached=None) -> tuple[dict, bool]:
+    def _dispatch(self, request, budget=None) -> tuple[dict, bool]:
         """Run the handler the op table names: control handlers take no
         arguments, cacheable ones go through the answer cache, the rest take
-        the checked request and the budget.  A ``cached`` answer the probe
-        already holds is the hit itself."""
-        if cached is not None:
-            return cached, True
+        the checked request and the budget."""
         spec = OP_TABLE[request.op]
         if spec.handler is None:
             raise BadRequestError(f"op {request.op!r} is not executable by the service")
@@ -638,6 +653,12 @@ class QueryService:
 
         name = request.args["name"]
         entry = self.catalog.register(name, graph_from_dict(request.args["graph"]))
+        # Build the CSR snapshot here, on the worker: a read then runs on
+        # the event loop without an O(edges) build in front of it.
+        stats = EngineStats()
+        get_csr(entry.graph, stats)
+        with self._metrics_lock:
+            self.metrics.fold_stats(stats)
         dropped = self.answer_cache.invalidate_graph(name)
         info = entry.info()
         info["cache_entries_dropped"] = dropped
@@ -724,33 +745,27 @@ class QueryService:
         else:
             raise BadRequestError(f"edit {index}: unknown edit kind {kind!r}")
 
-    def _graph_for(self, entry: CatalogEntry, op: str, query: str):
+    @staticmethod
+    def _graph_for(entry: CatalogEntry, op: str, query: str, budget=None):
         """The graph to evaluate against: a lazy entry serves a label view.
 
         The view holds every node but only the label segments the compiled
         automaton can traverse (``query_labels``); dlrpq — whose query
         syntax the regex front-end does not cover — gets the all-labels
         view.  Resident entries (and memory-only catalogs) evaluate the
-        graph itself.
+        graph itself.  Building a view faults segments in, which an attempt
+        on the event loop must not do: its ``budget`` spills first.
         """
         handle = entry.handle
         if handle is None or handle.resident:
             return entry.graph
+        if budget is not None:
+            budget.spill("a stored graph must fault in")
         if op == "dlrpq":
             return handle.view(handle.labels)
         from repro.storage.lazy import query_labels
 
         return handle.view(query_labels(query, handle.labels))
-
-    def _cached(self, request) -> "dict | None":
-        """The cached answer of a cacheable ``request``, or ``None``: one
-        :meth:`AnswerCache.get` that leaves a miss uncounted."""
-        name = request.args["graph"]
-        entry = self.catalog.get(name)
-        return self.answer_cache.get(
-            answer_key(name, entry.version, request.op, request.params),
-            count_miss=False,
-        )
 
     def _query(self, request, budget=None) -> tuple[dict, bool]:
         name = request.args["graph"]
@@ -758,7 +773,9 @@ class QueryService:
 
         def compute() -> dict:
             stats = EngineStats()
-            graph = self._graph_for(entry, request.op, request.args["query"])
+            graph = self._graph_for(
+                entry, request.op, request.args["query"], budget
+            )
             result = self.evaluate(request, graph, stats, budget)
             result["graph"] = name
             result["graph_version"] = list(entry.version)
@@ -792,6 +809,8 @@ class QueryService:
             raise BadRequestError(f"malformed frontier: {exc}") from None
         name = args["graph"]
         entry = self.catalog.get(name)
+        if not entry.resident and budget is not None:
+            budget.spill("a stored graph must fault in")
         stats = EngineStats()
         try:
             with get_tracer().span(
@@ -925,7 +944,9 @@ class QueryService:
     def _run_explain(graph, args, stats, budget) -> dict:
         from repro.engine.explain import explain_query
 
-        report = explain_query(args["query"], graph, planner=args["planner"])
+        report = explain_query(
+            args["query"], graph, planner=args["planner"], budget=budget
+        )
         return {"op": "explain", "report": report}
 
 

@@ -60,11 +60,16 @@ class SlowService(QueryService):
         self.queries = 0
 
     def execute(self, request: Request, budget=None, **options):
-        # Only a computing call sleeps: the server's event-loop cache
-        # probe (cached_only=True) must stay instant.
-        if request.op in ("rpq", "crpq") and not options.get("cached_only"):
-            self.queries += 1
-            time.sleep(self.delay)
+        # Only a computing call on a pool worker sleeps: the server's
+        # attempt on its event loop answers a hit at once and spills a
+        # computation at its first budget check, so the wedge never
+        # stalls the loop.
+        if request.op in ("rpq", "crpq"):
+            if options.get("on_loop"):
+                budget = budget.spill_after(0)
+            else:
+                self.queries += 1
+                time.sleep(self.delay)
         return super().execute(request, budget, **options)
 
 

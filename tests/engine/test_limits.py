@@ -16,6 +16,7 @@ from repro.engine.limits import (
     CancellationToken,
     Deadline,
     QueryBudget,
+    Spill,
     make_budget,
 )
 from repro.errors import EvaluationError
@@ -166,6 +167,67 @@ class TestDerivation:
     def test_subquery_is_identity_without_max_rows(self):
         parent = QueryBudget(timeout=60.0)
         assert parent.subquery() is parent
+
+
+class TestSpillAllowance:
+    """``spill_after`` is the budget of a served read's attempt on the event
+    loop: past the allowance a check raises :class:`Spill`, which is not a
+    limit of the request."""
+
+    def test_spill_is_not_a_budget_trip(self):
+        assert not issubclass(Spill, EvaluationError)
+
+    def test_a_check_past_the_allowance_spills(self):
+        budget = QueryBudget(timeout=60.0).spill_after(0.0)
+        with pytest.raises(Spill):
+            budget.check()
+
+    def test_within_the_allowance_nothing_trips(self):
+        budget = QueryBudget(timeout=60.0).spill_after(60.0)
+        budget.check()
+        for _ in range(3 * DEFAULT_STRIDE):
+            budget.tick()
+
+    def test_stride_checks_spill(self):
+        budget = QueryBudget(timeout=60.0, stride=4).spill_after(0.0)
+        for _ in range(3):
+            budget.tick()
+        with pytest.raises(Spill):
+            budget.tick()
+
+    def test_own_limit_wins_at_the_same_check(self):
+        expired = QueryBudget(timeout=0.001).spill_after(0.0)
+        time.sleep(0.005)
+        with pytest.raises(BudgetExceeded) as excinfo:
+            expired.check()
+        assert excinfo.value.limit == "timeout"
+        states = QueryBudget(max_states=1, stride=2).spill_after(0.0)
+        states.tick()  # one state: within the limit, and no check yet
+        with pytest.raises(BudgetExceeded) as excinfo:
+            states.tick()
+        assert excinfo.value.limit == "max_states"
+
+    def test_the_budget_itself_keeps_its_deadline_and_no_allowance(self):
+        token = CancellationToken()
+        budget = QueryBudget(timeout=60.0, max_rows=5, cancellation=token)
+        attempt = budget.spill_after(0.0)
+        assert attempt.deadline is budget.deadline
+        assert attempt.cancellation is token
+        assert attempt.max_rows == 5
+        assert budget.spill_at is None
+        budget.check()
+
+    def test_derived_budgets_keep_the_allowance(self):
+        attempt = QueryBudget(timeout=60.0, max_rows=5).spill_after(0.0)
+        for derived in (attempt.fork(), attempt.subquery()):
+            assert derived.spill_at == attempt.spill_at
+            with pytest.raises(Spill):
+                derived.check()
+
+    def test_spill_now_only_with_an_allowance(self):
+        QueryBudget(timeout=60.0).spill("no allowance: a no-op")
+        with pytest.raises(Spill):
+            QueryBudget(timeout=60.0).spill_after(60.0).spill("I/O")
 
 
 class TestBudgetExceededPayload:

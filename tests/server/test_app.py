@@ -8,6 +8,7 @@ a real subprocess because signal-driven shutdown is exactly what it checks.
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -17,6 +18,7 @@ import pytest
 
 from repro.graph.edge_labeled import EdgeLabeledGraph
 from repro.server.admission import AdmissionController
+from repro.server import app as app_module
 from repro.server.app import QueryServer, ServerThread
 from repro.server.client import (
     ServerClient,
@@ -189,8 +191,9 @@ class TestHttpFacade:
 
 
 class TestAnswerCacheHitsOnTheLoop:
-    """A cached answer is served on the event loop: only the miss goes to
-    the worker pool, and every request is still counted exactly once."""
+    """A read runs on the event loop first: a small one — its first
+    computation and every hit after it — never reaches the worker pool,
+    and every request is still counted exactly once."""
 
     N = 6
     CTX = {"trace_id": "ab" * 16, "span_id": "cd" * 8}
@@ -198,7 +201,10 @@ class TestAnswerCacheHitsOnTheLoop:
     @pytest.fixture()
     def watched(self, monkeypatch):
         """A fresh server whose pool submissions are recorded, and whose
-        answer computations record the thread they ran on."""
+        answer computations record the thread they ran on.  The spill
+        allowance is pinned generously, so a busy host cannot push these
+        small reads onto the pool."""
+        monkeypatch.setattr(app_module, "_SPILL_ALLOWANCE", 5.0)
         submitted, computed = [], []
         with ServerThread() as running:
             pool, service = running.server._pool, running.server.service
@@ -216,34 +222,45 @@ class TestAnswerCacheHitsOnTheLoop:
             monkeypatch.setattr(service, "evaluate", evaluate)
             yield running, submitted, computed
 
-    def test_n_identical_reads_submit_once(self, watched):
+    def test_n_identical_reads_compute_once_on_the_loop(self, watched):
         harness, submitted, computed = watched
         with ServerClient(*harness.address) as connection:
             results = [connection.rpq("fig2", "Transfer+") for _ in range(self.N)]
             stats = connection.stats()
-        assert len(submitted) == 1
-        assert len(computed) == 1 and computed[0].startswith("repro-query")
+        assert submitted == []
+        assert computed == ["repro-server"]  # the event loop's thread
         assert stats["answer_cache"]["hits"] == self.N - 1
         assert stats["answer_cache"]["misses"] == 1
         counters = stats["metrics"]["counters"]
         assert counters["server_requests_total"] == self.N
-        assert counters["server_answers_on_loop"] == self.N - 1
+        assert counters["server_answers_on_loop"] == self.N
+        assert "server_spills_total" not in counters
         histograms = stats["metrics"]["histograms"]
-        assert histograms["server_executor_wait_seconds"]["count"] == 1
+        assert "server_executor_wait_seconds" not in histograms
         assert histograms["server_request_seconds"]["count"] == self.N
         assert histograms["server_cache_hit_seconds"]["count"] == self.N - 1
         assert histograms["server_cache_miss_seconds"]["count"] == 1
         assert all(result == results[0] for result in results)
 
-    def test_new_names_reach_the_prometheus_exposition(self, watched):
-        harness, _, _ = watched
+    def test_new_names_reach_the_prometheus_exposition(
+        self, watched, monkeypatch
+    ):
+        harness, submitted, _ = watched
         with ServerClient(*harness.address) as connection:
-            connection.rpq("fig2", "Transfer")
-            connection.rpq("fig2", "Transfer")
+            connection.rpq("fig2", "Transfer")  # computed on the loop
+            connection.rpq("fig2", "Transfer")  # a hit on the loop
+            # No allowance: the next read spills at its first budget check.
+            monkeypatch.setattr(app_module, "_SPILL_ALLOWANCE", 0.0)
+            connection.rpq("fig2", "owner")
         status, body = http_get(*harness.address, "/metrics")
         assert status == 200
-        assert "repro_server_answers_on_loop 1" in body
+        assert len(submitted) == 1
+        assert "repro_server_answers_on_loop 2" in body
+        assert "repro_server_spills_total 1" in body
         assert "repro_server_executor_wait_seconds_count 1" in body
+        assert "repro_server_executor_resume_seconds_count 1" in body
+        assert "# TYPE repro_server_loop_lag_seconds histogram" in body
+        assert "repro_server_budget_exceeded" not in body
 
     def test_a_traced_hit_still_returns_its_span_tree(self, watched):
         harness, submitted, _ = watched
@@ -254,7 +271,7 @@ class TestAnswerCacheHitsOnTheLoop:
             warm = connection.request(
                 "rpq", graph="fig2", query="owner", trace=self.CTX
             )
-        assert len(submitted) == 1
+        assert submitted == []
         assert cold["trace_spans"][0]["attributes"]["cache_hit"] is False
         (tree,) = warm["trace_spans"]
         assert tree["name"] == "server.request"
@@ -317,6 +334,46 @@ class TestOverloadAndLimits:
                 {"op": "rpq", "params": {"graph": "fig2", "query": "x" * 2048}},
             )
             assert status == 413
+
+
+class TestMalformedContentLength:
+    """A ``POST /query`` whose ``Content-Length`` is not a usable length
+    gets a 400 JSON reply; the connection never dies without one."""
+
+    @staticmethod
+    def _raw_post(address, length: str, body: bytes) -> tuple[int, dict]:
+        with socket.create_connection(address, timeout=10) as sock:
+            sock.sendall(
+                b"POST /query HTTP/1.1\r\nHost: test\r\n"
+                + f"Content-Length: {length}\r\n\r\n".encode("latin-1")
+                + body
+            )
+            sock.shutdown(socket.SHUT_WR)
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        head, _, payload = reply.partition(b"\r\n\r\n")
+        return int(head.split()[1]), json.loads(payload)
+
+    def test_non_numeric_length_is_400(self, harness):
+        status, payload = self._raw_post(harness.address, "abc", b"")
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+
+    def test_negative_length_is_400(self, harness):
+        status, payload = self._raw_post(harness.address, "-5", b"")
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+
+    def test_body_shorter_than_its_length_is_400(self, harness):
+        status, payload = self._raw_post(harness.address, "50", b'{"op": "ping"}')
+        assert status == 400
+        assert "14 of 50" in payload["error"]
+
+    def test_the_server_still_answers_afterwards(self, harness):
+        self._raw_post(harness.address, "abc", b"")
+        status, body = http_get(*harness.address, "/healthz")
+        assert status == 200 and json.loads(body)["status"] == "ok"
 
 
 class TestDrain:
