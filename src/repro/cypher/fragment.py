@@ -11,17 +11,21 @@ historic restriction, and the reason ``(ll)*`` escapes the fragment
 (Proposition 22).
 
 Since Proposition 22 is about pure reachability, the semantics we expose is
-the endpoint-pair relation (conditions and data play no role here).
+the endpoint-pair relation (conditions and data play no role here).  That
+relation is an RPQ's: a fragment pattern is a regular expression whose
+stars sit on label disjunctions, and :func:`cypher_pairs` evaluates it as
+one.
 """
 
 from __future__ import annotations
 
 import re as _stdlib_re
-from collections import deque
 from dataclasses import dataclass
 
 from repro.errors import ParseError
 from repro.graph.edge_labeled import EdgeLabeledGraph, ObjectId
+from repro.regex.ast import ANY, Epsilon, Regex, Symbol, concat, star, union
+from repro.rpq.evaluation import evaluate_rpq
 
 
 class CypherPattern:
@@ -67,59 +71,35 @@ class CypherUnion(CypherPattern):
 
 
 # ----------------------------------------------------------------------
-# semantics: endpoint pairs
+# semantics: the fragment is an RPQ
 # ----------------------------------------------------------------------
-def _label_ok(graph: EdgeLabeledGraph, edge, labels) -> bool:
-    return labels is None or graph.label(edge) in labels
+def _labels(labels) -> Regex:
+    if labels is None:
+        return ANY
+    return union(*(Symbol(label) for label in sorted(labels, key=repr)))
+
+
+def _as_regex(pattern: CypherPattern) -> Regex:
+    """The regular expression a fragment pattern denotes: nodes are the
+    empty word, and a star applies to a label disjunction only."""
+    if isinstance(pattern, CypherNode):
+        return Epsilon()
+    if isinstance(pattern, CypherEdge):
+        return _labels(pattern.labels)
+    if isinstance(pattern, CypherStar):
+        return star(_labels(pattern.labels))
+    if isinstance(pattern, CypherSeq):
+        return concat(*map(_as_regex, pattern.parts))
+    if isinstance(pattern, CypherUnion):
+        return union(*map(_as_regex, pattern.parts))
+    raise TypeError(f"not a Cypher fragment pattern: {pattern!r}")
 
 
 def cypher_pairs(
     pattern: CypherPattern, graph: EdgeLabeledGraph
 ) -> set[tuple[ObjectId, ObjectId]]:
-    """The endpoint-pair relation of a fragment pattern."""
-    if isinstance(pattern, CypherNode):
-        return {(node, node) for node in graph.iter_nodes()}
-    if isinstance(pattern, CypherEdge):
-        return {
-            graph.endpoints(edge)
-            for edge in graph.iter_edges()
-            if _label_ok(graph, edge, pattern.labels)
-        }
-    if isinstance(pattern, CypherStar):
-        pairs = set()
-        for source in graph.iter_nodes():
-            seen = {source}
-            queue = deque([source])
-            while queue:
-                node = queue.popleft()
-                for edge in graph.out_edges(node):
-                    if not _label_ok(graph, edge, pattern.labels):
-                        continue
-                    target = graph.tgt(edge)
-                    if target not in seen:
-                        seen.add(target)
-                        queue.append(target)
-            pairs.update((source, node) for node in seen)
-        return pairs
-    if isinstance(pattern, CypherSeq):
-        current = cypher_pairs(pattern.parts[0], graph)
-        for part in pattern.parts[1:]:
-            step = cypher_pairs(part, graph)
-            by_src: dict = {}
-            for src, tgt in step:
-                by_src.setdefault(src, set()).add(tgt)
-            current = {
-                (src1, tgt2)
-                for src1, tgt1 in current
-                for tgt2 in by_src.get(tgt1, ())
-            }
-        return current
-    if isinstance(pattern, CypherUnion):
-        pairs = set()
-        for part in pattern.parts:
-            pairs |= cypher_pairs(part, graph)
-        return pairs
-    raise TypeError(f"not a Cypher fragment pattern: {pattern!r}")
+    """The endpoint-pair relation of a fragment pattern: that of its RPQ."""
+    return set(evaluate_rpq(_as_regex(pattern), graph))
 
 
 # ----------------------------------------------------------------------

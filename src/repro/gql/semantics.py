@@ -19,13 +19,23 @@ repaired design is :mod:`repro.listvars`.
 Bindings map variables to ``("single", element)`` or ``("group", tuple)``.
 Mixing the two kinds for one variable, or giving one group variable two
 homes, is a static type error in GQL and raises :class:`QueryError` here.
+
+Matching runs on the pattern core of :mod:`repro.coregql.semantics`: this
+module maps its AST onto the core's six roles and supplies its leaf
+matchers, the join rule above and the group rule for repetition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import InfiniteResultError, QueryError
+from repro.coregql.semantics import (
+    _evaluate,
+    _freeze,
+    _Language,
+    _scan_edges,
+)
+from repro.errors import QueryError
 from repro.gql.ast import (
     Alt,
     BAnd,
@@ -72,28 +82,15 @@ class GQLMatch:
         return None
 
 
-def _freeze(binding: dict) -> Binding:
-    return tuple(sorted(binding.items(), key=lambda item: repr(item[0])))
-
-
-def _merge(mu1: Binding, mu2: Binding) -> "Binding | None":
-    """Join two bindings: singletons must agree; group conflicts are type
-    errors (GQL forbids one group variable in two sibling subpatterns)."""
-    merged = dict(mu1)
-    for var, (kind, value) in mu2:
-        if var not in merged:
-            merged[var] = (kind, value)
-            continue
-        other_kind, other_value = merged[var]
-        if kind == SINGLE and other_kind == SINGLE:
-            if value != other_value:
-                return None
-        else:
-            raise QueryError(
-                f"variable {var!r} is used as a group variable in two "
-                "sibling subpatterns (a GQL type error)"
-            )
-    return _freeze(merged)
+def _agree(var, value1, value2) -> bool:
+    """Singletons join; a group variable in two sibling subpatterns is a
+    GQL type error."""
+    if value1[0] == SINGLE == value2[0]:
+        return value1 == value2
+    raise QueryError(
+        f"variable {var!r} is used as a group variable in two "
+        "sibling subpatterns (a GQL type error)"
+    )
 
 
 def _evaluate_condition(
@@ -161,8 +158,10 @@ def match_gql_pattern(
     """All matches of the pattern on the graph.
 
     ``max_length`` bounds path lengths for unbounded quantifiers on cyclic
-    graphs (otherwise :class:`InfiniteResultError` is raised when the match
-    set would be infinite).
+    graphs (otherwise :class:`~repro.errors.InfiniteResultError` is raised
+    when the match set would be infinite, as it is for an unbounded
+    quantifier over a zero-length match that binds a variable, whatever
+    the bound).  A negative ``max_length`` raises :class:`QueryError`.
 
     With ``use_index=True`` (default) a labeled edge pattern reads the
     label's row of the CSR snapshot's edge column
@@ -174,160 +173,78 @@ def match_gql_pattern(
         from repro.gql.parser import parse_gql_pattern
 
         pattern = parse_gql_pattern(pattern)
+    language = _GQL if use_index else _GQL._replace(edges=_scanned_edges)
     return {
         GQLMatch(path, binding)
-        for path, binding in _match(pattern, graph, max_length, (use_index, stats))
+        for path, binding in _evaluate(
+            pattern, graph, language, bound=max_length, stats=stats
+        )
     }
 
 
-def _match(pattern, graph, bound, ctx=(False, None)) -> set[tuple[Path, Binding]]:
-    use_index, stats = ctx
+def _role(pattern):
     if isinstance(pattern, NodePat):
-        results = set()
-        for node in graph.iter_nodes():
-            if pattern.label is not None and graph.object_label(node) != pattern.label:
-                continue
-            binding = (
-                _freeze({pattern.var: (SINGLE, node)})
-                if pattern.var is not None
-                else ()
-            )
-            results.add((Path.trivial(graph, node), binding))
-        return results
+        return "node", ()
     if isinstance(pattern, EdgePat):
-        results = set()
-        if bound is not None and bound < 1:
-            return results
-        if use_index and pattern.label is not None:
-            from repro.engine.csr import get_csr
-
-            csr = get_csr(graph, stats)
-            edges, ordinals = csr.edge_rows(graph)
-            label_int = csr.interner.label_id(pattern.label)
-            row = ordinals[label_int] if label_int is not None else ()
-            records = (
-                (edge, *graph.endpoints(edge)) for edge in map(edges.__getitem__, row)
-            )
-        else:
-            records = (
-                (edge, *graph.endpoints(edge))
-                for edge in graph.iter_edges()
-                if pattern.label is None or graph.label(edge) == pattern.label
-            )
-        scanned = 0
-        for edge, src, tgt in records:
-            scanned += 1
-            binding = (
-                _freeze({pattern.var: (SINGLE, edge)})
-                if pattern.var is not None
-                else ()
-            )
-            results.add((Path.of(graph, (src, edge, tgt)), binding))
-        if stats is not None:
-            stats.count("edges_scanned", scanned)
-        return results
+        return "edge", ()
     if isinstance(pattern, Seq):
-        current = _match(pattern.parts[0], graph, bound, ctx)
-        for part in pattern.parts[1:]:
-            step = _match(part, graph, bound, ctx)
-            combined = set()
-            for path1, mu1 in current:
-                for path2, mu2 in step:
-                    if path1.tgt != path2.src:
-                        continue
-                    merged = _merge(mu1, mu2)
-                    if merged is None:
-                        continue
-                    joined = path1.concat(path2)
-                    if bound is not None and len(joined) > bound:
-                        continue
-                    combined.add((joined, merged))
-            current = combined
-        return current
+        return "concat", pattern.parts
     if isinstance(pattern, Alt):
-        results = set()
-        for part in pattern.parts:
-            results |= _match(part, graph, bound, ctx)
-        return results
+        return "union", pattern.parts
     if isinstance(pattern, Where):
-        return {
-            (path, mu)
-            for path, mu in _match(pattern.inner, graph, bound, ctx)
-            if _evaluate_condition(pattern.condition, graph, dict(mu))
-        }
+        return "condition", (pattern.inner,)
     if isinstance(pattern, Quant):
-        return _match_quant(pattern, graph, bound, ctx)
+        return "repeat", (pattern.inner,)
     raise TypeError(f"not an ASCII pattern: {pattern!r}")
 
 
-def _match_quant(pattern: Quant, graph, bound, ctx=(False, None)):
-    """Repetition turns every inner variable into a group variable.
-
-    ``[[pi]]^j``: j endpoint-chained matches of pi; the resulting binding
-    maps each inner variable to the list of its per-iteration values (group
-    values of nested quantifiers are flattened, as GQL's lists are flat).
-    """
-    inner = _match(pattern.inner, graph, bound, ctx)
-
-    def group_up(mu: Binding) -> dict:
-        grouped = {}
-        for var, (kind, value) in mu:
-            grouped[var] = (GROUP, (value,) if kind == SINGLE else tuple(value))
-        return grouped
-
-    def append_iteration(acc: dict, mu: Binding) -> dict:
-        extended = dict(acc)
-        for var, (kind, value) in mu:
-            items = (value,) if kind == SINGLE else tuple(value)
-            previous = extended.get(var, (GROUP, ()))[1]
-            extended[var] = (GROUP, tuple(previous) + items)
-        return extended
-
-    # level j = 0: trivial paths, all inner variables bound to empty lists.
-    empty_groups = {
-        var: (GROUP, ()) for var in pattern_variables(pattern.inner)
-    }
-    current = {
-        (Path.trivial(graph, node), _freeze(dict(empty_groups)))
+def _nodes(pattern: NodePat, graph):
+    return (
+        node
         for node in graph.iter_nodes()
-    }
-    accumulated: set = set()
-    iteration = 0
-    seen_levels: set[frozenset] = set()
-    safety_cap = graph.num_nodes + graph.num_edges + 1
-    while True:
-        in_window = iteration >= pattern.low and (
-            pattern.high is None or iteration <= pattern.high
-        )
-        if in_window:
-            accumulated |= current
-            if pattern.high is None:
-                level = frozenset(current)
-                if level in seen_levels:
-                    break
-                seen_levels.add(level)
-        if pattern.high is not None and iteration >= pattern.high:
-            break
-        extended = set()
-        for path1, acc in current:
-            for path2, mu in inner:
-                if path1.tgt != path2.src:
-                    continue
-                joined = path1.concat(path2)
-                if bound is not None and len(joined) > bound:
-                    continue
-                extended.add((joined, _freeze(append_iteration(dict(acc), mu))))
-        current = extended
-        iteration += 1
-        if not current:
-            break
-        if (
-            pattern.high is None
-            and bound is None
-            and any(len(path) > safety_cap for path, _mu in current)
-        ):
-            raise InfiniteResultError(
-                "unbounded quantifier over a cyclic graph yields infinitely "
-                "many matches; pass max_length"
-            )
-    return accumulated
+        if pattern.label is None or graph.object_label(node) == pattern.label
+    )
+
+
+def _scanned_edges(pattern: EdgePat, graph, stats):
+    return _scan_edges(graph, pattern.label)
+
+
+def _indexed_edges(pattern: EdgePat, graph, stats):
+    """A labeled edge pattern reads the label's row of the CSR edge column."""
+    if pattern.label is None:
+        return _scan_edges(graph)
+    from repro.engine.csr import get_csr
+
+    csr = get_csr(graph, stats)
+    edges, ordinals = csr.edge_rows(graph)
+    label_int = csr.interner.label_id(pattern.label)
+    row = ordinals[label_int] if label_int is not None else ()
+    return ((edge, *graph.endpoints(edge)) for edge in map(edges.__getitem__, row))
+
+
+def _group_start(inner: GPattern) -> Binding:
+    """Iteration 0 binds every inner variable to the empty list."""
+    return _freeze({var: (GROUP, ()) for var in pattern_variables(inner)})
+
+
+def _group_step(acc: Binding, mu: Binding) -> Binding:
+    """One more iteration appends its values to the lists (group values of
+    nested quantifiers are flattened, as GQL's lists are flat)."""
+    extended = dict(acc)
+    for var, (kind, value) in mu:
+        items = (value,) if kind == SINGLE else tuple(value)
+        extended[var] = (GROUP, extended.get(var, (GROUP, ()))[1] + items)
+    return _freeze(extended)
+
+
+_GQL = _Language(
+    role=_role,
+    nodes=_nodes,
+    edges=_indexed_edges,
+    element=lambda element: (SINGLE, element),
+    agree=_agree,
+    holds=_evaluate_condition,
+    start=_group_start,
+    step=_group_step,
+)

@@ -16,6 +16,7 @@ from repro.coregql.patterns import (
 )
 from repro.coregql.semantics import pattern_paths, pattern_triples
 from repro.errors import InfiniteResultError, QueryError
+from repro.gql.semantics import match_gql_pattern
 from repro.graph.generators import dated_path, label_cycle, label_path
 
 
@@ -212,3 +213,14 @@ class TestAsciiParser:
         }
         assert ("v0", "v2") not in pairs_bad
         assert ("v1", "v2") in pairs_bad
+
+
+@pytest.mark.parametrize("text", ["(x)", "(x)-[:a]->(y)"])
+def test_negative_max_length_is_rejected_in_both_languages(text):
+    """A negative bound admits no path, not even a node's: it is an error,
+    for node and edge patterns alike, in CoreGQL and in GQL."""
+    g = label_path(1)
+    with pytest.raises(QueryError):
+        pattern_paths(parse_coregql_pattern(text), g, max_length=-1)
+    with pytest.raises(QueryError):
+        match_gql_pattern(text, g, max_length=-1)

@@ -1,5 +1,9 @@
 """Tests for the GQL group-variable semantics — Examples 1, 2, 3."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.errors import InfiniteResultError, QueryError
@@ -184,3 +188,39 @@ class TestEngineMechanics:
             "((x)-[t:Transfer]->(y) WHERE t.amount < 4500000)", fig3
         )
         assert {m.get("t") for m in matches} == {"t1", "t6"}
+
+
+ZERO_LENGTH_QUANTIFIERS = """
+from repro.coregql.parser import parse_coregql_pattern
+from repro.coregql.semantics import pattern_paths
+from repro.errors import InfiniteResultError
+from repro.gql.semantics import match_gql_pattern
+from repro.graph.property_graph import PropertyGraph
+
+graph = PropertyGraph()
+graph.add_node("u")
+graph.add_node("v")
+for max_length in (None, 3):
+    try:
+        match_gql_pattern("((x))*", graph, max_length=max_length)
+    except InfiniteResultError as error:
+        assert "max_length" not in str(error), error
+    else:
+        raise AssertionError("((x))* has infinitely many matches")
+assert len(match_gql_pattern("(()){2,}", graph)) == 2
+assert len(match_gql_pattern("((x)){0,3}", graph)) == 8
+assert len(pattern_paths(parse_coregql_pattern("((x))*"), graph)) == 2
+"""
+
+
+def test_unbounded_quantifier_over_zero_length_binding_raises():
+    """``((x))*`` matches the trivial path with x's list ever longer, so the
+    match set is infinite and no length bound helps: it must raise, not
+    loop.  Zero-length iterations that bind nothing stay finite, and so
+    does CoreGQL's ``((x))*``, whose repetition erases x.  Runs in
+    its own interpreter under a 5 s timeout."""
+    root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    subprocess.run(
+        [sys.executable, "-c", ZERO_LENGTH_QUANTIFIERS], env=env, timeout=5, check=True
+    )
