@@ -2,8 +2,9 @@
 
 The workload is the increasing-edges family: uniform random multigraphs over
 an 8-letter alphabet with a fixed node count and a doubling edge count, probed
-by single-source ``reachable_by_rpq``.  The naive path (``use_index=False``,
-the seed code kept as the differential oracle) re-parses and re-compiles the
+by single-source ``reachable_by_rpq``.  The naive path
+(:func:`repro.reference.rpq_reachable`, the seed code kept as the
+differential oracle) re-parses and re-compiles the
 regex on every call and scans every edge of every node during the product BFS;
 the kernel path hits the warm compilation cache and the CSR snapshot, so it
 touches only the matching label's row.  Per size we record median wall
@@ -17,6 +18,7 @@ import time
 
 import pytest
 
+from repro import reference
 from repro.engine.stats import EngineStats
 from repro.graph.generators import random_graph
 from repro.rpq.evaluation import reachable_by_rpq
@@ -51,15 +53,15 @@ def test_kernel_vs_naive_increasing_edges(engine_records, num_edges):
     graph = random_graph(NUM_NODES, num_edges, labels=LABELS, seed=11)
     source = "v0"
 
-    oracle = reachable_by_rpq(QUERY, graph, source, use_index=False)
+    oracle = reference.rpq_reachable(QUERY, graph, source)
     # Warm the compilation cache and the CSR snapshot before timing the kernel.
-    assert reachable_by_rpq(QUERY, graph, source, use_index=True) == oracle
+    assert reachable_by_rpq(QUERY, graph, source) == oracle
 
     naive_s = _median_seconds(
-        lambda: reachable_by_rpq(QUERY, graph, source, use_index=False)
+        lambda: reference.rpq_reachable(QUERY, graph, source)
     )
     kernel_s = _median_seconds(
-        lambda: reachable_by_rpq(QUERY, graph, source, use_index=True)
+        lambda: reachable_by_rpq(QUERY, graph, source)
     )
 
     stats = EngineStats()

@@ -6,8 +6,9 @@ uniform random multigraph, every query evaluated to its full ``[[R]]_G``
 relation.
 
 * **sequential seed path** — one independent evaluation per query with
-  ``use_index=False``: fresh parse + Glushkov + linear-scan per-source BFS,
-  exactly the pre-engine pipeline (``run_query_log_sequential``);
+  :func:`repro.reference.rpq_pairs`: fresh parse + Glushkov + linear-scan
+  per-source BFS, exactly the pre-engine pipeline
+  (``run_query_log_sequential``);
 * **batch path** — :class:`~repro.engine.batch.BatchExecutor`: structural
   deduplication, one warm compile per unique expression, one CSR snapshot,
   one multi-source sweep per unique query (``run_query_log``).

@@ -47,12 +47,14 @@ def _named_graphs(specs):
 
 
 def _engine_options(args: argparse.Namespace):
-    """The (use_index, stats) pair the engine commands share."""
+    """The ``--stats`` counters or None; ``--no-index`` refuses a budget."""
     from repro.engine.stats import EngineStats
 
-    use_index = not getattr(args, "no_index", False)
-    stats = EngineStats() if getattr(args, "stats", False) else None
-    return use_index, stats
+    limits = [value for value in _limits(args).values() if value is not None]
+    if args.no_index and (args.stats or limits):
+        raise SystemExit("--no-index takes no --timeout, --max-rows, "
+                         "--max-states or --stats (the reference has none)")
+    return EngineStats() if args.stats else None
 
 
 def _report_stats(stats) -> None:
@@ -93,17 +95,21 @@ def _report_trip(exc) -> int:
 
 
 def _cmd_rpq(args: argparse.Namespace) -> int:
+    from repro import reference
     from repro.engine.limits import BudgetExceeded
     from repro.rpq.evaluation import evaluate_rpq
 
     graph = _load_graph(args.graph)
     sources = [args.source] if args.source else None
-    use_index, stats = _engine_options(args)
+    stats = _engine_options(args)
     try:
-        pairs = evaluate_rpq(
-            args.query, graph, sources=sources, use_index=use_index,
-            stats=stats, budget=_make_budget(args),
-        )
+        if args.no_index:
+            pairs = reference.rpq_pairs(args.query, graph, sources)
+        else:
+            pairs = evaluate_rpq(
+                args.query, graph, sources=sources, stats=stats,
+                budget=_make_budget(args),
+            )
     except BudgetExceeded as exc:
         _print_rows(sorted(exc.partial or (), key=repr))
         return _report_trip(exc)
@@ -114,16 +120,19 @@ def _cmd_rpq(args: argparse.Namespace) -> int:
 
 
 def _cmd_crpq(args: argparse.Namespace) -> int:
+    from repro import reference
     from repro.crpq.evaluation import evaluate_crpq
     from repro.engine.limits import BudgetExceeded
 
     graph = _load_graph(args.graph)
-    use_index, stats = _engine_options(args)
+    stats = _engine_options(args)
     try:
-        rows = evaluate_crpq(
-            args.query, graph, use_index=use_index, stats=stats,
-            budget=_make_budget(args),
-        )
+        if args.no_index:
+            rows = reference.crpq_answers(args.query, graph)
+        else:
+            rows = evaluate_crpq(
+                args.query, graph, stats=stats, budget=_make_budget(args)
+            )
     except BudgetExceeded as exc:
         _print_rows(sorted(exc.partial or (), key=repr))
         return _report_trip(exc)
@@ -134,20 +143,29 @@ def _cmd_crpq(args: argparse.Namespace) -> int:
 
 
 def _cmd_paths(args: argparse.Namespace) -> int:
+    from repro import reference
     from repro.engine.limits import BudgetExceeded
     from repro.rpq.path_modes import matching_paths
 
     graph = _load_graph(args.graph)
-    use_index, stats = _engine_options(args)
+    stats = _engine_options(args)
+    budget = _make_budget(args)
+    if args.no_index:
+        paths = reference.matching_paths(
+            args.query, graph, args.source, args.target, args.mode, args.limit
+        )
+    else:
+        paths = matching_paths(
+            args.query, graph, args.source, args.target, mode=args.mode,
+            limit=args.limit, stats=stats, budget=budget,
+        )
     count = 0
     try:
         # Paths stream out as they are found, so everything printed before
         # a budget trip *is* the partial result.
-        for path in matching_paths(
-            args.query, graph, args.source, args.target, mode=args.mode,
-            limit=args.limit, use_index=use_index, stats=stats,
-            budget=_make_budget(args),
-        ):
+        for path in paths:
+            if budget is not None:
+                budget.check_rows(count + 1)
             print(" -> ".join(str(obj) for obj in path.objects))
             count += 1
     except BudgetExceeded as exc:
@@ -842,8 +860,8 @@ def build_parser() -> argparse.ArgumentParser:
         subparser.add_argument(
             "--no-index",
             action="store_true",
-            help="bypass the engine's indexes and compilation cache (the "
-            "naive seed evaluator; the differential-testing oracle)",
+            help="answer with repro.reference, the naive seed pipeline the "
+            "engine is tested against (takes no budget flags or --stats)",
         )
 
     def add_budget_flags(subparser: argparse.ArgumentParser) -> None:

@@ -10,8 +10,7 @@ access path:
 * left term bound  -> forward reachability from the bound node;
 * right term bound -> reachability of the *reversed* expression over the
   reversed edges (Section 6.2's product construction runs equally well
-  backwards): the kernel walks the CSR snapshot's reversed rows, the seed
-  evaluator a reversed copy of the graph;
+  backwards): the kernel walks the CSR snapshot's reversed rows;
 * neither bound    -> the full ``[[R]]_G`` relation.
 
 Which of the three applies is a property of the atom and of the variables
@@ -33,38 +32,30 @@ from itertools import islice, repeat
 from operator import itemgetter
 
 from repro.crpq.ast import CRPQ, RPQAtom, Var
-from repro.crpq.planning import explain_steps, greedy_plan, make_plan
+from repro.crpq.planning import explain_steps, make_plan
 from repro.engine import kernel
 from repro.engine.limits import BudgetExceeded
 from repro.engine.tracing import get_tracer
 from repro.graph.edge_labeled import EdgeLabeledGraph, ObjectId
 from repro.regex.ast import reverse as regex_reverse
-from repro.rpq.evaluation import compile_for_graph, evaluate_rpq, reachable_by_rpq
+from repro.rpq.evaluation import evaluate_rpq
 
 
 class _AtomAccess:
     """Memoized access paths for one evaluation run.
 
-    With ``use_index=True`` compilation additionally goes through the
-    engine's process-wide LRU cache (keyed on the *alphabet*, so a graph
-    mutated between runs never resurrects a stale wildcard automaton) and
-    reachability runs on the CSR snapshot, in either direction.
+    Compilation goes through the engine's process-wide LRU cache (keyed on
+    the *alphabet*, so a graph mutated between runs never resurrects a
+    stale wildcard automaton) and reachability runs on the CSR snapshot, in
+    either direction.
     """
 
-    def __init__(
-        self,
-        graph: EdgeLabeledGraph,
-        use_index: bool = True,
-        stats=None,
-        budget=None,
-    ):
+    def __init__(self, graph: EdgeLabeledGraph, stats=None, budget=None):
         self.graph = graph
-        self.use_index = use_index
         self.stats = stats
         # Atom relations are *intermediate* results: they share the query's
         # deadline/cancellation but are exempt from its answer-row ceiling.
         self.budget = budget.subquery() if budget is not None else None
-        self.reversed_graph = None
         self._forward: dict = {}
         self._backward: dict = {}
         self._full: dict = {}
@@ -73,59 +64,40 @@ class _AtomAccess:
     def _compiled(self, regex):
         # Keyed on (expression, graph version) — never on ``id(graph)``: a
         # garbage-collected graph can recycle its id and resurrect a stale
-        # automaton compiled over a different alphabet.  A reversed copy
-        # has the graph's labels, hence its Remark 11 alphabet, so both
-        # access directions compile over the graph itself.
+        # automaton compiled over a different alphabet.  The cache's
+        # CompiledQuery memoizes its lowered IntPlan: a bare NFA would be
+        # re-wrapped and re-lowered by every BFS that starts from it.
         key = (regex, self.graph.version)
         if key not in self._compiled_cache:
-            # Indexed runs keep the cache's CompiledQuery, whose lowered
-            # IntPlan is memoized on it: a bare NFA would be re-wrapped and
-            # re-lowered by every BFS that starts from it.
-            self._compiled_cache[key] = (
-                kernel.compile_query(regex, self.graph, stats=self.stats)
-                if self.use_index
-                else compile_for_graph(regex, self.graph, cached=False)
+            self._compiled_cache[key] = kernel.compile_query(
+                regex, self.graph, stats=self.stats
             )
         return self._compiled_cache[key]
 
     def forward(self, regex, source: ObjectId) -> set[ObjectId]:
         key = (regex, source)
         if key not in self._forward:
-            self._forward[key] = reachable_by_rpq(
-                self._compiled(regex),
-                self.graph,
-                source,
-                use_index=self.use_index,
-                stats=self.stats,
-                budget=self.budget,
+            self._forward[key] = kernel.reachable(
+                self._compiled(regex), self.graph, source,
+                stats=self.stats, budget=self.budget,
             )
         return self._forward[key]
 
     def backward(self, regex, target: ObjectId) -> set[ObjectId]:
         key = (regex, target)
         if key not in self._backward:
-            compiled = self._compiled(regex_reverse(regex))
-            if self.use_index:
-                self._backward[key] = kernel.reachable(
-                    compiled, self.graph, target,
-                    stats=self.stats, budget=self.budget, backward=True,
-                )
-            else:
-                # The reference keeps the seed's build-per-run behaviour.
-                if self.reversed_graph is None:
-                    self.reversed_graph = self.graph.reversed_copy()
-                self._backward[key] = reachable_by_rpq(
-                    compiled, self.reversed_graph, target, use_index=False
-                )
+            self._backward[key] = kernel.reachable(
+                self._compiled(regex_reverse(regex)), self.graph, target,
+                stats=self.stats, budget=self.budget, backward=True,
+            )
         return self._backward[key]
 
     def full(self, regex) -> set[tuple[ObjectId, ObjectId]]:
-        # The unbound-atom hot path: with use_index=True this is the
-        # kernel's one-sweep multi-source evaluation of ``[[R]]_G``.
+        # The unbound-atom hot path: the kernel's one-sweep multi-source
+        # evaluation of ``[[R]]_G``.
         if regex not in self._full:
             self._full[regex] = evaluate_rpq(
-                regex, self.graph, use_index=self.use_index,
-                stats=self.stats, budget=self.budget,
+                regex, self.graph, stats=self.stats, budget=self.budget
             )
         return self._full[regex]
 
@@ -179,7 +151,6 @@ def evaluate_crpq_bindings(
     graph: EdgeLabeledGraph,
     plan: "list[RPQAtom] | None" = None,
     *,
-    use_index: bool = True,
     planner: "str | None" = None,
     stats=None,
     budget=None,
@@ -196,9 +167,9 @@ def evaluate_crpq_bindings(
     (shard-local scatter) versus unbound (broadcast sweep).
 
     ``planner`` selects the atom ordering: ``"cost"`` (the engine's
-    cardinality-model planner, default on indexed runs) or ``"greedy"``
-    (the seed planner, default for the ``use_index=False`` oracle).  An
-    explicit ``plan`` overrides both.
+    cardinality-model planner, the default) or ``"greedy"`` (the seed
+    planner, which :mod:`repro.reference` uses).  An explicit ``plan``
+    overrides both.
 
     A ``budget`` bounds the whole join: atom reachability calls run under
     ``budget.subquery()`` and the join loop itself ticks per extension.  On
@@ -209,9 +180,7 @@ def evaluate_crpq_bindings(
     Sections 3.1.5 and 3.2.2 (l-CRPQs and dl-CRPQs alike) also start from
     these homomorphisms before attaching list bindings per atom.
     """
-    schema, rows = _join(
-        query, graph, plan, use_index, planner, stats, budget, access
-    )
+    schema, rows = _join(query, graph, plan, planner, stats, budget, access)
     return _as_dicts(schema, rows)
 
 
@@ -220,7 +189,7 @@ def _as_dicts(schema: tuple, rows: list[tuple]) -> list[dict]:
 
 
 def _join(
-    query: "CRPQ | str", graph, plan, use_index, planner, stats, budget, access,
+    query: "CRPQ | str", graph, plan, planner, stats, budget, access,
 ) -> "tuple[tuple[Var, ...], list[tuple]]":
     """The homomorphisms as ``(schema, rows)``: ``rows[i][j]`` is the node
     bound to variable ``schema[j]``, in the order the plan first binds them."""
@@ -233,16 +202,10 @@ def _join(
         with tracer.span("crpq.plan", planner=planner or "default"):
             if plan is not None:
                 ordered = plan
-            elif planner is not None:
-                ordered = make_plan(
-                    query, graph, planner, stats=stats, budget=budget
-                )
-            elif use_index:
-                ordered = make_plan(
-                    query, graph, "cost", stats=stats, budget=budget
-                )
             else:
-                ordered = greedy_plan(query, graph)
+                ordered = make_plan(
+                    query, graph, planner or "cost", stats=stats, budget=budget
+                )
             # When tracing, price the chosen order up front so every
             # per-atom span carries its estimate next to the actual
             # cardinality it produced.
@@ -254,9 +217,7 @@ def _join(
         if query_span is not None:
             query_span.set(atoms=len(ordered))
         if access is None:
-            access = _AtomAccess(
-                graph, use_index=use_index, stats=stats, budget=budget
-            )
+            access = _AtomAccess(graph, stats=stats, budget=budget)
         schema: tuple = ()
         rows: list[tuple] = [()]
         try:
@@ -397,16 +358,22 @@ def evaluate_crpq(
     ``budget.max_rows`` applies to these head tuples: the evaluation stops
     once more than ``max_rows`` distinct tuples exist, and the raised
     :class:`BudgetExceeded` carries exactly ``max_rows`` of them.
+
+    ``use_index=False`` returns :func:`repro.reference.crpq_answers` instead
+    (every other option is ignored).  It stays only for the answer checks of
+    the repo benchmark under ``bench/``; no caller in the package passes it.
     """
+    if not use_index:
+        from repro import reference
+
+        return reference.crpq_answers(query, graph)
     if isinstance(query, str):
         from repro.crpq.ast import parse_crpq
 
         query = parse_crpq(query)
     results: set[tuple] = set()
     try:
-        schema, rows = _join(
-            query, graph, plan, use_index, planner, stats, budget, access
-        )
+        schema, rows = _join(query, graph, plan, planner, stats, budget, access)
         if rows:
             head = [schema.index(var) for var in query.head]
             for row in rows:

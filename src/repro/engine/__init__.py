@@ -31,9 +31,9 @@ One optimization layer under every language frontend in the library:
   counter/histogram registry with Prometheus text and JSON exposition;
 * :mod:`repro.engine.explain` — EXPLAIN/PROFILE reports for the CLI.
 
-Every frontend keeps its original naive implementation behind
-``use_index=False``; that seed evaluator is the one reference the
-differential tests compare the engine against.
+The frontends' original naive implementations live in
+:mod:`repro.reference`, the one reference the differential tests compare
+the engine against.
 """
 
 from repro.engine.batch import BatchExecutor, BatchResult

@@ -312,7 +312,7 @@ def default_cache() -> CompilationCache:
 
 
 def compile_uncached(query: "Regex | str", alphabet: Iterable[SymbolType]) -> CompiledQuery:
-    """A fresh compilation bypassing every cache (the differential oracle)."""
+    """A fresh compilation bypassing every cache."""
     regex = parse_regex(query) if isinstance(query, str) else query
     sigma = frozenset(alphabet)
     return CompiledQuery(regex, sigma, compile_regex(regex, alphabet=sigma))

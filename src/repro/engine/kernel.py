@@ -35,9 +35,9 @@ once, on one data plane:
 
 The language frontends (``rpq.evaluation``, ``rpq.path_modes``,
 ``crpq.evaluation``, ``coregql.semantics``, ``gql.semantics``) all call into
-here when ``use_index=True`` (the default).  Their original linear-scan
-implementations remain behind ``use_index=False``; that seed evaluator is
-the one reference every differential test compares this module against.
+here.  Their original linear-scan implementations live in
+:mod:`repro.reference`, the one reference every differential test compares
+this module against.
 """
 
 from __future__ import annotations

@@ -152,7 +152,6 @@ def match_gql_pattern(
     graph: PropertyGraph,
     max_length: "int | None" = None,
     *,
-    use_index: bool = True,
     stats=None,
 ) -> set[GQLMatch]:
     """All matches of the pattern on the graph.
@@ -163,21 +162,19 @@ def match_gql_pattern(
     quantifier over a zero-length match that binds a variable, whatever
     the bound).  A negative ``max_length`` raises :class:`QueryError`.
 
-    With ``use_index=True`` (default) a labeled edge pattern reads the
-    label's row of the CSR snapshot's edge column
-    (:meth:`~repro.engine.csr.CSRGraph.edge_rows`) instead of scanning every
-    edge; ``use_index=False`` keeps the seed's linear scans (the
-    differential oracle).  ``stats`` collects engine counters when provided.
+    A labeled edge pattern reads the label's row of the CSR snapshot's edge
+    column (:meth:`~repro.engine.csr.CSRGraph.edge_rows`);
+    :func:`repro.reference.gql_matches` scans every edge instead.  ``stats``
+    collects engine counters when provided.
     """
     if isinstance(pattern, str):
         from repro.gql.parser import parse_gql_pattern
 
         pattern = parse_gql_pattern(pattern)
-    language = _GQL if use_index else _GQL._replace(edges=_scanned_edges)
     return {
         GQLMatch(path, binding)
         for path, binding in _evaluate(
-            pattern, graph, language, bound=max_length, stats=stats
+            pattern, graph, _GQL, bound=max_length, stats=stats
         )
     }
 
@@ -204,10 +201,6 @@ def _nodes(pattern: NodePat, graph):
         for node in graph.iter_nodes()
         if pattern.label is None or graph.object_label(node) == pattern.label
     )
-
-
-def _scanned_edges(pattern: EdgePat, graph, stats):
-    return _scan_edges(graph, pattern.label)
 
 
 def _indexed_edges(pattern: EdgePat, graph, stats):

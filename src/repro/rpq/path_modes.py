@@ -39,7 +39,6 @@ def matching_paths(
     mode: str = "shortest",
     limit: int | None = None,
     *,
-    use_index: bool = True,
     stats=None,
     budget=None,
 ) -> Iterator[Path]:
@@ -50,9 +49,8 @@ def matching_paths(
     are deduplicated, so ambiguity of the expression never duplicates paths
     (the set semantics the paper advocates).
 
-    ``use_index=False`` replays the seed pipeline (fresh compilation, linear
-    edge scans while building the product); both settings enumerate the
-    same paths in the same order, which the differential tests assert.
+    :func:`repro.reference.matching_paths` enumerates the same paths in the
+    same order, which the differential tests assert.
 
     ``budget`` (a :class:`repro.engine.limits.QueryBudget`) is checked
     between extension steps of the search — essential for ``simple`` and
@@ -68,11 +66,11 @@ def matching_paths(
     if hasattr(query, "initial"):
         nfa = query
     else:
-        nfa = compile_for_graph(query, graph, cached=use_index, stats=stats)
+        nfa = compile_for_graph(query, graph, stats=stats)
     product = trim(
         build_product(
-            graph, nfa, sources=[source], targets=[target], use_index=use_index,
-            stats=stats, budget=budget,
+            graph, nfa, sources=[source], targets=[target], stats=stats,
+            budget=budget,
         )
     )
     yield from search_paths(product, mode, limit, budget=budget)

@@ -26,6 +26,7 @@ from collections.abc import Callable, Iterable
 
 from repro.graph.edge_labeled import EdgeLabeledGraph, Label, ObjectId
 from repro.automata.nfa import NFA
+from repro.engine.csr import get_csr
 from repro.pmr.ops import is_finite, trim
 from repro.pmr.representation import PMR, PROJECTION
 
@@ -63,7 +64,6 @@ def build_product(
     sources: Iterable[ObjectId] | None = None,
     targets: Iterable[ObjectId] | None = None,
     *,
-    use_index: bool = True,
     stats=None,
     budget=None,
     label_of: Callable[[object], Label] | None = None,
@@ -75,11 +75,10 @@ def build_product(
     reachable from the sources is materialized, which keeps the common
     single-source case small.
 
-    With ``use_index=True`` (default) the traversal reads successor edges
-    off the CSR snapshot's rows and edge column
-    (:meth:`~repro.engine.csr.CSRGraph.edge_rows`); ``use_index=False`` keeps
-    the seed's linear ``out_edges`` scan.  Both build the *same* product
-    graph (possibly in a different edge insertion order).  A ``budget`` is
+    The traversal reads successor edges off the CSR snapshot's rows and edge
+    column (:meth:`~repro.engine.csr.CSRGraph.edge_rows`); it builds the
+    product :func:`repro.reference.product` builds from linear ``out_edges``
+    scans (possibly in a different edge insertion order).  A ``budget`` is
     ticked once per expanded product node (materialization is polynomial,
     but on a large graph it can dominate a timed-out query's wall clock).
 
@@ -102,23 +101,20 @@ def build_product(
             (symbol, state_to)
         )
 
-    if use_index:
-        from repro.engine.csr import get_csr
-
-        csr = get_csr(graph, stats)
-        edges, ordinals = csr.edge_rows(graph)
-        node_ids, nodes = csr.interner._node_ids, csr.interner.nodes
-        label_id = csr.interner.label_id
-        # Per state, once: the rows of the labels it consumes that the graph
-        # has, as (label, offsets, targets, ordinals, matching transitions).
-        rows = {
-            state: [
-                (label, *csr.out_rows[li], ordinals[li], matching)
-                for label, matching in by_label.items()
-                if (li := label_id(label)) is not None
-            ]
-            for state, by_label in by_state.items()
-        }
+    csr = get_csr(graph, stats)
+    edges, ordinals = csr.edge_rows(graph)
+    node_ids, nodes = csr.interner._node_ids, csr.interner.nodes
+    label_id = csr.interner.label_id
+    # Per state, once: the rows of the labels it consumes that the graph
+    # has, as (label, offsets, targets, ordinals, matching transitions).
+    rows = {
+        state: [
+            (label, *csr.out_rows[li], ordinals[li], matching)
+            for label, matching in by_label.items()
+            if (li := label_id(label)) is not None
+        ]
+        for state, by_label in by_state.items()
+    }
 
     product = EdgeLabeledGraph()
     start_pairs = {
@@ -138,23 +134,13 @@ def build_product(
             tick()
         node, state = frontier.pop()
         expanded += 1
-        by_label = by_state.get(state)
-        if not by_label:
-            continue
-        if use_index:
-            u = node_ids[node]
-            moves = (
-                (edges[ords[k]], label, nodes[targets[k]], symbol, next_state)
-                for label, offsets, targets, ords, matching in rows[state]
-                for k in range(offsets[u], offsets[u + 1])
-                for symbol, next_state in matching
-            )
-        else:
-            moves = (
-                (edge, graph.label(edge), graph.tgt(edge), symbol, next_state)
-                for edge in graph.out_edges(node)
-                for symbol, next_state in by_label.get(graph.label(edge), ())
-            )
+        u = node_ids[node]
+        moves = (
+            (edges[ords[k]], label, nodes[targets[k]], symbol, next_state)
+            for label, offsets, targets, ords, matching in rows.get(state, ())
+            for k in range(offsets[u], offsets[u + 1])
+            for symbol, next_state in matching
+        )
         for edge, label, target, symbol, next_state in moves:
             relaxed += 1
             next_pair = (target, next_state)

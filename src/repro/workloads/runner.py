@@ -9,8 +9,8 @@ shape so benchmarks and the CLI can compare them directly:
   CSR snapshot, evaluate each unique query once;
 * :func:`run_query_log_sequential` — the seed path: one independent
   evaluation per query, re-parsing and re-compiling every time
-  (``use_index=False``), exactly what the repo did before the engine
-  existed.  This is the baseline the ``BENCH_workload.json`` speedup gate
+  (:func:`repro.reference.rpq_pairs`), exactly what the repo did before
+  the engine existed.  This is the baseline the ``BENCH_workload.json`` speedup gate
   measures against, and the oracle the batch results are checked against.
 """
 
@@ -24,7 +24,6 @@ from repro.engine.batch import BatchExecutor
 from repro.engine.stats import EngineStats
 from repro.graph.edge_labeled import EdgeLabeledGraph
 from repro.regex.ast import Regex
-from repro.rpq.evaluation import evaluate_rpq
 
 #: A workload is what :func:`~repro.workloads.querylog.generate_query_log`
 #: produces: ``(shape, expression)`` pairs.  Bare expressions also work.
@@ -160,10 +159,12 @@ def run_query_log_sequential(
     Each query re-parses, re-runs Glushkov, and BFSes per source with
     linear edge scans — the exact pre-engine pipeline.
     """
+    from repro.reference import rpq_pairs
+
     expressions = _expressions(log)
     started = time.perf_counter()
     results = [
-        evaluate_rpq(expression, graph, use_index=False)
+        rpq_pairs(expression, graph)
         for expression in expressions
     ]
     wall = time.perf_counter() - started

@@ -7,6 +7,7 @@ and the very next attempt succeeds cleanly.
 
 import pytest
 
+from repro import reference
 from repro.engine.batch import BatchExecutor
 from repro.engine.cache import CompilationCache
 from repro.engine.faults import FaultError
@@ -43,7 +44,7 @@ class TestKernelStepFault:
         assert excinfo.value.site == "kernel.step"
         # a clean rerun recovers and agrees with the seed evaluator exactly
         fast = evaluate_rpq("a+", cycle)
-        assert fast == evaluate_rpq("a+", cycle, use_index=False) and fast
+        assert fast == reference.rpq_pairs("a+", cycle) and fast
 
     def test_single_source_paths_also_carry_the_site(self, faults, cycle):
         from repro.engine import kernel
@@ -61,7 +62,7 @@ class TestKernelStepFault:
                 search()
             assert excinfo.value.site == "kernel.step"
         assert reachable_by_rpq("a+", cycle, node) == \
-            reachable_by_rpq("a+", cycle, node, use_index=False)
+            reference.rpq_reachable("a+", cycle, node)
         assert rpq_holds("a+", cycle, node, node)
 
     def test_repeated_faults_leave_no_stale_state(self, faults, cycle):

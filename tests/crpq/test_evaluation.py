@@ -1,5 +1,6 @@
 """Tests for CRPQ evaluation — Example 13 is the gold standard."""
 
+from repro import reference
 from repro.crpq.ast import CRPQ, RPQAtom, Var, parse_crpq
 from repro.crpq.evaluation import evaluate_crpq
 from repro.crpq.planning import estimate_atom_cardinality, greedy_plan, label_statistics
@@ -137,9 +138,7 @@ class TestGeneralEvaluation:
 
         monkeypatch.setattr(IntPlan, "__init__", counting_lower)
         monkeypatch.setattr(kernel, "reachable", counting_reachable)
-        assert evaluate_crpq(query, graph) == evaluate_crpq(
-            query, graph, use_index=False
-        )
+        assert evaluate_crpq(query, graph) == reference.crpq_answers(query, graph)
         assert len(traversals) > 10 * len(query.atoms)
         # each atom reads one expression in one direction
         assert len(lowered) <= len(query.atoms)
@@ -185,7 +184,7 @@ class TestPlannerSelection:
         q = parse_crpq("q(x, z) :- Transfer(x, y), Transfer(y, z), owner(z, w)")
         cost = evaluate_crpq(q, fig2, planner="cost")
         greedy = evaluate_crpq(q, fig2, planner="greedy")
-        oracle = evaluate_crpq(q, fig2, use_index=False)
+        oracle = reference.crpq_answers(q, fig2)
         assert cost == greedy == oracle
 
     def test_unknown_planner_rejected(self, fig2):

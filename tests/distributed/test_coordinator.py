@@ -2,7 +2,7 @@
 
 The central acceptance property: ``ShardCoordinator.evaluate_rpq`` over a
 partitioned graph equals single-node ``evaluate_rpq`` equals the naive
-dict oracle (``use_index=False``) — on fixed graphs, on generated
+oracle (:mod:`repro.reference`) — on fixed graphs, on generated
 graph/regex pairs (Hypothesis), for both partitioning strategies, for
 full and source-restricted evaluation, and through the CRPQ join.
 """
@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import reference
 from repro.crpq.evaluation import evaluate_crpq
 from repro.distributed import ShardCoordinator
 from repro.engine.limits import BudgetExceeded, make_budget
@@ -126,7 +127,7 @@ class TestDifferential:
         cluster.partition_graph(name, graph)
         sharded = cluster.evaluate_rpq(name, query)
         single = evaluate_rpq(query, graph)
-        oracle = evaluate_rpq(query, graph, use_index=False)
+        oracle = reference.rpq_pairs(query, graph)
         assert sharded == single == oracle
 
 

@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro import reference
 from repro.engine.batch import BatchExecutor
 from repro.engine.stats import EngineStats
 from repro.graph.generators import random_graph
 from repro.regex.parser import parse_regex
-from repro.rpq.evaluation import evaluate_rpq, reachable_by_rpq
 from repro.workloads.querylog import generate_query_log
 from repro.workloads.runner import run_query_log, run_query_log_sequential
 
@@ -28,7 +28,7 @@ class TestBatchResults:
     def test_matches_per_query_oracle(self, graph, workload):
         batch = BatchExecutor().run(graph, workload)
         for regex, result in zip(workload, batch.results):
-            assert result == evaluate_rpq(regex, graph, use_index=False)
+            assert result == reference.rpq_pairs(regex, graph)
 
     def test_string_queries_and_source_pairs(self, graph):
         queries = [
@@ -38,13 +38,9 @@ class TestBatchResults:
             "c",
         ]
         batch = BatchExecutor().run(graph, queries)
-        assert batch.results[0] == evaluate_rpq("a.b", graph, use_index=False)
-        assert batch.results[1] == reachable_by_rpq(
-            "a.b", graph, "v0", use_index=False
-        )
-        assert batch.results[2] == reachable_by_rpq(
-            "(a+b)*", graph, "v1", use_index=False
-        )
+        assert batch.results[0] == reference.rpq_pairs("a.b", graph)
+        assert batch.results[1] == reference.rpq_reachable("a.b", graph, "v0")
+        assert batch.results[2] == reference.rpq_reachable("(a+b)*", graph, "v1")
 
     def test_unknown_source_yields_empty(self, graph):
         batch = BatchExecutor().run(graph, [("a", "nope")])

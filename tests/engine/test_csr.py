@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import reference
 from repro.engine import kernel
 from repro.engine.cache import IntPlan
 from repro.engine.csr import (
@@ -383,7 +384,7 @@ class TestIntPlan:
 class TestKernelEdgeCases:
     def both(self, query, graph, **kwargs):
         fast = evaluate_rpq(query, graph, **kwargs)
-        slow = evaluate_rpq(query, graph, use_index=False, **kwargs)
+        slow = reference.rpq_pairs(query, graph, **kwargs)
         assert fast == slow
         return fast
 
@@ -435,7 +436,7 @@ class TestKernelEdgeCases:
         # only be walked once.
         graph = small_graph()
         sources = ["u", "u", "ghost", "w", "u", "w"]
-        oracle = evaluate_rpq("_*", graph, sources=sources, use_index=False)
+        oracle = reference.rpq_pairs("_*", graph, sources)
         assert oracle == {("u", "u"), ("u", "v"), ("u", "w"), ("w", "w")}
         stats = EngineStats()
         consumed = []

@@ -15,7 +15,7 @@ every call:
 * every snapshot handed out earlier is bit-for-bit what it was when it was
   returned — catch-up writes no array, list or dict an older snapshot can
   reach — and still decodes to the graph of its own version;
-* ``evaluate_rpq`` agrees with the naive ``use_index=False`` oracle;
+* ``evaluate_rpq`` agrees with :mod:`repro.reference`;
 * an ``IntPlan`` lowered before a write that keeps the label set is the
   same object after it, and is replaced when a label is added.
 """
@@ -25,6 +25,7 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import reference
 from repro.engine import kernel
 from repro.engine.csr import CSRGraph, get_csr
 from repro.engine.stats import EngineStats
@@ -118,9 +119,7 @@ def test_caught_up_snapshot_equals_fresh_build(steps, property_graph, warm):
         assert decoded(csr) == decoded(CSRGraph(graph))
         handed_out.append((csr, frozen(csr), decoded(csr)))
         for query in QUERIES:
-            assert evaluate_rpq(query, graph) == evaluate_rpq(
-                query, graph, use_index=False
-            )
+            assert evaluate_rpq(query, graph) == reference.rpq_pairs(query, graph)
     assert stats.get("csr_builds") == 1  # everything after the first is a patch
     versions = {snapshot.version for snapshot, _, _ in handed_out}
     assert stats.get("csr_patches") == len(versions) - 1
@@ -148,6 +147,4 @@ def test_int_plan_survives_label_preserving_writes(steps):
             assert after is not plan
             assert after.interner_uid == interner.uid
         plan = after
-        assert evaluate_rpq("a.b*", graph) == evaluate_rpq(
-            "a.b*", graph, use_index=False
-        )
+        assert evaluate_rpq("a.b*", graph) == reference.rpq_pairs("a.b*", graph)

@@ -1,12 +1,11 @@
-"""Differential test harness: indexed kernel vs naive seed oracle.
+"""Differential test harness: indexed kernel vs the reference evaluator.
 
 The tentpole guarantee of the execution kernel is *observational
-equivalence*: with ``use_index=True`` every evaluator must return exactly
-what the paper-faithful naive implementation (``use_index=False``, kept
-verbatim from the seed) returns, on every input.  Hypothesis generates
-random multigraphs and random regular expressions (including Remark 11
-wildcards, whose alphabet-dependent compilation is the subtlest cache
-interaction) and pits the two pipelines against each other for:
+equivalence*: every evaluator must return exactly what the paper-faithful
+naive implementation (:mod:`repro.reference`, the seed pipeline) returns,
+on every input.  Hypothesis generates random multigraphs and random regular
+expressions (including Remark 11 wildcards, whose alphabet-dependent
+compilation is the subtlest cache interaction) and pits the two pipelines against each other for:
 
 * ``reachable_by_rpq`` (single-source reachability),
 * ``evaluate_rpq`` (the full answer relation),
@@ -23,7 +22,7 @@ interaction) and pits the two pipelines against each other for:
 * the flat int-encoded **CSR data plane** vs the naive oracle, for the
   sweep, single-source reachability, restricted source sets and CRPQ joins
   (these compared against a dict-of-dicts kernel until it was deleted; the
-  seed evaluator is the one reference now),
+  reference evaluator is the one oracle now),
 * all four evaluators — rpq, crpq, coregql, gql — pinned to one answer on
   label-word patterns (the fragment they all implement),
 * budget trips: the kernel raises the typed limit and attaches a partial
@@ -35,6 +34,7 @@ Across the suite well over 200 (graph, query) cases are exercised per run.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import reference
 from repro.crpq.ast import CRPQ, RPQAtom, Var
 from repro.crpq.evaluation import evaluate_crpq, evaluate_crpq_bindings
 from repro.engine import kernel
@@ -120,16 +120,16 @@ def crpqs(draw) -> CRPQ:
 @given(graph=graphs(), regex=regexes(), source=st.integers(0, 4))
 def test_reachable_indexed_equals_naive(graph, regex, source):
     node = f"v{source}"
-    fast = reachable_by_rpq(regex, graph, node, use_index=True, stats=EngineStats())
-    oracle = reachable_by_rpq(regex, graph, node, use_index=False)
+    fast = reachable_by_rpq(regex, graph, node, stats=EngineStats())
+    oracle = reference.rpq_reachable(regex, graph, node)
     assert fast == oracle
 
 
 @settings(max_examples=50, deadline=None)
 @given(graph=graphs(), regex=regexes())
 def test_evaluate_indexed_equals_naive(graph, regex):
-    fast = evaluate_rpq(regex, graph, use_index=True)
-    oracle = evaluate_rpq(regex, graph, use_index=False)
+    fast = evaluate_rpq(regex, graph)
+    oracle = reference.rpq_pairs(regex, graph)
     assert fast == oracle
 
 
@@ -139,8 +139,8 @@ def test_evaluate_indexed_equals_naive(graph, regex):
 )
 def test_holds_indexed_equals_naive(graph, regex, source, target):
     src, tgt = f"v{source}", f"v{target}"
-    assert rpq_holds(regex, graph, src, tgt, use_index=True) == rpq_holds(
-        regex, graph, src, tgt, use_index=False
+    assert rpq_holds(regex, graph, src, tgt) == reference.rpq_holds(
+        regex, graph, src, tgt
     )
 
 
@@ -158,10 +158,10 @@ def test_path_modes_indexed_equals_naive(graph, regex, source, target):
     src, tgt = f"v{source}", f"v{target}"
     for mode in ("shortest", "trail", "simple"):
         fast = list(
-            matching_paths(regex, graph, src, tgt, mode=mode, limit=25, use_index=True)
+            matching_paths(regex, graph, src, tgt, mode=mode, limit=25)
         )
         oracle = list(
-            matching_paths(regex, graph, src, tgt, mode=mode, limit=25, use_index=False)
+            reference.matching_paths(regex, graph, src, tgt, mode=mode, limit=25)
         )
         assert fast == oracle, mode
 
@@ -172,11 +172,11 @@ def test_path_modes_indexed_equals_naive(graph, regex, source, target):
 @settings(max_examples=50, deadline=None)
 @given(graph=graphs(max_nodes=4, max_edges=6), query=crpqs())
 def test_crpq_indexed_equals_naive(graph, query):
-    fast = evaluate_crpq(query, graph, use_index=True, stats=EngineStats())
-    oracle = evaluate_crpq(query, graph, use_index=False)
+    fast = evaluate_crpq(query, graph, stats=EngineStats())
+    oracle = reference.crpq_answers(query, graph)
     assert fast == oracle
-    fast_bindings = evaluate_crpq_bindings(query, graph, use_index=True)
-    oracle_bindings = evaluate_crpq_bindings(query, graph, use_index=False)
+    fast_bindings = evaluate_crpq_bindings(query, graph)
+    oracle_bindings = reference.crpq_bindings(query, graph)
     freeze = lambda bindings: {tuple(sorted(b.items(), key=repr)) for b in bindings}
     assert freeze(fast_bindings) == freeze(oracle_bindings)
 
@@ -187,14 +187,14 @@ def test_crpq_indexed_equals_naive(graph, query):
 @settings(max_examples=60, deadline=None)
 @given(graph=graphs(), regex=regexes())
 def test_sweep_equals_single_source_loop_and_naive(graph, regex):
-    sweep = evaluate_rpq(regex, graph, use_index=True, stats=EngineStats())
+    sweep = evaluate_rpq(regex, graph, stats=EngineStats())
     compiled = kernel.compile_query(regex, graph)
     one_by_one = {
         (source, target)
         for source in graph.iter_nodes()
         for target in kernel.reachable(compiled, graph, source)
     }
-    oracle = evaluate_rpq(regex, graph, use_index=False)
+    oracle = reference.rpq_pairs(regex, graph)
     assert sweep == one_by_one == oracle
 
 
@@ -207,8 +207,8 @@ def test_sweep_equals_single_source_loop_and_naive(graph, regex):
 def test_sweep_restricted_sources_equals_naive(graph, regex, picks):
     # Source lists may name nodes outside the graph; both paths must skip them.
     sources = [f"v{i}" for i in sorted(picks)]
-    sweep = evaluate_rpq(regex, graph, sources, use_index=True)
-    oracle = evaluate_rpq(regex, graph, sources, use_index=False)
+    sweep = evaluate_rpq(regex, graph, sources)
+    oracle = reference.rpq_pairs(regex, graph, sources)
     assert sweep == oracle
 
 
@@ -218,14 +218,14 @@ def test_sweep_restricted_sources_equals_naive(graph, regex, picks):
 @settings(max_examples=50, deadline=None)
 @given(graph=graphs(max_nodes=4, max_edges=6), query=crpqs())
 def test_planners_agree_on_answer_sets(graph, query):
-    cost = evaluate_crpq(query, graph, use_index=True, planner="cost")
-    greedy = evaluate_crpq(query, graph, use_index=True, planner="greedy")
-    oracle = evaluate_crpq(query, graph, use_index=False, planner="greedy")
+    cost = evaluate_crpq(query, graph, planner="cost")
+    greedy = evaluate_crpq(query, graph, planner="greedy")
+    oracle = reference.crpq_answers(query, graph)
     assert cost == greedy == oracle
     freeze = lambda bindings: {tuple(sorted(b.items(), key=repr)) for b in bindings}
     assert freeze(
-        evaluate_crpq_bindings(query, graph, use_index=True, planner="cost")
-    ) == freeze(evaluate_crpq_bindings(query, graph, use_index=False))
+        evaluate_crpq_bindings(query, graph, planner="cost")
+    ) == freeze(reference.crpq_bindings(query, graph))
 
 
 # ----------------------------------------------------------------------
@@ -241,7 +241,7 @@ def test_batch_executor_equals_naive(graph, workload):
 
     batch = BatchExecutor().run(graph, workload)
     for regex, result in zip(workload, batch.results):
-        assert result == evaluate_rpq(regex, graph, use_index=False)
+        assert result == reference.rpq_pairs(regex, graph)
 
 
 # ----------------------------------------------------------------------
@@ -252,8 +252,8 @@ def test_batch_executor_equals_naive(graph, workload):
 @settings(max_examples=80, deadline=None)
 @given(graph=graphs(), regex=regexes())
 def test_csr_sweep_equals_dict_kernel_and_naive(graph, regex):
-    csr = evaluate_rpq(regex, graph, use_index=True, stats=EngineStats())
-    oracle = evaluate_rpq(regex, graph, use_index=False)
+    csr = evaluate_rpq(regex, graph, stats=EngineStats())
+    oracle = reference.rpq_pairs(regex, graph)
     assert csr == oracle
 
 
@@ -261,8 +261,8 @@ def test_csr_sweep_equals_dict_kernel_and_naive(graph, regex):
 @given(graph=graphs(), regex=regexes(), source=st.integers(0, 4))
 def test_csr_reachable_equals_dict_kernel_and_naive(graph, regex, source):
     node = f"v{source}"
-    csr = reachable_by_rpq(regex, graph, node, use_index=True)
-    oracle = reachable_by_rpq(regex, graph, node, use_index=False)
+    csr = reachable_by_rpq(regex, graph, node)
+    oracle = reference.rpq_reachable(regex, graph, node)
     assert csr == oracle
 
 
@@ -276,21 +276,21 @@ def test_csr_restricted_sources_equals_dict_kernel(graph, regex, picks):
     # Source lists may name nodes outside the graph; the kernel must skip
     # them before seeding (it would otherwise KeyError interning).
     sources = [f"v{i}" for i in sorted(picks)]
-    csr = evaluate_rpq(regex, graph, sources, use_index=True)
-    oracle = evaluate_rpq(regex, graph, sources, use_index=False)
+    csr = evaluate_rpq(regex, graph, sources)
+    oracle = reference.rpq_pairs(regex, graph, sources)
     assert csr == oracle
 
 
 @settings(max_examples=40, deadline=None)
 @given(graph=graphs(max_nodes=4, max_edges=6), query=crpqs())
 def test_csr_crpq_equals_dict_kernel(graph, query):
-    csr = evaluate_crpq(query, graph, use_index=True)
-    oracle = evaluate_crpq(query, graph, use_index=False)
+    csr = evaluate_crpq(query, graph)
+    oracle = reference.crpq_answers(query, graph)
     assert csr == oracle
     freeze = lambda bindings: {tuple(sorted(b.items(), key=repr)) for b in bindings}
     assert freeze(
-        evaluate_crpq_bindings(query, graph, use_index=True)
-    ) == freeze(evaluate_crpq_bindings(query, graph, use_index=False))
+        evaluate_crpq_bindings(query, graph)
+    ) == freeze(reference.crpq_bindings(query, graph))
 
 
 # ----------------------------------------------------------------------
@@ -341,13 +341,13 @@ def test_four_evaluators_agree_on_label_words(case):
         regex = Concat(tuple(Symbol(label) for label in word))
     else:
         regex = Epsilon()
-    expected = evaluate_rpq(regex, graph, use_index=True)
-    assert expected == evaluate_rpq(regex, graph, use_index=False)
+    expected = evaluate_rpq(regex, graph)
+    assert expected == reference.rpq_pairs(regex, graph)
 
     query = CRPQ(
         head=(Var("x"), Var("y")), atoms=(RPQAtom(regex, Var("x"), Var("y")),)
     )
-    assert evaluate_crpq(query, graph, use_index=True) == expected
+    assert evaluate_crpq(query, graph) == expected
 
     pattern_text = "()" + "".join(f" -[:{label}]-> ()" for label in word)
     core_endpoints = {
@@ -377,11 +377,11 @@ def test_max_rows_trip_equivalent_across_planes(graph, regex, ceiling):
     seed evaluator's full answer (which subset is not fixed — answer
     discovery order is an implementation detail the bound does not pin).
     """
-    full = evaluate_rpq(regex, graph, use_index=False)
+    full = reference.rpq_pairs(regex, graph)
     budget = make_budget(max_rows=ceiling)
     if len(full) > ceiling:
         try:
-            evaluate_rpq(regex, graph, use_index=True, budget=budget)
+            evaluate_rpq(regex, graph, budget=budget)
         except BudgetExceeded as exc:
             assert exc.limit == "max_rows"
             assert len(exc.partial) == ceiling
@@ -389,7 +389,7 @@ def test_max_rows_trip_equivalent_across_planes(graph, regex, ceiling):
         else:
             raise AssertionError("max_rows did not trip")
     else:
-        assert evaluate_rpq(regex, graph, use_index=True, budget=budget) == full
+        assert evaluate_rpq(regex, graph, budget=budget) == full
 
 
 @settings(max_examples=40, deadline=None)
@@ -399,14 +399,12 @@ def test_max_states_trip_equivalent_across_planes(graph, regex, source, ceiling)
     seed evaluator's answer or trips typed, attaching a subset of it; the
     same call trips the same way twice (each product pair expands once)."""
     node = f"v{source}"
-    full = reachable_by_rpq(regex, graph, node, use_index=False)
+    full = reference.rpq_reachable(regex, graph, node)
     outcomes = []
     for _ in range(2):
         budget = make_budget(max_states=ceiling, stride=1)
         try:
-            answers = reachable_by_rpq(
-                regex, graph, node, use_index=True, budget=budget
-            )
+            answers = reachable_by_rpq(regex, graph, node, budget=budget)
             assert answers == full
             outcomes.append("ok")
         except BudgetExceeded as exc:

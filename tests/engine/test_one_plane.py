@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import reference
 from repro.crpq.ast import parse_crpq
 from repro.crpq.evaluation import evaluate_crpq
 from repro.crpq.planning import cost_plan
@@ -56,7 +57,7 @@ def test_relation_queries_build_the_csr_and_nothing_else():
         'q(x, y, z) :- a("u0", x), (a.b)(y, z), (a*)(x, "u2")'
     )
     answers = evaluate_crpq(query, graph, plan=list(query.atoms), stats=stats)
-    assert answers == evaluate_crpq(query, graph, use_index=False)
+    assert answers == reference.crpq_answers(query, graph)
     assert answers == {("u1", "u1", "t")}
     # and once more through the cost planner, which reads the statistics
     assert evaluate_crpq(query, graph, stats=stats) == answers
@@ -80,8 +81,8 @@ def test_backward_atom_after_writes_rides_the_catch_up():
 
     # a new answer through the backward atom
     graph.add_edge("w0", "fresh", "u0", "a")
-    assert evaluate_crpq(query, graph, stats=stats) == evaluate_crpq(
-        query, graph, use_index=False
+    assert evaluate_crpq(query, graph, stats=stats) == reference.crpq_answers(
+        query, graph
     )
     assert ("fresh",) in evaluate_crpq(query, graph, stats=stats)
     assert stats.get("csr_patches") == 1
@@ -90,7 +91,7 @@ def test_backward_atom_after_writes_rides_the_catch_up():
     graph.add_edge("w1", "far", "fresh", "c")
     wider = parse_crpq('q(x) :- (c.a*.b)(x, "t")')
     assert evaluate_crpq(wider, graph, stats=stats) == {("far",)}
-    assert evaluate_crpq(wider, graph, use_index=False) == {("far",)}
+    assert reference.crpq_answers(wider, graph) == {("far",)}
     assert stats.get("csr_patches") == 2
     assert stats.get("csr_builds") == 1
 
@@ -113,8 +114,8 @@ def test_backward_atom_after_writes_rides_the_catch_up():
 def test_holds_on_the_csr_equals_the_seed_evaluator(graph, regex, source, target):
     src, tgt = f"v{source}", f"v{target}"
     stats = EngineStats()
-    assert rpq_holds(regex, graph, src, tgt, stats=stats) == rpq_holds(
-        regex, graph, src, tgt, use_index=False
+    assert rpq_holds(regex, graph, src, tgt, stats=stats) == reference.rpq_holds(
+        regex, graph, src, tgt
     )
     if graph.has_node(src) and graph.has_node(tgt):
         assert stats.get("csr_builds") + stats.get("csr_reuses") == 1

@@ -3,8 +3,8 @@
 ``evaluate_rpq`` hands back the sweep's origin masks as a read-only
 :class:`~repro.engine.relation.PairRelation` instead of a decoded pair set.
 This module holds that object to the ``collections.abc.Set`` contract
-against the seed evaluator's plain ``set`` (``use_index=False``), exercises
-both mask decoders on each side of their crossover, and holds the tuple-row
+against :mod:`repro.reference`'s plain ``set``, exercises both mask
+decoders on each side of their crossover, and holds the tuple-row
 CRPQ join to the naive evaluator on the query shapes whose access path is
 decided per atom: constants, non-node constants, repeated variables,
 boolean heads, filter-only atoms.
@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import reference
 from repro.crpq.ast import Var, parse_crpq
 from repro.crpq.evaluation import evaluate_crpq, evaluate_crpq_bindings
 from repro.engine.limits import BudgetExceeded, QueryBudget
@@ -55,7 +56,7 @@ def source_subsets(draw, max_nodes: int = 5):
 @given(graph=graphs(), regex=regexes(), sources=source_subsets())
 def test_relation_equals_dict_oracle(graph, regex, sources):
     relation = evaluate_rpq(regex, graph, sources=sources)
-    oracle = evaluate_rpq(regex, graph, sources=sources, use_index=False)
+    oracle = reference.rpq_pairs(regex, graph, sources)
     assert type(oracle) is set
     assert relation == oracle and oracle == relation
     assert not (relation != oracle) and not (oracle != relation)
@@ -79,7 +80,7 @@ def test_relation_equals_dict_oracle(graph, regex, sources):
                                st.sampled_from(["v0", "v1", "v2"]))))
 def test_relation_algebra_returns_plain_sets(graph, regex, sources, other):
     relation = evaluate_rpq(regex, graph, sources=sources)
-    oracle = evaluate_rpq(regex, graph, sources=sources, use_index=False)
+    oracle = reference.rpq_pairs(regex, graph, sources)
     for ours, theirs in (
         (relation | other, oracle | other), (other | relation, other | oracle),
         (relation & other, oracle & other), (other & relation, other & oracle),
@@ -123,7 +124,7 @@ def test_relation_is_a_snapshot_of_its_graph_version():
     after = evaluate_rpq("a.b*", graph)
     assert ("v0", "fresh") in after and ("v0", "fresh") not in before
     assert before == frozen and len(before) == len(frozen)
-    assert after == evaluate_rpq("a.b*", graph, use_index=False)
+    assert after == reference.rpq_pairs("a.b*", graph)
 
 
 # ----------------------------------------------------------------------
@@ -180,8 +181,8 @@ def test_the_crossover_splits_real_masks():
     sparse = evaluate_rpq("a", graph)
     assert dense_share(dense) > 0.9
     assert dense_share(sparse) == 0.0
-    assert dense == evaluate_rpq("(a+b)*", graph, use_index=False)
-    assert sparse == evaluate_rpq("a", graph, use_index=False)
+    assert dense == reference.rpq_pairs("(a+b)*", graph)
+    assert sparse == reference.rpq_pairs("a", graph)
 
 
 def test_one_bit_masks_in_a_large_graph():
@@ -191,11 +192,11 @@ def test_one_bit_masks_in_a_large_graph():
         mask.bit_count() == 1 and mask.bit_length() > 1000
         for mask in everything._masks.values()
     )
-    assert everything == evaluate_rpq("a", graph, use_index=False)
+    assert everything == reference.rpq_pairs("a", graph)
     # a single-source read: one-bit masks of length one, whatever the graph
     single = evaluate_rpq("a.b*", graph, sources=["v1999"])
     assert all(mask == 1 for mask in single._masks.values())
-    assert single == evaluate_rpq("a.b*", graph, sources=["v1999"], use_index=False)
+    assert single == reference.rpq_pairs("a.b*", graph, ["v1999"])
 
 
 def test_max_rows_trip_attaches_exactly_k_answers():
@@ -225,10 +226,10 @@ def _freeze(bindings):
 @given(graph=graphs(), query=crpqs())
 def test_positional_join_equals_naive_and_greedy(graph, query):
     answer = evaluate_crpq(query, graph)
-    assert answer == evaluate_crpq(query, graph, use_index=False)
+    assert answer == reference.crpq_answers(query, graph)
     assert answer == evaluate_crpq(query, graph, planner="greedy")
     assert _freeze(evaluate_crpq_bindings(query, graph)) == _freeze(
-        evaluate_crpq_bindings(query, graph, use_index=False)
+        reference.crpq_bindings(query, graph)
     )
 
 
@@ -268,13 +269,13 @@ SHAPES = [
 def test_join_shapes_equal_the_naive_evaluator(text, seed):
     graph = random_graph(12, 60, labels=("a", "b", "c"), seed=seed)
     query = parse_crpq(text)
-    oracle = evaluate_crpq(query, graph, use_index=False)
+    oracle = reference.crpq_answers(query, graph)
     assert evaluate_crpq(query, graph) == oracle
     assert evaluate_crpq(query, graph, planner="greedy") == oracle
     for plan in (list(query.atoms), list(reversed(query.atoms))):
         assert evaluate_crpq(query, graph, plan=plan) == oracle
         assert _freeze(evaluate_crpq_bindings(query, graph, plan=plan)) == _freeze(
-            evaluate_crpq_bindings(query, graph, use_index=False)
+            reference.crpq_bindings(query, graph)
         )
 
 

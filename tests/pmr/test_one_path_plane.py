@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import reference
 from repro.engine.limits import QueryBudget
 from repro.errors import GraphError, InfiniteResultError
 from repro.graph.bindings import ListBinding
@@ -104,9 +105,9 @@ def test_every_mode_indexed_equals_naive(graph, regex, source, target):
     src, tgt = f"v{source}", f"v{target}"
     for mode in PATH_MODES:
         assert list(
-            matching_paths(regex, graph, src, tgt, mode=mode, limit=LIMIT, use_index=True)
+            matching_paths(regex, graph, src, tgt, mode=mode, limit=LIMIT)
         ) == list(
-            matching_paths(regex, graph, src, tgt, mode=mode, limit=LIMIT, use_index=False)
+            reference.matching_paths(regex, graph, src, tgt, mode=mode, limit=LIMIT)
         ), mode
 
 

@@ -16,6 +16,7 @@ bound) rests on two facts this module locks in with hypothesis:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import reference
 from repro.engine import kernel
 from repro.graph.edge_labeled import EdgeLabeledGraph
 from repro.regex.ast import (
@@ -94,10 +95,8 @@ def test_double_reverse_preserves_language(graph, regex):
 @settings(max_examples=60, deadline=None)
 @given(graph=graphs(), regex=regexes())
 def test_reverse_swaps_answer_pairs(graph, regex):
-    forward = evaluate_rpq(regex, graph, use_index=False)
-    backward = evaluate_rpq(
-        regex_reverse(regex), graph.reversed_copy(), use_index=False
-    )
+    forward = reference.rpq_pairs(regex, graph)
+    backward = reference.rpq_pairs(regex_reverse(regex), graph.reversed_copy())
     assert backward == {(target, source) for source, target in forward}
 
 
@@ -115,5 +114,5 @@ def test_backward_reachability_equals_forward(graph, regex, target):
         kernel.compile_query(reversed_regex, graph), graph, node, backward=True
     )
     assert sources == reachable_by_rpq(reversed_regex, graph.reversed_copy(), node)
-    forward = evaluate_rpq(regex, graph, use_index=False)
+    forward = reference.rpq_pairs(regex, graph)
     assert sources == {source for source, tgt in forward if tgt == node}

@@ -5,7 +5,7 @@ Three evaluation paths must agree on every generated (graph, query) pair:
 * **lazy** — the service path: ``query_labels`` picks the needed segments,
   the handle serves a restricted view;
 * **resident** — the same stored graph loaded in full;
-* **oracle** — the seed evaluator (``use_index=False``) on the original
+* **oracle** — the reference evaluator (:mod:`repro.reference`) on the original
   in-memory graph (never stored at all).
 
 Queries include wildcards and negation (whose automata depend on the full
@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import reference
 from repro.crpq.evaluation import evaluate_crpq
 from repro.graph.edge_labeled import EdgeLabeledGraph
 from repro.rpq.evaluation import evaluate_rpq
@@ -81,7 +82,7 @@ def test_lazy_resident_oracle_agree_rpq(graph, query):
         store.put_graph("g", graph)
         handle = LazyGraphHandle(store, "g")
         resident = store.load_graph("g")
-        oracle = evaluate_rpq(query, graph, use_index=False)
+        oracle = reference.rpq_pairs(query, graph)
         assert evaluate_rpq(query, resident) == oracle
         assert lazy_answers(handle, query, evaluate_rpq) == oracle
 
@@ -93,7 +94,7 @@ def test_lazy_resident_oracle_agree_crpq(graph, query):
         store.put_graph("g", graph)
         handle = LazyGraphHandle(store, "g")
         resident = store.load_graph("g")
-        oracle = evaluate_crpq(query, graph, use_index=False)
+        oracle = reference.crpq_answers(query, graph)
         assert evaluate_crpq(query, resident) == oracle
         assert lazy_answers(handle, query, evaluate_crpq) == oracle
 
@@ -105,7 +106,7 @@ def test_lazy_under_tight_eviction_budget(graph, query):
     with GraphStore(":memory:") as store:
         store.put_graph("g", graph)
         handle = LazyGraphHandle(store, "g", max_resident_edges=1)
-        oracle = evaluate_rpq(query, graph, use_index=False)
+        oracle = reference.rpq_pairs(query, graph)
         assert lazy_answers(handle, query, evaluate_rpq) == oracle
         # and again, through the (possibly evicted/rebuilt) view path
         assert lazy_answers(handle, query, evaluate_rpq) == oracle
@@ -123,5 +124,5 @@ def test_journaled_tail_included_in_lazy_views():
         store.flush("g")
         handle = LazyGraphHandle(store, "g")
         for query in ("a", "a*", "a.b", "_*"):
-            oracle = evaluate_rpq(query, graph, use_index=False)
+            oracle = reference.rpq_pairs(query, graph)
             assert lazy_answers(handle, query, evaluate_rpq) == oracle

@@ -87,6 +87,48 @@ class TestCLI:
         out = capsys.readouterr().out
         assert out.count("\n") == 2
 
+    def test_paths_max_rows_prints_exactly_n_and_exits_2(self, capsys):
+        argv = ["paths", "fig3", "Transfer+", "a3", "a5", "--mode", "all",
+                "--limit", "50"]
+        assert main(argv + ["--max-rows", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.count("\n") == 2
+        assert "limit=max_rows" in captured.err
+        # a ceiling the answer fits under changes nothing
+        assert main(argv) == 0
+        full = capsys.readouterr().out
+        assert main(argv + ["--max-rows", "50"]) == 0
+        assert capsys.readouterr().out == full
+        assert full.startswith(captured.out)
+
+    @pytest.mark.parametrize("command", [
+        ["rpq", "fig2", "Transfer*"],
+        ["crpq", "fig2", "q(x,y) :- Transfer(x,y)"],
+        ["paths", "fig3", "Transfer+", "a3", "a5"],
+    ])
+    @pytest.mark.parametrize("flag", [
+        ["--max-rows", "3"], ["--timeout", "30"], ["--max-states", "9"], ["--stats"],
+    ])
+    def test_no_index_refuses_budget_and_stats_flags(self, command, flag, capsys):
+        # the reference takes no budget and keeps no counters; exit 1, not
+        # 2, because 2 means "partial answers"
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + ["--no-index"] + flag)
+        assert isinstance(excinfo.value.code, str)
+        assert flag[0] in excinfo.value.code
+        assert capsys.readouterr().out == ""
+
+    def test_no_index_agrees_with_the_engine(self, capsys):
+        for command in (
+            ["rpq", "fig2", "Transfer*"],
+            ["crpq", "fig2", 'q(x) :- (Transfer.Transfer*)(x, "a1")'],
+            ["paths", "fig3", "Transfer+", "a3", "a5", "--mode", "trail"],
+        ):
+            assert main(command) == 0
+            engine = capsys.readouterr().out
+            assert main(command + ["--no-index"]) == 0
+            assert capsys.readouterr().out == engine
+
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["frobnicate", "fig2"])
