@@ -29,10 +29,15 @@ def _load_graph(spec: str) -> EdgeLabeledGraph:
         from repro.graph.datasets import figure3_graph
 
         return figure3_graph()
+    from repro.errors import ReproError
     from repro.graph.serialize import loads
 
-    with open(spec, encoding="utf-8") as handle:
-        return loads(handle.read())
+    try:
+        with open(spec, encoding="utf-8") as handle:
+            return loads(handle.read())
+    except (OSError, ValueError, LookupError, TypeError, AttributeError,
+            ReproError) as exc:
+        raise SystemExit(f"error: cannot load graph {spec!r}: {exc}") from None
 
 
 def _named_graphs(specs):
@@ -50,16 +55,12 @@ def _engine_options(args: argparse.Namespace):
     """The ``--stats`` counters or None; ``--no-index`` refuses a budget."""
     from repro.engine.stats import EngineStats
 
+    stats = getattr(args, "stats", False)
     limits = [value for value in _limits(args).values() if value is not None]
-    if args.no_index and (args.stats or limits):
+    if getattr(args, "no_index", False) and (stats or limits):
         raise SystemExit("--no-index takes no --timeout, --max-rows, "
                          "--max-states or --stats (the reference has none)")
-    return EngineStats() if args.stats else None
-
-
-def _report_stats(stats) -> None:
-    if stats is not None:
-        print(stats.render(), file=sys.stderr)
+    return EngineStats() if stats else None
 
 
 def _limits(args: argparse.Namespace) -> dict:
@@ -72,141 +73,125 @@ def _limits(args: argparse.Namespace) -> dict:
 
 def _make_budget(args: argparse.Namespace):
     """The query budget the limit flags ask for, or None when none were
-    given."""
+    given; a limit out of range is a ``bad_request``."""
     from repro.engine.limits import make_budget
+    from repro.server.protocol import BadRequestError
 
-    return make_budget(**_limits(args))
-
-
-def _print_rows(rows) -> None:
-    """One tab-separated line per answer row (a bare value prints as is)."""
-    for row in rows:
-        print("\t".join(map(str, row)) if isinstance(row, (tuple, list)) else row)
+    try:
+        return make_budget(**_limits(args))
+    except ValueError as exc:
+        raise BadRequestError(str(exc)) from None
 
 
-def _report_trip(exc) -> int:
-    """Tell the user which limit tripped; 2 is the partial-result exit code."""
+def _params(op: str, args: argparse.Namespace) -> dict:
+    """The request parameters of ``op`` that ``args`` carries: each one the
+    op table declares that is also the name of a flag or argument."""
+    from repro.server.protocol import OP_TABLE
+
+    return {
+        name: getattr(args, name)
+        for name in OP_TABLE[op].params
+        if hasattr(args, name)
+    }
+
+
+def _print_tuples(rows) -> None:
+    """One tab-separated line per row, in ``repr`` order of the tuples."""
+    for row in sorted(map(tuple, rows), key=repr):
+        print("\t".join(map(str, row)))
+
+
+def _print_paths(paths) -> None:
+    for path in paths:
+        print(" -> ".join(map(str, path)))
+
+
+def _print_bindings(bindings) -> None:
+    """One line per dl-RPQ binding: its path, then its list variables."""
+    for binding in bindings:
+        lists = {name: tuple(values) for name, values in binding["lists"].items()}
+        suffix = f"   lists: {lists}" if lists else ""
+        print(" -> ".join(map(str, binding["path"])) + suffix)
+
+
+#: Each answering op's rows: the result key, their printer, and what the
+#: local verb's stderr summary counts.
+_ANSWERS = {
+    "rpq": ("pairs", _print_tuples, "pairs"),
+    "crpq": ("rows", _print_tuples, "rows"),
+    "paths": ("paths", _print_paths, "paths ({mode})"),
+    "dlrpq": ("bindings", _print_bindings, "path bindings ({mode})"),
+}
+
+
+def _report_trip(op: str, partial, details: dict) -> int:
+    """Print the partial answers and which limit tripped (a local
+    ``BudgetExceeded.details()`` or a remote envelope's ``details``); 2 is
+    the partial-result exit code."""
+    if partial:
+        _ANSWERS[op][1](partial)
     details = ", ".join(
-        f"{key}={value}" for key, value in sorted(exc.details().items())
+        f"{key}={value}" for key, value in sorted(details.items())
+        if not key.startswith("partial")
     )
     print(f"# budget exceeded ({details}); answers above are partial",
           file=sys.stderr)
     return 2
 
 
-def _cmd_rpq(args: argparse.Namespace) -> int:
+def _reference(request, graph) -> dict:
+    """``--no-index``: the answer of ``request`` from :mod:`repro.reference`,
+    under the result key the handler uses."""
     from repro import reference
-    from repro.engine.limits import BudgetExceeded
-    from repro.rpq.evaluation import evaluate_rpq
 
-    graph = _load_graph(args.graph)
-    sources = [args.source] if args.source else None
-    stats = _engine_options(args)
-    try:
-        if args.no_index:
-            pairs = reference.rpq_pairs(args.query, graph, sources)
-        else:
-            pairs = evaluate_rpq(
-                args.query, graph, sources=sources, stats=stats,
-                budget=_make_budget(args),
-            )
-    except BudgetExceeded as exc:
-        _print_rows(sorted(exc.partial or (), key=repr))
-        return _report_trip(exc)
-    _print_rows(sorted(pairs, key=repr))
-    print(f"# {len(pairs)} pairs", file=sys.stderr)
-    _report_stats(stats)
-    return 0
+    args = request.args
+    if request.op == "rpq":
+        sources = None if args["source"] is None else [args["source"]]
+        return {"pairs": reference.rpq_pairs(args["query"], graph, sources)}
+    if request.op == "crpq":
+        return {"rows": reference.crpq_answers(args["query"], graph)}
+    paths = reference.matching_paths(
+        args["query"], graph, args["source"], args["target"], args["mode"],
+        args["limit"],
+    )
+    return {"paths": [path.objects for path in paths]}
 
 
-def _cmd_crpq(args: argparse.Namespace) -> int:
-    from repro import reference
-    from repro.crpq.evaluation import evaluate_crpq
-    from repro.engine.limits import BudgetExceeded
-
-    graph = _load_graph(args.graph)
-    stats = _engine_options(args)
-    try:
-        if args.no_index:
-            rows = reference.crpq_answers(args.query, graph)
-        else:
-            rows = evaluate_crpq(
-                args.query, graph, stats=stats, budget=_make_budget(args)
-            )
-    except BudgetExceeded as exc:
-        _print_rows(sorted(exc.partial or (), key=repr))
-        return _report_trip(exc)
-    _print_rows(sorted(rows, key=repr))
-    print(f"# {len(rows)} rows", file=sys.stderr)
-    _report_stats(stats)
-    return 0
-
-
-def _cmd_paths(args: argparse.Namespace) -> int:
-    from repro import reference
-    from repro.engine.limits import BudgetExceeded
-    from repro.rpq.path_modes import matching_paths
-
-    graph = _load_graph(args.graph)
-    stats = _engine_options(args)
-    budget = _make_budget(args)
-    if args.no_index:
-        paths = reference.matching_paths(
-            args.query, graph, args.source, args.target, args.mode, args.limit
-        )
-    else:
-        paths = matching_paths(
-            args.query, graph, args.source, args.target, mode=args.mode,
-            limit=args.limit, stats=stats, budget=budget,
-        )
-    count = 0
-    try:
-        # Paths stream out as they are found, so everything printed before
-        # a budget trip *is* the partial result.
-        for path in paths:
-            if budget is not None:
-                budget.check_rows(count + 1)
-            print(" -> ".join(str(obj) for obj in path.objects))
-            count += 1
-    except BudgetExceeded as exc:
-        return _report_trip(exc)
-    print(f"# {count} paths ({args.mode})", file=sys.stderr)
-    _report_stats(stats)
-    return 0
-
-
-def _cmd_dlrpq(args: argparse.Namespace) -> int:
-    from repro.datatests.dlrpq import evaluate_dlrpq
-    from repro.engine.limits import BudgetExceeded
-
-    graph = _load_graph(args.graph)
-    count = 0
-    try:
-        for binding in evaluate_dlrpq(
-            args.query, graph, args.source, args.target, mode=args.mode,
-            limit=args.limit, budget=_make_budget(args),
-        ):
-            lists = dict(binding.mu.items())
-            suffix = f"   lists: {lists}" if lists else ""
-            print(" -> ".join(str(obj) for obj in binding.path.objects) + suffix)
-            count += 1
-    except BudgetExceeded as exc:
-        return _report_trip(exc)
-    print(f"# {count} path bindings ({args.mode})", file=sys.stderr)
-    return 0
-
-
-def _cmd_explain(args: argparse.Namespace) -> int:
+def _cmd_local(args: argparse.Namespace) -> int:
+    """``rpq|crpq|paths|dlrpq|explain`` on a graph in this process: the
+    served op's request, checked by the op table and answered by the
+    handler the server runs (no answer cache, no admission)."""
     import json
 
-    from repro.engine.explain import explain_query, render_explain
+    from repro.engine.limits import BudgetExceeded
+    from repro.server.protocol import Request, check_request
+    from repro.server.service import QueryService
 
     graph = _load_graph(args.graph)
-    report = explain_query(args.query, graph, planner=args.planner)
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(render_explain(report))
+    stats = _engine_options(args)
+    request = check_request(Request(args.command, params=_params(args.command, args)))
+    try:
+        if getattr(args, "no_index", False):
+            result = _reference(request, graph)
+        else:
+            result = QueryService.evaluate(
+                request, graph, stats, _make_budget(args)
+            )
+    except BudgetExceeded as exc:
+        return _report_trip(request.op, exc.partial, exc.details())
+    if request.op == "explain":
+        from repro.engine.explain import render_explain
+
+        report = result["report"]
+        print(json.dumps(report, indent=2, sort_keys=True) if args.json
+              else render_explain(report))
+        return 0
+    key, printer, summary = _ANSWERS[request.op]
+    printer(result[key])
+    print(f"# {len(result[key])} {summary.format(**request.args)}",
+          file=sys.stderr)
+    if stats is not None:
+        print(stats.render(), file=sys.stderr)
     return 0
 
 
@@ -731,8 +716,7 @@ def _query_via_shards(args: argparse.Namespace) -> int:
             hedge_after=args.hedge_after, allow_degraded=args.allow_degraded,
         )
     except BudgetExceeded as exc:
-        _print_rows(sorted(exc.partial or (), key=repr))
-        return _report_trip(exc)
+        return _report_trip(query_kind(args.query), exc.partial, exc.details())
     if code is not None:
         return code
     rows, degraded = outcome
@@ -755,7 +739,7 @@ def _query_via_shards(args: argparse.Namespace) -> int:
             )
         )
         return 0
-    _print_rows(sorted(rows, key=repr))
+    _print_tuples(rows)
     print(f"# {len(rows)} answers", file=sys.stderr)
     return 0
 
@@ -794,38 +778,31 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
     if args.shards:
         return _query_via_shards(args)
+    op = "explain" if args.explain else query_kind(args.query)
+    params = {
+        name: value for name, value in _params(op, args).items()
+        if value is not None
+    }
     retry = (
         RetryPolicy(max_attempts=args.retries) if args.retries > 1 else None
     )
-    limits = _limits(args)
     try:
         with _connect(args.connect, retry=retry) as client:
-            if args.explain:
-                result = client.explain(args.graph, args.query)
-            elif query_kind(args.query) == "crpq":
-                result = client.crpq(args.graph, args.query, **limits)
-            else:
-                result = client.rpq(
-                    args.graph, args.query, source=args.source, **limits
-                )
+            result = client.request(op, **params)
     except ServerError as exc:
         if exc.code in ("timeout", "budget_exceeded"):
             # A structured partial result: print what the server salvaged.
-            _print_rows(exc.details.get("partial") or [])
-            limit = exc.details.get("limit", exc.code)
-            rows_so_far = exc.details.get("rows_so_far", "?")
-            print(
-                f"# budget exceeded (limit={limit}, rows_so_far={rows_so_far});"
-                " answers above are partial",
-                file=sys.stderr,
-            )
-            return 2
+            return _report_trip(op, exc.details.get("partial"), exc.details)
         print(f"error [{exc.code}]: {exc.message}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # ConnectionLost included
+        print(f"error: cannot reach server {args.connect}: {exc}",
+              file=sys.stderr)
         return 1
     if args.json or args.explain:
         print(json.dumps(result, indent=2, sort_keys=True, default=str))
         return 0
-    _print_rows(result.get("pairs") or result.get("rows") or [])
+    _print_tuples(result[_ANSWERS[op][0]])
     print(f"# {result['count']} answers", file=sys.stderr)
     return 0
 
@@ -914,47 +891,46 @@ def build_parser() -> argparse.ArgumentParser:
             "'degraded: true' instead of failing (never cached)",
         )
 
+    def add_path_args(subparser: argparse.ArgumentParser) -> None:
+        subparser.add_argument("source")
+        subparser.add_argument("target")
+        subparser.add_argument(
+            "--mode", default="shortest",
+            choices=("all", "shortest", "simple", "trail"),
+        )
+        subparser.add_argument("--limit", type=int, default=None)
+
     rpq = commands.add_parser("rpq", help="evaluate an RPQ ([[R]]_G pairs)")
     rpq.add_argument("graph", help="fig2, fig3, or a graph JSON file")
     rpq.add_argument("query", help="regular path query, e.g. 'Transfer*'")
     rpq.add_argument("--source", help="restrict to one source node")
     add_engine_flags(rpq)
     add_budget_flags(rpq)
-    rpq.set_defaults(handler=_cmd_rpq)
+    rpq.set_defaults(handler=_cmd_local)
 
     crpq = commands.add_parser("crpq", help="evaluate a CRPQ (Datalog syntax)")
     crpq.add_argument("graph")
     crpq.add_argument("query", help="e.g. 'q(x,y) :- Transfer(x,y), owner(y,z)'")
     add_engine_flags(crpq)
     add_budget_flags(crpq)
-    crpq.set_defaults(handler=_cmd_crpq)
+    crpq.set_defaults(handler=_cmd_local)
 
     paths = commands.add_parser("paths", help="enumerate matching paths")
     paths.add_argument("graph")
     paths.add_argument("query")
-    paths.add_argument("source")
-    paths.add_argument("target")
-    paths.add_argument(
-        "--mode", default="shortest", choices=("all", "shortest", "simple", "trail")
-    )
-    paths.add_argument("--limit", type=int, default=None)
+    add_path_args(paths)
     add_engine_flags(paths)
     add_budget_flags(paths)
-    paths.set_defaults(handler=_cmd_paths)
+    paths.set_defaults(handler=_cmd_local)
 
     dlrpq = commands.add_parser(
         "dlrpq", help="evaluate a dl-RPQ with data tests (Section 3.2.1)"
     )
     dlrpq.add_argument("graph")
     dlrpq.add_argument("query", help="e.g. '(_)[Transfer][amount < 4500000](_)'")
-    dlrpq.add_argument("source")
-    dlrpq.add_argument("target")
-    dlrpq.add_argument(
-        "--mode", default="shortest", choices=("all", "shortest", "simple", "trail")
-    )
-    dlrpq.add_argument("--limit", type=int, default=None)
+    add_path_args(dlrpq)
     add_budget_flags(dlrpq)
-    dlrpq.set_defaults(handler=_cmd_dlrpq)
+    dlrpq.set_defaults(handler=_cmd_local)
 
     experiment = commands.add_parser(
         "experiment", help="run a DESIGN.md experiment (E1..E27 or 'all')"
@@ -978,7 +954,7 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument(
         "--json", action="store_true", help="machine-readable plan report"
     )
-    explain.set_defaults(handler=_cmd_explain)
+    explain.set_defaults(handler=_cmd_local)
 
     profile = commands.add_parser(
         "profile",
@@ -1276,8 +1252,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: "list[str] | None" = None) -> int:
+    from repro.errors import ReproError
+
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except ReproError as exc:
+        from repro.server.protocol import error_envelope
+
+        error = error_envelope(exc)
+        print(f"error [{error['code']}]: {error['message']}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via repro.__main__

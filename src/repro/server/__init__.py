@@ -16,38 +16,3 @@ service:
 * :mod:`repro.server.client` — the blocking client used by tests, the CLI
   and ``benchmarks/bench_server.py``.
 """
-
-from repro.server.admission import AdmissionController
-from repro.server.app import QueryServer, ServerThread
-from repro.server.client import ServerClient, ServerError, http_get
-from repro.server.protocol import (
-    BadRequestError,
-    GraphNotFoundError,
-    OverloadedError,
-    QueryTimeoutError,
-    Request,
-    RequestTooLargeError,
-    ServiceError,
-    ShuttingDownError,
-)
-from repro.server.service import AnswerCache, GraphCatalog, QueryService
-
-__all__ = [
-    "AdmissionController",
-    "AnswerCache",
-    "BadRequestError",
-    "GraphCatalog",
-    "GraphNotFoundError",
-    "OverloadedError",
-    "QueryServer",
-    "QueryService",
-    "QueryTimeoutError",
-    "Request",
-    "RequestTooLargeError",
-    "ServerClient",
-    "ServerError",
-    "ServerThread",
-    "ServiceError",
-    "ShuttingDownError",
-    "http_get",
-]

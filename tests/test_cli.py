@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -93,7 +94,7 @@ class TestCLI:
         assert main(argv + ["--max-rows", "2"]) == 2
         captured = capsys.readouterr()
         assert captured.out.count("\n") == 2
-        assert "limit=max_rows" in captured.err
+        assert "limit=max_rows, rows_so_far=2," in captured.err
         # a ceiling the answer fits under changes nothing
         assert main(argv) == 0
         full = capsys.readouterr().out
@@ -132,6 +133,106 @@ class TestCLI:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["frobnicate", "fig2"])
+
+    def test_dlrpq_honours_max_rows(self, capsys):
+        argv = ["dlrpq", "fig3", "(_)([Transfer^z](_))*", "a3", "a5",
+                "--mode", "trail"]
+        assert main(argv) == 0
+        full = capsys.readouterr().out.splitlines()
+        assert len(full) > 3
+        assert main(argv + ["--max-rows", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == full[:3]
+        assert "limit=max_rows, rows_so_far=3," in captured.err
+
+
+#: Inputs every local query verb once crashed on, with the typed code each
+#: now reports.
+BAD_INPUTS = [
+    (["rpq", "fig2", "Transfer*("], "parse_error"),
+    (["crpq", "fig2", "q(x) :- Transfer(x"], "parse_error"),
+    (["dlrpq", "fig3", "(_)[Transfer", "a3", "a4"], "parse_error"),
+    (["paths", "fig3", "Transfer*", "a3", "a3", "--mode", "all"], "query_error"),
+    (["paths", "fig3", "Transfer+", "a3", "a5", "--limit", "-1"], "bad_request"),
+    (["dlrpq", "fig2", "(_)[Transfer](_)", "a3", "a4"], "bad_request"),
+    (["rpq", "fig2", "Transfer*", "--timeout", "0"], "bad_request"),
+    (["rpq", "fig2", "Transfer*", "--max-states", "0"], "bad_request"),
+    (["rpq", "fig2", "Transfer*", "--max-rows", "-1"], "bad_request"),
+]
+
+
+class TestTypedErrors:
+    """A bad query or flag is one ``error [code]: message`` line, exit 1."""
+
+    @pytest.mark.parametrize(
+        "argv,code", BAD_INPUTS, ids=[" ".join(argv) for argv, _ in BAD_INPUTS]
+    )
+    def test_no_traceback(self, argv, code, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error [{code}]: ")
+
+    def test_process_exit_code_and_no_traceback(self):
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "rpq", "fig2", "Transfer*("],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith("error [parse_error]: ")
+        assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("command", [
+        ["rpq", "{}", "Transfer"],
+        ["crpq", "{}", "q(x) :- Transfer(x,y)"],
+        ["paths", "{}", "Transfer", "a3", "a5"],
+        ["dlrpq", "{}", "(_)[Transfer](_)", "a3", "a5"],
+        ["explain", "{}", "Transfer"],
+        ["profile", "{}", "Transfer"],
+        ["workload", "run", "{}"],
+    ], ids=lambda command: command[0])
+    @pytest.mark.parametrize("contents", [None, "{not json", "[1]"],
+                             ids=["missing", "not-json", "not-a-graph"])
+    def test_unloadable_graph_file(self, command, contents, tmp_path, capsys):
+        path = tmp_path / "graph.json"
+        if contents is not None:
+            path.write_text(contents)
+        argv = [str(path) if part == "{}" else part for part in command]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        message = excinfo.value.code
+        assert isinstance(message, str)
+        assert message.startswith(f"error: cannot load graph {str(path)!r}: ")
+        assert "\n" not in message
+        assert capsys.readouterr().out == ""
+
+    def test_workload_budget_out_of_range(self, capsys):
+        assert main(["workload", "run", "fig2", "--timeout", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error [bad_request]: ")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_unreachable_server(self, capsys):
+        import socket
+
+        placeholder = socket.socket()
+        placeholder.bind(("127.0.0.1", 0))
+        dead_port = placeholder.getsockname()[1]
+        placeholder.close()  # nothing listens there now
+        address = f"127.0.0.1:{dead_port}"
+        assert main(["query", "--connect", address, "fig2", "Transfer*"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot reach server {address}: ")
+        assert len(err.splitlines()) == 1
 
 
 class TestExplainCLI:
@@ -435,6 +536,33 @@ class TestQueryConnectCLI:
         )
         assert code == 1
         assert "graph_not_found" in capsys.readouterr().err
+
+    def test_server_and_local_errors_read_alike(self, server, capsys):
+        assert main(["rpq", "fig2", "Transfer*("]) == 1
+        local = capsys.readouterr().err
+        code = main(
+            ["query", "--connect", self._connect(server), "fig2", "Transfer*("]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == local
+
+    def test_budget_trip_reports_like_a_local_one(self, server, capsys):
+        argv = ["fig3", "Transfer*", "--max-rows", "0"]
+        assert main(["rpq"] + argv) == 2
+        local = capsys.readouterr()
+        code = main(["query", "--connect", self._connect(server)] + argv)
+        assert code == 2
+        remote = capsys.readouterr()
+        assert remote.out == local.out == ""
+        # the server's budget always has a deadline, so it also reports
+        # elapsed_seconds
+        trip = re.compile(
+            r"# budget exceeded \((elapsed_seconds=[0-9.e-]+, )?limit=max_rows, "
+            r"rows_so_far=0, states_visited=\d+\); answers above are partial\n"
+        )
+        assert trip.fullmatch(local.err)
+        assert trip.fullmatch(remote.err)
+        assert "elapsed_seconds" in remote.err
 
 
 class TestServeBindFailure:
