@@ -29,14 +29,13 @@ def _load_graph(spec: str) -> EdgeLabeledGraph:
         from repro.graph.datasets import figure3_graph
 
         return figure3_graph()
-    from repro.errors import ReproError
+    from repro.errors import GraphError
     from repro.graph.serialize import loads
 
     try:
         with open(spec, encoding="utf-8") as handle:
             return loads(handle.read())
-    except (OSError, ValueError, LookupError, TypeError, AttributeError,
-            ReproError) as exc:
+    except (OSError, ValueError, GraphError) as exc:
         raise SystemExit(f"error: cannot load graph {spec!r}: {exc}") from None
 
 
@@ -124,15 +123,16 @@ _ANSWERS = {
 }
 
 
-def _report_trip(op: str, partial, details: dict) -> int:
-    """Print the partial answers and which limit tripped (a local
-    ``BudgetExceeded.details()`` or a remote envelope's ``details``); 2 is
-    the partial-result exit code."""
-    if partial:
-        _ANSWERS[op][1](partial)
+def _report_trip(args: argparse.Namespace, exc) -> int:
+    """Print a query verb's budget trip — its partial answers and which limit
+    tripped — however the query ran; 2 is the partial-result exit code."""
+    from repro.engine.explain import query_kind
+
+    if exc.partial:
+        op = query_kind(args.query) if args.command == "query" else args.command
+        _ANSWERS[op][1](exc.partial)
     details = ", ".join(
-        f"{key}={value}" for key, value in sorted(details.items())
-        if not key.startswith("partial")
+        f"{key}={value}" for key, value in sorted(exc.details().items())
     )
     print(f"# budget exceeded ({details}); answers above are partial",
           file=sys.stderr)
@@ -163,22 +163,16 @@ def _cmd_local(args: argparse.Namespace) -> int:
     handler the server runs (no answer cache, no admission)."""
     import json
 
-    from repro.engine.limits import BudgetExceeded
     from repro.server.protocol import Request, check_request
     from repro.server.service import QueryService
 
     graph = _load_graph(args.graph)
     stats = _engine_options(args)
     request = check_request(Request(args.command, params=_params(args.command, args)))
-    try:
-        if getattr(args, "no_index", False):
-            result = _reference(request, graph)
-        else:
-            result = QueryService.evaluate(
-                request, graph, stats, _make_budget(args)
-            )
-    except BudgetExceeded as exc:
-        return _report_trip(request.op, exc.partial, exc.details())
+    if getattr(args, "no_index", False):
+        result = _reference(request, graph)
+    else:
+        result = QueryService.evaluate(request, graph, stats, _make_budget(args))
     if request.op == "explain":
         from repro.engine.explain import render_explain
 
@@ -684,7 +678,6 @@ def _query_via_shards(args: argparse.Namespace) -> int:
     import json
 
     from repro.engine.explain import query_kind
-    from repro.engine.limits import BudgetExceeded
 
     budget = _make_budget(args)
     tracer = None
@@ -710,13 +703,10 @@ def _query_via_shards(args: argparse.Namespace) -> int:
             rows = {tuple(pair) for pair in result["pairs"]}
         return rows, bool(result.get("degraded"))
 
-    try:
-        outcome, code = _on_shards(
-            args, evaluate, tracer,
-            hedge_after=args.hedge_after, allow_degraded=args.allow_degraded,
-        )
-    except BudgetExceeded as exc:
-        return _report_trip(query_kind(args.query), exc.partial, exc.details())
+    outcome, code = _on_shards(
+        args, evaluate, tracer,
+        hedge_after=args.hedge_after, allow_degraded=args.allow_degraded,
+    )
     if code is not None:
         return code
     rows, degraded = outcome
@@ -775,6 +765,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
     from repro.engine.explain import query_kind
     from repro.server.client import RetryPolicy, ServerError
+    from repro.server.protocol import budget_trip
 
     if args.shards:
         return _query_via_shards(args)
@@ -790,9 +781,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
         with _connect(args.connect, retry=retry) as client:
             result = client.request(op, **params)
     except ServerError as exc:
-        if exc.code in ("timeout", "budget_exceeded"):
-            # A structured partial result: print what the server salvaged.
-            return _report_trip(op, exc.details.get("partial"), exc.details)
+        trip = budget_trip(exc.code, exc.message, exc.details)
+        if trip is not None:
+            return _report_trip(args, trip)
         print(f"error [{exc.code}]: {exc.message}", file=sys.stderr)
         return 1
     except OSError as exc:  # ConnectionLost included
@@ -1252,11 +1243,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: "list[str] | None" = None) -> int:
+    from repro.engine.limits import BudgetExceeded
     from repro.errors import ReproError
 
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
+    except BudgetExceeded as exc:
+        return _report_trip(args, exc)
     except ReproError as exc:
         from repro.server.protocol import error_envelope
 

@@ -28,7 +28,7 @@ every CRPQ flavour runs this one join.
 
 from __future__ import annotations
 
-from itertools import islice, repeat
+from itertools import repeat
 from operator import itemgetter
 
 from repro.crpq.ast import CRPQ, RPQAtom, Var
@@ -381,7 +381,5 @@ def evaluate_crpq(
                 if budget is not None:
                     budget.check_rows(len(results))
     except BudgetExceeded as exc:
-        if budget is not None and exc.limit == "max_rows" and budget.max_rows is not None:
-            raise exc.attach_partial(set(islice(results, budget.max_rows)))
-        raise exc.attach_partial(set(results))
+        raise exc.attach_partial(results)
     return results

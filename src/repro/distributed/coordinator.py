@@ -73,7 +73,6 @@ from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor
 from concurrent.futures import wait as futures_wait
 from contextlib import nullcontext
 from functools import partial
-from itertools import islice
 
 from repro.distributed.breaker import BreakerOpenError, CircuitBreaker
 from repro.engine.faults import fault_point
@@ -104,6 +103,7 @@ from repro.server.protocol import (
     GraphNotFoundError,
     Request,
     ShardUnavailableError,
+    budget_trip,
 )
 from repro.server.service import AnswerCache, QueryService, answer_key
 
@@ -365,7 +365,6 @@ class ShardCoordinator:
         retry=None,
         timeout: float = 60.0,
         answer_cache_size: int = 256,
-        rtt_slack: float = DEFAULT_RTT_SLACK,
         telemetry: bool = True,
         slow_round_ms: "float | None" = None,
         breaker_threshold: int = 3,
@@ -379,7 +378,6 @@ class ShardCoordinator:
             raise ValueError("need at least one shard address")
         if hedge_after is not None and hedge_after <= 0:
             raise ValueError("hedge_after must be positive (or None)")
-        self.rtt_slack = rtt_slack
         self.timeout = timeout
         #: seconds to wait for a replica before racing the same read at the
         #: next rendezvous replica (``None`` disables hedging).
@@ -651,8 +649,9 @@ class ShardCoordinator:
         The one breaker-outcome rule: a lost transport or a shard-down error
         code records a failure on the shard's breaker; any other outcome —
         an answer, a typed query error, a budget trip — records a success,
-        because the shard answered (a straggler is not a corpse), and a
-        typed error is re-raised to the caller.
+        because the shard answered (a straggler is not a corpse).  A typed
+        error is re-raised to the caller, a budget trip as the
+        :class:`BudgetExceeded` it reports.
         """
         breaker = self.breakers[shard]
         try:
@@ -663,7 +662,9 @@ class ShardCoordinator:
         except ServerError as exc:
             if exc.code not in _SHARD_DOWN_CODES:
                 breaker.record_success()
-                raise
+                raise budget_trip(
+                    exc.code, f"shard {shard}: {exc.message}", exc.details
+                ) or exc
             breaker.record_failure()
             return None, exc
         breaker.record_success()
@@ -812,24 +813,17 @@ class ShardCoordinator:
         )
         # A cache hit trivially beats any deadline, but the row ceiling is
         # about answer *size*, not effort — enforce it either way.
-        if (
-            hit
-            and budget is not None
-            and budget.max_rows is not None
-            and len(pairs) > budget.max_rows
-        ):
-            raise BudgetExceeded(
-                f"evaluation produced more than {budget.max_rows} answer rows",
-                limit="max_rows",
-                rows_so_far=len(pairs),
-            ).attach_partial(set(islice(pairs, budget.max_rows)))
-        return pairs
+        return _within_rows(budget, pairs) if hit else pairs
 
     def _replicated_pairs(self, entry, query, sources, budget) -> set[tuple]:
-        """RPQ pairs for a replicated (unpartitioned) graph via routing."""
+        """RPQ pairs for a replicated (unpartitioned) graph via routing: the
+        replica gets the deadline and state ceiling, and the row ceiling
+        applies here, to the pairs of the asked sources."""
         limits = {}
-        if budget is not None and budget.deadline is not None:
-            limits["timeout"] = max(budget.deadline.remaining(), 0.001)
+        if budget is not None:
+            if budget.deadline is not None:
+                limits["timeout"] = max(budget.deadline.remaining(), 0.001)
+            limits["max_states"] = budget.max_states
         sources = None if sources is None else list(sources)
         single = sources is not None and len(sources) == 1
         result = self.rpq(
@@ -837,10 +831,10 @@ class ShardCoordinator:
         )
         self._require_exact(entry, result)
         pairs = {tuple(pair) for pair in result["pairs"]}
-        if sources is None or single:
-            return pairs
-        keep = set(sources)
-        return {pair for pair in pairs if pair[0] in keep}
+        if sources is not None and not single:
+            keep = set(sources)
+            pairs = {pair for pair in pairs if pair[0] in keep}
+        return _within_rows(budget, pairs)
 
     @staticmethod
     def _require_exact(entry, result) -> None:
@@ -990,8 +984,8 @@ class ShardCoordinator:
                                 if novel:
                                     answer_masks[position] = recorded | novel
                                     pair_count += novel.bit_count()
-                            if budget is not None:
-                                budget.check_rows(pair_count)
+                            if merge_budget is not None:
+                                merge_budget.check_rows(pair_count)
                             for code, mask in decode_pairs(
                                 result["cross"]
                             ).items():
@@ -1106,7 +1100,7 @@ class ShardCoordinator:
         if budget is None or budget.deadline is None:
             return None
         remaining = budget.deadline.remaining()
-        if remaining <= self.rtt_slack:
+        if remaining <= DEFAULT_RTT_SLACK:
             # Out of time before the round even starts: trip here with the
             # partial answer rather than shipping an unmeetable timeout.
             budget.check()  # raises if the deadline backing this is gone
@@ -1116,7 +1110,7 @@ class ShardCoordinator:
                 limit="timeout",
                 elapsed=budget.deadline.elapsed(),
             )
-        return max(remaining - self.rtt_slack, 0.001)
+        return max(remaining - DEFAULT_RTT_SLACK, 0.001)
 
     def _frontier_call(
         self, entry, query, alphabet, bits, round_timeout, round_number,
@@ -1165,17 +1159,7 @@ class ShardCoordinator:
             )
 
         started = time.perf_counter()
-        try:
-            result, failure = self._settle(shard, step)
-        except ServerError as exc:
-            if exc.code not in ("timeout", "budget_exceeded"):
-                raise
-            limit = exc.details.get("limit", "timeout")
-            raise BudgetExceeded(
-                f"shard {shard} tripped its round budget: {exc.message}",
-                limit=limit if limit in ("timeout", "cancelled", "max_states")
-                else "timeout",
-            ) from exc
+        result, failure = self._settle(shard, step)
         if isinstance(failure, ServerError):
             raise ShardUnavailableError(
                 f"shard {shard} ({host}:{port}) failed frontier round "
@@ -1241,6 +1225,17 @@ class ShardCoordinator:
             )),
         )
         return set(rows)
+
+
+def _within_rows(budget, pairs):
+    """``pairs``, or the ``max_rows`` trip of a finished answer over the
+    budget's row ceiling (carrying exactly that many of them)."""
+    if budget is not None:
+        try:
+            budget.check_rows(len(pairs))
+        except BudgetExceeded as exc:
+            raise exc.attach_partial(pairs) from None
+    return pairs
 
 
 def _parse(query: str):

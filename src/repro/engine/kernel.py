@@ -45,7 +45,6 @@ from __future__ import annotations
 import time
 from collections import deque
 from collections.abc import Iterable, Set
-from itertools import islice
 
 from repro.engine.cache import (
     DEFAULT_CACHE,
@@ -77,26 +76,6 @@ def _budget_hooks(budget: "QueryBudget | None"):
     tick = budget.tick
     check_rows = budget.check_rows if budget.max_rows is not None else None
     return tick, check_rows
-
-
-def _raise_with_partial(
-    exc: BudgetExceeded, answers, budget: "QueryBudget | None"
-):
-    """Attach the rows produced so far and re-raise.
-
-    For a ``max_rows`` trip the attached set is *exactly* the ceiling: the
-    answer whose arrival tripped the limit is sliced off, so callers
-    surfacing partial results report a true k-subset of the full answer.
-    """
-    if (
-        budget is not None
-        and exc.limit == "max_rows"
-        and budget.max_rows is not None
-    ):
-        exc.attach_partial(set(islice(answers, budget.max_rows)))
-    else:
-        exc.attach_partial(set(answers))
-    raise exc
 
 
 def query_text(query: "Regex | str | CompiledQuery") -> str:
@@ -305,7 +284,7 @@ def _csr_reachable(
     if tripped is not None:
         if stats is not None:
             stats.count("budget_exceeded")
-        _raise_with_partial(tripped, answers, budget)
+        raise tripped.attach_partial(answers)
     return answers
 
 
@@ -449,10 +428,8 @@ def _evaluate_sweep(
             stats.count("budget_exceeded")
             stats.add_time("bfs", time.perf_counter() - started)
         answer_count = sum(mask.bit_count() for mask in answer_masks.values())
-        _raise_with_partial(
-            exc,
-            PairRelation(source_list, interner._nodes, answer_masks, answer_count),
-            budget,
+        raise exc.attach_partial(
+            PairRelation(source_list, interner._nodes, answer_masks, answer_count)
         )
     if stats is not None:
         stats.count("sweep_sources", len(source_list))

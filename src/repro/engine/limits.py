@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import threading
 import time
+from itertools import islice
 from typing import Any
 
 from repro.errors import EvaluationError
@@ -54,8 +55,9 @@ class BudgetExceeded(EvaluationError):
     ``limit`` is one of :data:`LIMITS`; ``partial`` holds the answers
     produced before the limit tripped (``None`` when the evaluator had
     nothing reportable), and ``rows_so_far``/``states_visited`` quantify
-    how far the evaluation got.  The server maps this to the typed
-    ``timeout`` / ``budget_exceeded`` envelopes with the same fields.
+    how far the evaluation got; ``max_rows`` is the ceiling a row trip
+    crossed.  The server maps this to the typed ``timeout`` /
+    ``budget_exceeded`` envelopes with the same fields.
     """
 
     def __init__(
@@ -67,9 +69,11 @@ class BudgetExceeded(EvaluationError):
         states_visited: int = 0,
         elapsed: "float | None" = None,
         partial: Any = None,
+        max_rows: "int | None" = None,
     ):
         super().__init__(message)
         self.limit = limit
+        self.max_rows = max_rows
         self.rows_so_far = rows_so_far
         self.states_visited = states_visited
         self.elapsed = elapsed
@@ -81,9 +85,13 @@ class BudgetExceeded(EvaluationError):
         Evaluators call this on the way out at their own boundary — never
         in the hot loop.  Each enclosing evaluator *overwrites* the inner
         attachment as the exception unwinds, so the outermost one (which
-        knows the query's real answer shape) wins.
+        knows the query's real answer shape) wins.  A row trip keeps exactly
+        ``max_rows`` rows: the first of a list, any of a set or relation.
         """
         if partial is not None:
+            if self.max_rows is not None:
+                partial = (partial[: self.max_rows] if isinstance(partial, list)
+                           else set(islice(partial, self.max_rows)))
             self.partial = partial
             try:
                 self.rows_so_far = len(partial)
@@ -292,6 +300,7 @@ class QueryBudget:
                 rows_so_far=rows,
                 states_visited=self.states_visited,
                 elapsed=self.deadline.elapsed() if self.deadline else None,
+                max_rows=self.max_rows,
             )
 
     # ------------------------------------------------------------------

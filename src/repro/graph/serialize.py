@@ -24,11 +24,50 @@ of ``[name, value]`` pairs, which JSON preserves exactly — instead of a
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 from typing import Any
 
 from repro.errors import GraphError
 from repro.graph.edge_labeled import EdgeLabeledGraph
 from repro.graph.property_graph import PropertyGraph
+
+
+_SCALARS = (str, int, float, bool)
+_SCALARS_OR_NULL = (*_SCALARS, type(None))
+#: Each record list's fields that must be JSON scalars or null, and their
+#: one-call read (a node's ``label`` is optional, an edge's fields are not).
+_FIELDS = {
+    "nodes": (("id", "label"), lambda record: (record["id"], record.get("label"))),
+    "edges": (("id", "src", "tgt", "label"), itemgetter("id", "src", "tgt", "label")),
+}
+
+
+def is_json_scalar(value) -> bool:
+    """A string, number or boolean: what a node id or label can be."""
+    return isinstance(value, _SCALARS)
+
+
+def _records(document: dict[str, Any], key: str):
+    """``(index, record, its _FIELDS values)`` for each record under ``key``;
+    anything else than a list of such objects is a :class:`GraphError`."""
+    records = document.get(key, [])
+    if not isinstance(records, list):
+        raise GraphError(f"field {key!r} must be a list")
+    names, read = _FIELDS[key]
+    for index, record in enumerate(records):
+        try:
+            values = read(record)
+        except (KeyError, TypeError) as exc:
+            if not isinstance(record, dict):
+                raise GraphError(f"{key}[{index}] must be an object") from None
+            raise GraphError(f"{key}[{index}]: missing field {exc.args[0]!r}") from None
+        for value in values:
+            if not isinstance(value, _SCALARS_OR_NULL):
+                name = names[values.index(value)]
+                raise GraphError(
+                    f"{key}[{index}]: field {name!r} must be a JSON scalar"
+                )
+        yield index, record, values
 
 
 def _set_properties(record: dict[str, Any], props: dict[Any, Any]) -> None:
@@ -38,11 +77,13 @@ def _set_properties(record: dict[str, Any], props: dict[Any, Any]) -> None:
         record["property_items"] = [[name, value] for name, value in props.items()]
 
 
-def _get_properties(record: dict[str, Any]) -> dict[Any, Any] | None:
+def _get_properties(record: dict[str, Any], key: str, index: int) -> dict | None:
     items = record.get("property_items")
-    if items is not None:
-        return {name: value for name, value in items}
-    return record.get("properties")
+    properties = record.get("properties") if items is None else items
+    try:
+        return None if properties is None else dict(properties)
+    except (TypeError, ValueError):
+        raise GraphError(f"{key}[{index}]: malformed property map") from None
 
 
 def graph_to_dict(graph: EdgeLabeledGraph) -> dict[str, Any]:
@@ -74,30 +115,29 @@ def graph_to_dict(graph: EdgeLabeledGraph) -> dict[str, Any]:
 
 
 def graph_from_dict(document: dict[str, Any]) -> EdgeLabeledGraph:
-    """Deserialize a graph from the dictionary format of :func:`graph_to_dict`."""
+    """Deserialize a graph from the dictionary format of :func:`graph_to_dict`.
+
+    A document that is not such a graph raises one :class:`GraphError`
+    naming the bad field: a missing field, a ``nodes``/``edges`` value that
+    is not a list, a record that is not an object, an id, endpoint or label
+    that is not a JSON scalar (or null), or a malformed property map.
+    """
+    if not isinstance(document, dict):
+        raise GraphError("a graph document must be a JSON object")
     kind = document.get("kind", "edge_labeled")
     if kind == "property":
         graph: EdgeLabeledGraph = PropertyGraph()
-        for record in document.get("nodes", ()):
-            graph.add_node(
-                record["id"],
-                label=record.get("label"),
-                properties=_get_properties(record),
-            )
-        for record in document.get("edges", ()):
-            graph.add_edge(
-                record["id"],
-                record["src"],
-                record["tgt"],
-                record["label"],
-                properties=_get_properties(record),
-            )
+        for index, record, (node, label) in _records(document, "nodes"):
+            properties = _get_properties(record, "nodes", index)
+            graph.add_node(node, label=label, properties=properties)
+        for index, record, fields in _records(document, "edges"):
+            graph.add_edge(*fields, properties=_get_properties(record, "edges", index))
     elif kind == "edge_labeled":
         graph = EdgeLabeledGraph()
-        for record in document.get("nodes", ()):
-            graph.add_node(record["id"])
-        for record in document.get("edges", ()):
-            graph.add_edge(record["id"], record["src"], record["tgt"], record["label"])
+        for _index, _record, (node, _label) in _records(document, "nodes"):
+            graph.add_node(node)
+        for _index, _record, fields in _records(document, "edges"):
+            graph.add_edge(*fields)
     else:
         raise GraphError(f"unknown graph kind {kind!r}")
     return graph

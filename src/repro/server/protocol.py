@@ -18,7 +18,7 @@ their op sets off the table.
 results*: their ``details`` name the limit that tripped, how far the
 evaluation got (``rows_so_far``, ``states_visited``, ``elapsed_seconds``)
 and up to :data:`PARTIAL_ROWS_CAP` of the rows produced before the limit
-hit.
+hit; :func:`budget_trip` turns one back into its ``BudgetExceeded``.
 
 Every error class carries its ``code`` so handlers map exceptions to
 envelopes (and HTTP statuses) without string matching; clients re-raise
@@ -31,7 +31,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.engine.limits import BudgetExceeded
+from repro.engine.limits import LIMITS, BudgetExceeded
 from repro.errors import (
     EvaluationError,
     GraphError,
@@ -39,6 +39,7 @@ from repro.errors import (
     QueryError,
     ReproError,
 )
+from repro.graph.serialize import is_json_scalar
 
 #: Every error code, with the HTTP status the façade answers it with.
 HTTP_STATUS = {
@@ -57,11 +58,6 @@ HTTP_STATUS = {
 
 #: How many partial-result rows a timeout/budget_exceeded envelope carries.
 PARTIAL_ROWS_CAP = 100
-
-
-def is_json_scalar(value) -> bool:
-    """A string, number or boolean: what a node id or label can be."""
-    return isinstance(value, (str, int, float, bool))
 
 
 def _number(value) -> bool:
@@ -266,6 +262,27 @@ def budget_envelope(exc: BudgetExceeded) -> dict:
         details["partial_truncated"] = exc.rows_so_far > len(rows)
     code = "timeout" if exc.limit in ("timeout", "cancelled") else "budget_exceeded"
     return {"code": code, "message": str(exc), "details": details}
+
+
+def budget_trip(code: str, message: str, details: dict) -> "BudgetExceeded | None":
+    """The inverse of :func:`budget_envelope`: the :class:`BudgetExceeded` a
+    ``timeout`` / ``budget_exceeded`` envelope reports, its partial rows as
+    tuples (``None`` for any other code).  A bare server timeout, with no
+    ``limit``, is a ``timeout`` trip with nothing counted."""
+    if code not in ("timeout", "budget_exceeded"):
+        return None
+    limit = details.get("limit")
+    partial = details.get("partial")
+    if partial is not None:
+        partial = [tuple(row) if isinstance(row, list) else row for row in partial]
+    return BudgetExceeded(
+        message,
+        limit=limit if limit in LIMITS else "timeout",
+        rows_so_far=details.get("rows_so_far", 0),
+        states_visited=details.get("states_visited", 0),
+        elapsed=details.get("elapsed_seconds"),
+        partial=partial,
+    )
 
 
 class ShuttingDownError(ServiceError):

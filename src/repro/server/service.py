@@ -48,15 +48,16 @@ from repro.engine.tracing import (
     span_tree_dict,
     use_thread_tracer,
 )
+from repro.errors import GraphError
 from repro.graph.edge_labeled import EdgeLabeledGraph
 from repro.graph.property_graph import PropertyGraph
+from repro.graph.serialize import graph_from_dict, is_json_scalar
 from repro.server.protocol import (
     OP_TABLE,
     BadRequestError,
     GraphNotFoundError,
     Request,
     check_request,
-    is_json_scalar,
 )
 
 
@@ -649,10 +650,12 @@ class QueryService:
         self.catalog.close()
 
     def _upload(self, request, budget=None) -> dict:
-        from repro.graph.serialize import graph_from_dict
-
         name = request.args["name"]
-        entry = self.catalog.register(name, graph_from_dict(request.args["graph"]))
+        try:
+            graph = graph_from_dict(request.args["graph"])
+        except GraphError as exc:
+            raise BadRequestError(f"parameter 'graph': {exc}", param="graph") from None
+        entry = self.catalog.register(name, graph)
         # Build the CSR snapshot here, on the worker: a read then runs on
         # the event loop without an O(edges) build in front of it.
         stats = EngineStats()
@@ -964,7 +967,5 @@ def _rows(rows, budget) -> list:
             if budget is not None:
                 budget.check_rows(len(listed))
     except BudgetExceeded as exc:
-        if budget is not None and exc.limit == "max_rows" and budget.max_rows is not None:
-            listed = listed[: budget.max_rows]
         raise exc.attach_partial(listed)
     return listed

@@ -77,7 +77,7 @@ class TestStragglers:
         coordinator, _servers, _graph = cluster
         # delay + drop = a pure straggler: the shard sleeps through most of
         # the budget, then would continue normally.  The coordinator ships
-        # (deadline - rtt_slack) as the shard-side round timeout, so the
+        # (deadline - DEFAULT_RTT_SLACK) as the shard-side round timeout, so the
         # *shard* trips and answers with a typed timeout envelope — the
         # coordinator never waits out the full sleep.
         faults.arm(

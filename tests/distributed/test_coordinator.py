@@ -150,6 +150,42 @@ class TestReplicas:
             name, "a a*", sources=["v1", "v2"]
         ) == evaluate_rpq("a a*", graph, sources=["v1", "v2"])
 
+    def test_routed_trip_is_a_budget_trip_and_keeps_the_breaker_closed(
+        self, cluster
+    ):
+        graph = random_graph(20, 60, labels=("a", "b"), seed=8)
+        name = fresh_name("r")
+        # One recorded failure would open this coordinator's breakers.
+        with ShardCoordinator(cluster.addresses, breaker_threshold=1) as coordinator:
+            (shard,) = coordinator.replicate_graph(name, graph, factor=1)["replicas"]
+            with pytest.raises(BudgetExceeded) as excinfo:
+                coordinator.rpq(name, "(a + b)*", max_rows=2)
+            assert excinfo.value.limit == "max_rows"
+            assert len(excinfo.value.partial) == excinfo.value.rows_so_far == 2
+            assert set(excinfo.value.partial) <= evaluate_rpq("(a + b)*", graph)
+            assert coordinator.breakers[shard].state == "closed"
+
+    def test_replicated_evaluate_rpq_applies_the_whole_budget(self, cluster):
+        # Big enough that one sweep passes a stride (256) of states.
+        graph = random_graph(400, 1200, labels=("a", "b"), seed=8)
+        name = fresh_name("r")
+        cluster.replicate_graph(name, graph)
+        full = evaluate_rpq("(a + b)*", graph, sources=["v1", "v2"])
+        assert len(full) > 3
+        with pytest.raises(BudgetExceeded) as excinfo:
+            cluster.evaluate_rpq(
+                name, "(a + b)*", sources=["v1", "v2"],
+                budget=make_budget(max_rows=3),
+            )
+        assert excinfo.value.limit == "max_rows"
+        assert len(excinfo.value.partial) == 3
+        assert set(excinfo.value.partial) <= full
+        with pytest.raises(BudgetExceeded) as excinfo:
+            cluster.evaluate_rpq(
+                name, "(a + b)*", budget=make_budget(max_states=10)
+            )
+        assert excinfo.value.limit == "max_states"
+
     def test_partitioned_graph_rejects_whole_query_routing(self, cluster):
         from repro.server.protocol import BadRequestError
 

@@ -19,6 +19,7 @@ from repro.engine.limits import (
     Spill,
     make_budget,
 )
+from repro.engine.relation import PairRelation
 from repro.errors import EvaluationError
 
 
@@ -239,6 +240,34 @@ class TestBudgetExceededPayload:
         assert exc.rows_so_far == 2 and len(exc.partial) == 2
         exc.attach_partial(None)  # a None attachment never clobbers
         assert exc.partial is not None
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            {("a", "b"), ("a", "c"), ("b", "c"), ("c", "a")},
+            [("a",), ("b",), ("c",), ("d",)],
+            PairRelation(["s", "t"], ["x", "y", "z"], {0: 0b11, 1: 0b01, 2: 0b10}, 4),
+        ],
+        ids=["set", "list", "pair-relation"],
+    )
+    def test_row_ceiling_trip_keeps_exactly_the_ceiling(self, rows):
+        with pytest.raises(BudgetExceeded) as excinfo:
+            QueryBudget(max_rows=2).check_rows(3)
+        exc = excinfo.value.attach_partial(rows)
+        assert len(exc.partial) == exc.rows_so_far == 2
+        assert set(exc.partial) <= set(rows)
+        if isinstance(rows, list):
+            assert exc.partial == rows[:2]  # a list keeps its first rows
+
+    def test_timeout_trip_keeps_every_row(self):
+        token = CancellationToken()
+        token.cancel("timeout")
+        with pytest.raises(BudgetExceeded) as excinfo:
+            QueryBudget(max_rows=2, cancellation=token).check()
+        rows = {("a", "b"), ("a", "c"), ("b", "c")}
+        exc = excinfo.value.attach_partial(rows)
+        assert exc.limit == "timeout"
+        assert set(exc.partial) == rows and exc.rows_so_far == 3
 
     def test_details_shape(self):
         exc = BudgetExceeded(

@@ -9,19 +9,62 @@ Two laws, checked on randomized graphs and expressions:
    partial result that is *exactly* a k-subset of the full answer set —
    never a wrong row, never more than k, and never fewer when k rows
    exist.
+
+The RPQ laws run on three layouts: the library's ``evaluate_rpq``, and
+``ShardCoordinator.evaluate_rpq`` over a graph partitioned across, or
+replicated to, two in-process shards (fewer examples there: every
+evaluation uploads its graph under a fresh name, so no answer comes from
+the coordinator's cache).
 """
+
+import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crpq.evaluation import evaluate_crpq
+from repro.distributed import ShardCoordinator
 from repro.engine.limits import BudgetExceeded, QueryBudget
 from repro.graph.edge_labeled import EdgeLabeledGraph
-from repro.regex.ast import Concat, Epsilon, Regex, Star, Symbol, Union
+from repro.regex.ast import Concat, Epsilon, Regex, Star, Symbol, Union, to_string
 from repro.rpq.evaluation import evaluate_rpq
+from repro.server.app import ServerThread
 
 A, B = Symbol("a"), Symbol("b")
+
+#: Hypothesis examples per RPQ layout.
+LAYOUTS = {"library": 120, "partitioned": 30, "replicated": 30}
+
+_fresh_names = itertools.count()
+
+
+@pytest.fixture(scope="module")
+def fleet():
+    servers = [ServerThread().start() for _ in range(2)]
+    coordinator = ShardCoordinator([server.address for server in servers])
+    yield coordinator
+    coordinator.close()
+    for server in servers:
+        server.stop()
+
+
+def rpq_evaluator(layout: str, request):
+    """``evaluate(regex, graph, budget=None)`` on ``layout``."""
+    if layout == "library":
+        return evaluate_rpq
+    coordinator = request.getfixturevalue("fleet")
+    distribute = (
+        coordinator.partition_graph if layout == "partitioned"
+        else coordinator.replicate_graph
+    )
+
+    def evaluate(regex, graph, budget=None):
+        name = f"budget{next(_fresh_names)}"
+        distribute(name, graph)
+        return coordinator.evaluate_rpq(name, to_string(regex), budget=budget)
+
+    return evaluate
 
 
 def regexes(max_leaves: int = 6) -> st.SearchStrategy[Regex]:
@@ -69,12 +112,18 @@ def generous_budget(stride: int) -> QueryBudget:
 
 
 class TestGenerousBudgetIsInvisible:
-    @settings(max_examples=120, deadline=None)
-    @given(regex=regexes(), graph=small_graphs(), stride=st.sampled_from([1, 3, 256]))
-    def test_rpq_answers_identical(self, regex, graph, stride):
-        unbudgeted = evaluate_rpq(regex, graph)
-        budgeted = evaluate_rpq(regex, graph, budget=generous_budget(stride))
-        assert budgeted == unbudgeted
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_rpq_answers_identical(self, layout, request):
+        evaluate = rpq_evaluator(layout, request)
+
+        @settings(max_examples=LAYOUTS[layout], deadline=None)
+        @given(regex=regexes(), graph=small_graphs(), stride=st.sampled_from([1, 3, 256]))
+        def law(regex, graph, stride):
+            unbudgeted = evaluate(regex, graph)
+            budgeted = evaluate(regex, graph, budget=generous_budget(stride))
+            assert budgeted == unbudgeted
+
+        law()
 
     @settings(max_examples=40, deadline=None)
     @given(graph=small_graphs(), stride=st.sampled_from([1, 256]))
@@ -86,25 +135,31 @@ class TestGenerousBudgetIsInvisible:
 
 
 class TestMaxRowsIsAnExactSubset:
-    @settings(max_examples=120, deadline=None)
-    @given(
-        regex=regexes(),
-        graph=small_graphs(),
-        k=st.integers(min_value=0, max_value=5),
-    )
-    def test_rpq_partial_is_k_subset(self, regex, graph, k):
-        full = evaluate_rpq(regex, graph)
-        budget = QueryBudget(max_rows=k, stride=1)
-        if len(full) <= k:
-            assert evaluate_rpq(regex, graph, budget=budget) == full
-            return
-        with pytest.raises(BudgetExceeded) as excinfo:
-            evaluate_rpq(regex, graph, budget=budget)
-        exc = excinfo.value
-        assert exc.limit == "max_rows"
-        partial = set(exc.partial)
-        assert len(partial) == k
-        assert partial <= full
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_rpq_partial_is_k_subset(self, layout, request):
+        evaluate = rpq_evaluator(layout, request)
+
+        @settings(max_examples=LAYOUTS[layout], deadline=None)
+        @given(
+            regex=regexes(),
+            graph=small_graphs(),
+            k=st.integers(min_value=0, max_value=5),
+        )
+        def law(regex, graph, k):
+            full = evaluate(regex, graph)
+            budget = QueryBudget(max_rows=k, stride=1)
+            if len(full) <= k:
+                assert evaluate(regex, graph, budget=budget) == full
+                return
+            with pytest.raises(BudgetExceeded) as excinfo:
+                evaluate(regex, graph, budget=budget)
+            exc = excinfo.value
+            assert exc.limit == "max_rows"
+            partial = set(exc.partial)
+            assert len(partial) == k
+            assert partial <= full
+
+        law()
 
     @settings(max_examples=40, deadline=None)
     @given(graph=small_graphs(), k=st.integers(min_value=0, max_value=3))

@@ -243,9 +243,10 @@ EDGE = {"kind": "add_edge", "id": "t99", "src": "a1", "tgt": "a2", "label": "Tra
 
 
 class TestMalformedQueryParams:
-    """A node parameter that is not a JSON scalar, or a limit that is not a
-    non-negative integer, is a ``bad_request`` naming the parameter — not the
-    ``internal`` error the evaluator's ``TypeError`` used to become."""
+    """A node parameter that is not a JSON scalar, a limit that is not a
+    non-negative integer, or an uploaded document that is not a graph, is a
+    ``bad_request`` naming the parameter — not the ``internal`` error the
+    evaluator's (or the reader's) ``TypeError`` used to become."""
 
     @pytest.mark.parametrize(
         ("op", "params", "bad"),
@@ -272,6 +273,11 @@ class TestMalformedQueryParams:
             ("graphs.mutate", {"graph": "fig2", "edits": [{**EDGE, "id": [1]}]}, "edits"),
             ("graphs.mutate", {"graph": "fig2", "edits": [{**EDGE, "src": {"id": "a1"}}]}, "edits"),
             ("graphs.mutate", {"graph": "fig2", "edits": [{**EDGE, "label": ["Transfer"]}]}, "edits"),
+            ("graphs.upload", {"name": "g", "graph": {"edges": [{}]}}, "graph"),
+            ("graphs.upload", {"name": "g", "graph": {"nodes": [[1]], "edges": []}}, "graph"),
+            ("graphs.upload", {"name": "g", "graph": {"kind": "property", "nodes": [{}]}}, "graph"),
+            ("graphs.upload", {"name": "g", "graph": {"nodes": 5}}, "graph"),
+            ("graphs.upload", {"name": "g", "graph": {"nodes": [{"id": [1]}]}}, "graph"),
         ],
     )
     def test_is_a_bad_request_naming_the_parameter(self, op, params, bad):

@@ -624,6 +624,33 @@ class TestQueryShardsCLI:
         assert code == 0
         assert "answers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "layout", [[], ["--replicated"]], ids=["partitioned", "replicated"]
+    )
+    def test_max_rows_trip_prints_exactly_n_and_exits_2(self, fleet, layout, capsys):
+        code = main(
+            ["query", "--shards", fleet, *layout, "fig2", "Transfer*",
+             "--max-rows", "3"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 3
+        assert "rows_so_far=3" in captured.err
+        assert "limit=max_rows" in captured.err
+
+    @pytest.mark.parametrize(
+        "layout", [[], ["--replicated"]], ids=["partitioned", "replicated"]
+    )
+    def test_max_rows_zero_prints_no_rows(self, fleet, layout, capsys):
+        code = main(
+            ["query", "--shards", fleet, *layout, "fig2", "Transfer*",
+             "--max-rows", "0"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "rows_so_far=0" in captured.err
+
     def test_crpq_over_shards(self, fleet, capsys):
         code = main(
             ["query", "--shards", fleet, "fig2",
