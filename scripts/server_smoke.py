@@ -1,7 +1,11 @@
 """CI smoke check for the query service, end to end as a real process.
 
 Launches ``repro serve`` as a subprocess, uploads a graph, runs an RPQ and
-a CRPQ through the client, then on a random graph one single-source miss
+a CRPQ through the client, resends the RPQ with ``timeout: 30`` (a budget
+limit is not part of the answer's cache key, so ``stats`` must show one
+more hit and no new miss) and with ``max_rows: 1`` (the warm answer must
+trip as ``budget_exceeded`` with exactly one partial row), then on a
+random graph one single-source miss
 (answered on the event loop) and one full-relation RPQ heavy enough to
 spill to the worker pool, both checked against the library evaluator.  It
 sends a ``POST /query`` with a malformed ``Content-Length`` (must get a
@@ -61,7 +65,7 @@ def post_with_length(host: str, port: int, length: str) -> int:
 def main() -> None:
     from repro.graph.datasets import figure2_graph
     from repro.graph.generators import random_graph
-    from repro.server.client import ServerClient, http_get
+    from repro.server.client import ServerClient, ServerError, http_get
 
     metrics_path = Path(tempfile.mkdtemp()) / "metrics.prom"
     process = subprocess.Popen(
@@ -94,6 +98,20 @@ def main() -> None:
             print(f"rpq Transfer+: {rpq['count']} pairs")
             if client.rpq("smoke", "Transfer+") != rpq:
                 fail("cached rpq answer differs")
+            before = client.stats()["answer_cache"]
+            if client.rpq("smoke", "Transfer+", timeout=30) != rpq:
+                fail("rpq with a timeout answered differently")
+            after = client.stats()["answer_cache"]
+            if (after["hits"], after["misses"]) != (before["hits"] + 1, before["misses"]):
+                fail(f"rpq with a timeout missed the cache: {before} -> {after}")
+            try:
+                client.rpq("smoke", "Transfer+", max_rows=1)
+                fail("rpq with max_rows 1 did not trip on the cached answer")
+            except ServerError as exc:
+                partial = exc.details.get("partial")
+                if exc.code != "budget_exceeded" or len(partial or ()) != 1:
+                    fail(f"rpq with max_rows 1: [{exc.code}] {exc.details}")
+            print("timeout 30 -> cache hit; max_rows 1 -> budget_exceeded, 1 row")
 
             crpq = client.crpq("smoke", "Ans(x, y) :- Transfer(x, y), owner(y, z)")
             if crpq["count"] <= 0:

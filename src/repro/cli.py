@@ -113,13 +113,13 @@ def _print_bindings(bindings) -> None:
         print(" -> ".join(map(str, binding["path"])) + suffix)
 
 
-#: Each answering op's rows: the result key, their printer, and what the
-#: local verb's stderr summary counts.
+#: Each answering op's row printer and what the local verb's stderr summary
+#: counts (the result field holding the rows is the op table's ``answer``).
 _ANSWERS = {
-    "rpq": ("pairs", _print_tuples, "pairs"),
-    "crpq": ("rows", _print_tuples, "rows"),
-    "paths": ("paths", _print_paths, "paths ({mode})"),
-    "dlrpq": ("bindings", _print_bindings, "path bindings ({mode})"),
+    "rpq": (_print_tuples, "pairs"),
+    "crpq": (_print_tuples, "rows"),
+    "paths": (_print_paths, "paths ({mode})"),
+    "dlrpq": (_print_bindings, "path bindings ({mode})"),
 }
 
 
@@ -130,7 +130,7 @@ def _report_trip(args: argparse.Namespace, exc) -> int:
 
     if exc.partial:
         op = query_kind(args.query) if args.command == "query" else args.command
-        _ANSWERS[op][1](exc.partial)
+        _ANSWERS[op][0](exc.partial)
     details = ", ".join(
         f"{key}={value}" for key, value in sorted(exc.details().items())
     )
@@ -163,7 +163,7 @@ def _cmd_local(args: argparse.Namespace) -> int:
     handler the server runs (no answer cache, no admission)."""
     import json
 
-    from repro.server.protocol import Request, check_request
+    from repro.server.protocol import OP_TABLE, Request, check_request
     from repro.server.service import QueryService
 
     graph = _load_graph(args.graph)
@@ -180,10 +180,10 @@ def _cmd_local(args: argparse.Namespace) -> int:
         print(json.dumps(report, indent=2, sort_keys=True) if args.json
               else render_explain(report))
         return 0
-    key, printer, summary = _ANSWERS[request.op]
-    printer(result[key])
-    print(f"# {len(result[key])} {summary.format(**request.args)}",
-          file=sys.stderr)
+    printer, summary = _ANSWERS[request.op]
+    rows = result[OP_TABLE[request.op].answer]
+    printer(rows)
+    print(f"# {len(rows)} {summary.format(**request.args)}", file=sys.stderr)
     if stats is not None:
         print(stats.render(), file=sys.stderr)
     return 0
@@ -678,6 +678,7 @@ def _query_via_shards(args: argparse.Namespace) -> int:
     import json
 
     from repro.engine.explain import query_kind
+    from repro.server.protocol import OP_TABLE
 
     budget = _make_budget(args)
     tracer = None
@@ -693,14 +694,14 @@ def _query_via_shards(args: argparse.Namespace) -> int:
         # The result-dict path, not evaluate_*: hedging and the degraded
         # fallback live on replica routing, and only this shape can carry
         # the degraded marker to the caller.
-        if query_kind(args.query) == "crpq":
+        op = query_kind(args.query)
+        if op == "crpq":
             result = coordinator.crpq(name, args.query, **_limits(args))
-            rows = {tuple(row) for row in result["rows"]}
         else:
             result = coordinator.rpq(
                 name, args.query, source=args.source, **_limits(args)
             )
-            rows = {tuple(pair) for pair in result["pairs"]}
+        rows = {tuple(row) for row in result[OP_TABLE[op].answer]}
         return rows, bool(result.get("degraded"))
 
     outcome, code = _on_shards(
@@ -765,7 +766,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
     from repro.engine.explain import query_kind
     from repro.server.client import RetryPolicy, ServerError
-    from repro.server.protocol import budget_trip
+    from repro.server.protocol import OP_TABLE, budget_trip
 
     if args.shards:
         return _query_via_shards(args)
@@ -793,7 +794,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     if args.json or args.explain:
         print(json.dumps(result, indent=2, sort_keys=True, default=str))
         return 0
-    _print_tuples(result[_ANSWERS[op][0]])
+    _print_tuples(result[OP_TABLE[op].answer])
     print(f"# {result['count']} answers", file=sys.stderr)
     return 0
 

@@ -33,13 +33,15 @@ surfaced as a *typed* budget trip, never as a silently-short result set.
 **Replicas**: :meth:`ShardCoordinator.replicate_graph` uploads full copies
 to a rendezvous-hashed subset of shards; :meth:`rpq`/:meth:`crpq` route
 whole queries to a replica (with failover down the preference list) — the
-read-throughput path ``benchmarks/bench_shard.py`` gates.
+read-throughput path ``benchmarks/bench_shard.py`` gates.  A routed read
+ships its budget's ``timeout`` and ``max_states``, never ``max_rows``, so
+a replica's answer is complete.
 
-**One answer-cache path**: routed reads, :meth:`evaluate_rpq` and
-:meth:`evaluate_crpq` all memoize through the service's
-:meth:`~repro.server.service.AnswerCache.lookup` under the service's
-:func:`~repro.server.service.answer_key`, keyed on the upload token, so the
-rule of what may be cached (complete answers only) is the service's.
+**One answer-cache path**: every public read is one call of the service's
+:meth:`~repro.server.service.AnswerCache.lookup` under the caller's
+budget, keyed by :func:`~repro.server.service.answer_key` on the upload
+token and never on a budget limit, so both rules are the service's: only
+complete answers are cached, and the row ceiling applies to hits too.
 
 **Resilience** (DESIGN.md §14): a per-shard
 :class:`~repro.distributed.breaker.CircuitBreaker` turns repeated shard
@@ -71,12 +73,11 @@ import time
 from collections.abc import Set
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor
 from concurrent.futures import wait as futures_wait
-from contextlib import nullcontext
 from functools import partial
 
 from repro.distributed.breaker import BreakerOpenError, CircuitBreaker
 from repro.engine.faults import fault_point
-from repro.engine.limits import BudgetExceeded
+from repro.engine.limits import BudgetExceeded, make_budget
 from repro.engine.metrics import MetricsRegistry
 from repro.engine.partition import (
     ShardMap,
@@ -99,11 +100,14 @@ from repro.graph.edge_labeled import EdgeLabeledGraph
 from repro.regex.ast import symbols, to_string
 from repro.server.client import ConnectionLost, ServerClient, ServerError
 from repro.server.protocol import (
+    BUDGET_PARAMS,
+    OP_TABLE,
     BadRequestError,
     GraphNotFoundError,
     Request,
     ShardUnavailableError,
     budget_trip,
+    check_request,
 )
 from repro.server.service import AnswerCache, QueryService, answer_key
 
@@ -601,28 +605,49 @@ class ShardCoordinator:
     # ------------------------------------------------------------------
     # replica-routed whole queries (the throughput path)
     # ------------------------------------------------------------------
-    def _route(self, op: str, name: str, route_key: str, params: dict) -> dict:
+    def _route(self, op: str, name: str, route_key: str, params: dict, limits: dict) -> dict:
         entry = self._entry(name)
         if not entry.replicas:
             raise BadRequestError(
                 f"graph {name!r} is partitioned, not replicated; "
                 "use evaluate_rpq/evaluate_crpq"
             )
+        # Checked like the request a replica would get; the limits make the
+        # read's budget and never travel in the routed params.
+        args = check_request(Request(op, params={**params, **limits, "graph": name})).args
+        budget = make_budget(**{limit: args[limit] for limit in BUDGET_PARAMS})
         result, _hit = self.answer_cache.lookup(
-            answer_key(name, entry.token, op, params),
-            partial(self._read_replicas, op, entry, route_key, params),
+            answer_key(name, entry.token, op, args),
+            partial(self._read_replicas, op, entry, route_key, params, budget),
+            budget=budget, rows=OP_TABLE[op].answer,
         )
         return result
 
-    def _read_replicas(self, op, entry, route_key, params) -> dict:
+    def _read_replicas(self, op, entry, route_key, params, budget) -> dict:
         """One routed read: the first replica answer down the rendezvous
         preference (hedged or failing over), else the degraded local
         answer, else a typed ``shard_unavailable``."""
         preference = rendezvous(f"{entry.name}|{route_key}", entry.replicas)
-        if self.hedge_after is not None and len(preference) > 1:
-            result, last_failure = self._route_hedged(op, entry.name, preference, params)
-        else:
-            result, last_failure = self._route_failover(op, entry.name, preference, params)
+
+        def call(client):
+            if fault_point("shard.crash"):
+                raise ConnectionLost("injected shard death (dropped)")
+            # Effort limits only, never max_rows: the replica's answer is
+            # complete, hence cacheable, and the row ceiling applies here.
+            limits = {}
+            if budget is not None:
+                if budget.deadline is not None:
+                    limits["timeout"] = max(budget.deadline.remaining(), 0.001)
+                if budget.max_states is not None:
+                    limits["max_states"] = budget.max_states
+            return client.request(op, graph=entry.name, **params, **limits)
+
+        route = (
+            self._route_hedged
+            if self.hedge_after is not None and len(preference) > 1
+            else self._route_failover
+        )
+        result, last_failure = route(preference, call)
         if result is not _NO_ANSWER:
             return result
         if self.allow_degraded and entry.graph is not None:
@@ -670,7 +695,7 @@ class ShardCoordinator:
         breaker.record_success()
         return answer, None
 
-    def _route_failover(self, op, name, preference, params):
+    def _route_failover(self, preference, call):
         """Walk the preference list on the persistent clients, one at a
         time, skipping shards whose breaker refuses; ``(result, None)`` on
         success, ``(_NO_ANSWER, last failure)`` when every replica failed.
@@ -681,16 +706,13 @@ class ShardCoordinator:
             if not breaker.allow():
                 last_failure = BreakerOpenError(shard, breaker.retry_after())
                 continue
-            result, failure = self._settle(
-                shard,
-                partial(self._replica_call, self._clients[shard], op, name, params),
-            )
+            result, failure = self._settle(shard, partial(call, self._clients[shard]))
             if failure is None:
                 return result, None
             last_failure = failure
         return _NO_ANSWER, last_failure
 
-    def _route_hedged(self, op, name, preference, params):
+    def _route_hedged(self, preference, call):
         """Race the read across replicas: primary first, the next
         rendezvous replica after each ``hedge_after`` without an answer,
         first answer wins.  A losing attempt keeps running on its own
@@ -711,9 +733,7 @@ class ShardCoordinator:
                         shard, breaker.retry_after()
                     )
                     continue
-                future = self._pool.submit(
-                    self._replica_attempt, shard, op, name, params
-                )
+                future = self._pool.submit(self._replica_attempt, shard, call)
                 inflight[future] = shard
                 order[future] = state["launched"]
                 state["launched"] += 1
@@ -745,13 +765,7 @@ class ShardCoordinator:
                 return result, None
         return _NO_ANSWER, state["last_failure"]
 
-    @staticmethod
-    def _replica_call(client, op, name, params):
-        if fault_point("shard.crash"):
-            raise ConnectionLost("injected shard death (dropped)")
-        return client.request(op, graph=name, **params)
-
-    def _replica_attempt(self, shard, op, name, params):
+    def _replica_attempt(self, shard, call):
         """One hedged replica attempt, on its own fresh connection.
 
         Fresh per attempt because the losing attempt holds its connection
@@ -762,20 +776,21 @@ class ShardCoordinator:
         """
         host, port = self.addresses[shard]
         with ServerClient(host, port, timeout=self.timeout) as client:
-            return self._replica_call(client, op, name, params)
+            return call(client)
 
     def rpq(self, name: str, query: str, source=None, **limits) -> dict:
-        """Route one whole RPQ to a replica (result dict, like the client)."""
-        params = {"query": query, **{k: v for k, v in limits.items() if v is not None}}
+        """Route one whole RPQ to a replica (result dict, like the client)
+        under the budget its ``limits`` make."""
+        params = {"query": query}
         if source is not None:
             params["source"] = source
-        return self._route("rpq", name, f"rpq|{query}|{source!r}", params)
+        return self._route("rpq", name, f"rpq|{query}|{source!r}", params, limits)
 
     def crpq(self, name: str, query: str, planner=None, **limits) -> dict:
-        params = {"query": query, **{k: v for k, v in limits.items() if v is not None}}
+        params = {"query": query}
         if planner is not None:
             params["planner"] = planner
-        return self._route("crpq", name, f"crpq|{query}", params)
+        return self._route("crpq", name, f"crpq|{query}", params, limits)
 
     # ------------------------------------------------------------------
     # scatter-gather RPQ evaluation (the partitioned path)
@@ -783,71 +798,51 @@ class ShardCoordinator:
     def evaluate_rpq(
         self, name: str, query: str, sources=None, *, budget=None
     ) -> Set[tuple]:
-        """``[[R]]_G`` over the partitioned graph ``name``.
+        """``[[R]]_G`` over the distributed graph ``name``.
 
         Answers are exactly :func:`repro.rpq.evaluation.evaluate_rpq` on
-        the unpartitioned graph (the differential suites prove it); a
-        budget bounds the whole exchange, its deadline propagating into
-        every shard round.  The partitioned gather hands back its origin
-        masks as a read-only :class:`~repro.engine.relation.PairRelation`
-        (decoded only when iterated); treat the result as immutable.
+        the undistributed graph (the differential suites prove it), from
+        scatter-gather rounds or one routed read; a budget bounds the
+        whole exchange, its deadline propagating into every shard round.
+        The partitioned gather hands back its origin masks as a read-only
+        :class:`~repro.engine.relation.PairRelation` (decoded only when
+        iterated); treat the result as immutable.
         """
         entry = self._entry(name)
-        if entry.shard_map is None:
-            return self._replicated_pairs(entry, query, sources, budget)
+        partitioned = entry.shard_map is not None
         if sources is not None:
-            # Read once, here: the distinct graph nodes in first-seen order
-            # are both the cache key and the origin-bit numbering.
-            order_index = entry.order_index
-            sources = list(
-                dict.fromkeys(s for s in sources if s in order_index)
-            )
+            # Read once, here: the distinct sources in first-seen order (of
+            # a partitioned graph, its nodes only) are both the cache key
+            # and the origin-bit numbering.
+            sources = list(dict.fromkeys(
+                s for s in sources if not partitioned or s in entry.order_index
+            ))
         source_key = None if sources is None else repr(sorted(sources, key=repr))
-        # Immutable, so the cache and every caller share the one relation.
-        pairs, hit = self.answer_cache.lookup(
+        compute = self._scatter_gather if partitioned else self._replicated_pairs
+        # Immutable, so the cache and every caller share the one answer.
+        pairs, _hit = self.answer_cache.lookup(
             answer_key(
                 name, entry.token, "rpq:pairs",
                 {"query": query, "sources": source_key},
             ),
-            partial(self._scatter_gather, entry, query, sources, budget),
+            partial(compute, entry, query, sources, budget),
+            budget=budget,
         )
-        # A cache hit trivially beats any deadline, but the row ceiling is
-        # about answer *size*, not effort — enforce it either way.
-        return _within_rows(budget, pairs) if hit else pairs
+        return pairs
 
-    def _replicated_pairs(self, entry, query, sources, budget) -> set[tuple]:
-        """RPQ pairs for a replicated (unpartitioned) graph via routing: the
-        replica gets the deadline and state ceiling, and the row ceiling
-        applies here, to the pairs of the asked sources."""
-        limits = {}
-        if budget is not None:
-            if budget.deadline is not None:
-                limits["timeout"] = max(budget.deadline.remaining(), 0.001)
-            limits["max_states"] = budget.max_states
-        sources = None if sources is None else list(sources)
+    def _replicated_pairs(self, entry, query, sources, budget) -> frozenset:
+        """RPQ pairs of a replicated (unpartitioned) graph: one routed read
+        (a lone source rides along as its ``source``), kept to the asked
+        sources."""
         single = sources is not None and len(sources) == 1
-        result = self.rpq(
-            entry.name, query, source=sources[0] if single else None, **limits
+        source = sources[0] if single else None
+        params = {"query": query, "source": source} if single else {"query": query}
+        result = self._read_replicas(
+            "rpq", entry, f"rpq|{query}|{source!r}", params, budget
         )
-        self._require_exact(entry, result)
-        pairs = {tuple(pair) for pair in result["pairs"]}
-        if sources is not None and not single:
-            keep = set(sources)
-            pairs = {pair for pair in pairs if pair[0] in keep}
-        return _within_rows(budget, pairs)
-
-    @staticmethod
-    def _require_exact(entry, result) -> None:
-        """Refuse a degraded result on a set-returning evaluation path.
-
-        ``evaluate_rpq``/``evaluate_crpq`` return bare answer sets — there
-        is no channel to carry the ``degraded`` marker, and the exactness
-        contract (answers identical to single-node evaluation, or a typed
-        error) would be silently violated.  Only the result-dict
-        ``rpq``/``crpq`` API, where callers can see the marker, may serve
-        degraded answers.
-        """
-        if isinstance(result, dict) and result.get("degraded"):
+        if result.get("degraded"):
+            # A bare answer set has no channel for the marker, and a
+            # silently stale answer breaks exactness.
             raise ShardUnavailableError(
                 f"replicated evaluation of {entry.name!r} needs an exact "
                 "replica answer; the degraded local fallback only serves "
@@ -855,6 +850,11 @@ class ShardCoordinator:
                 graph=entry.name,
                 degraded=True,
             )
+        pairs = frozenset(tuple(pair) for pair in result["pairs"])
+        if sources is not None and not single:
+            keep = set(sources)
+            pairs = frozenset(pair for pair in pairs if pair[0] in keep)
+        return pairs
 
     def _scatter_gather(self, entry, query, sources, budget) -> PairRelation:
         stats = EngineStats()
@@ -894,13 +894,8 @@ class ShardCoordinator:
         tracer = get_tracer()
         rounds = 0
         query_started = time.perf_counter()
-        root_cm = (
-            tracer.span("coordinator.rpq", graph=entry.name, query=query)
-            if tracer.enabled
-            else nullcontext()
-        )
         try:
-            with root_cm:
+            with tracer.span("coordinator.rpq", graph=entry.name, query=query):
                 while any(pending):
                     rounds += 1
                     if merge_budget is not None:
@@ -913,12 +908,7 @@ class ShardCoordinator:
                     ]
                     pending = [{} for _ in range(self.num_shards)]
                     round_started = time.perf_counter()
-                    round_cm = (
-                        tracer.span("coordinator.round", round=rounds)
-                        if tracer.enabled
-                        else nullcontext()
-                    )
-                    with round_cm as round_span:
+                    with tracer.span("coordinator.round", round=rounds) as round_span:
                         # Captured on *this* thread: the pool threads the
                         # frontier calls run on have empty span stacks, so
                         # the round span's context must ride in explicitly.
@@ -1160,20 +1150,15 @@ class ShardCoordinator:
 
         started = time.perf_counter()
         result, failure = self._settle(shard, step)
-        if isinstance(failure, ServerError):
-            raise ShardUnavailableError(
-                f"shard {shard} ({host}:{port}) failed frontier round "
-                f"{round_number}: [{failure.code}] {failure.message}",
-                shard=shard,
-                round=round_number,
-                shard_code=failure.code,
-            ) from failure
         if failure is not None:
+            details = {"shard": shard, "round": round_number}
+            if isinstance(failure, ServerError):
+                details["shard_code"] = failure.code
+                what = f"failed frontier round {round_number}: [{failure.code}] {failure.message}"
+            else:
+                what = f"lost during frontier round {round_number}: {failure}"
             raise ShardUnavailableError(
-                f"shard {shard} ({host}:{port}) lost during frontier round "
-                f"{round_number}: {failure}",
-                shard=shard,
-                round=round_number,
+                f"shard {shard} ({host}:{port}) {what}", **details
             ) from failure
         return {
             "result": result,
@@ -1223,19 +1208,9 @@ class ShardCoordinator:
                 query, entry.graph, planner=planner, budget=budget,
                 access=PairsAccess(pairs, budget),
             )),
+            budget=budget,
         )
         return set(rows)
-
-
-def _within_rows(budget, pairs):
-    """``pairs``, or the ``max_rows`` trip of a finished answer over the
-    budget's row ceiling (carrying exactly that many of them)."""
-    if budget is not None:
-        try:
-            budget.check_rows(len(pairs))
-        except BudgetExceeded as exc:
-            raise exc.attach_partial(pairs) from None
-    return pairs
 
 
 def _parse(query: str):

@@ -7,8 +7,9 @@ transport shares one error vocabulary, :data:`HTTP_STATUS`.
 
 **What a request may be is data.**  :data:`OP_TABLE` maps each op to its
 parameters (shape, required or default, which are budget limits), its
-flags (control, short client timeout, cacheable, idempotent) and the name
-of its :class:`~repro.server.service.QueryService` handler.
+flags (control, short client timeout, cacheable, idempotent), the name
+of its :class:`~repro.server.service.QueryService` handler and the result
+field holding its answer rows.
 :func:`check_request` reads it once per request, before any budget or cache
 key is built: a value of the wrong shape is a ``bad_request`` whose
 ``details.param`` names it.  The app, the service and the client read
@@ -121,6 +122,8 @@ class OpSpec:
     cacheable: bool = False
     #: safe for a client to retry
     idempotent: bool = False
+    #: the result field holding a cacheable op's answer rows (``None``: none)
+    answer: "str | None" = None
 
 
 #: The budget limits: every op that runs under admission takes them, and the
@@ -145,9 +148,9 @@ def _control(handler: str, short_timeout: bool = False) -> OpSpec:
     return OpSpec(handler, _TRACE, control=True, short_timeout=short_timeout, idempotent=True)
 
 
-def _query(handler: str, **params: Param) -> OpSpec:
+def _query(handler: str, answer: "str | None", **params: Param) -> OpSpec:
     params = {**BUDGET_PARAMS, **_TRACE, **_GRAPH_QUERY, **params}
-    return OpSpec(handler, params, cacheable=True, idempotent=True)
+    return OpSpec(handler, params, cacheable=True, idempotent=True, answer=answer)
 
 
 #: Every op the service understands.  ``sleep`` holds an admission slot in
@@ -179,11 +182,11 @@ OP_TABLE: dict[str, OpSpec] = {
         "frontier": Param("any", required=True),
         "round": Param("any"),
     }, idempotent=True),
-    "rpq": _query("_run_rpq", source=Param("scalar", nullable=True)),
-    "crpq": _query("_run_crpq", planner=Param("planner", nullable=True)),
-    "dlrpq": _query("_run_dlrpq", **_PATH),
-    "paths": _query("_run_paths", **_PATH),
-    "explain": _query("_run_explain", planner=Param("planner", default="cost")),
+    "rpq": _query("_run_rpq", "pairs", source=Param("scalar", nullable=True)),
+    "crpq": _query("_run_crpq", "rows", planner=Param("planner", nullable=True)),
+    "dlrpq": _query("_run_dlrpq", "bindings", **_PATH),
+    "paths": _query("_run_paths", "paths", **_PATH),
+    "explain": _query("_run_explain", None, planner=Param("planner", default="cost")),
     "sleep": OpSpec(None, {**_TRACE, "seconds": Param("seconds", default=0.0)}),
 }
 OPS = frozenset(OP_TABLE)
@@ -350,8 +353,8 @@ class CheckedRequest(Request):
     """A request that passed :func:`check_request`.
 
     ``args`` holds every parameter its op declares: the request's value, or
-    the table's default when absent.  ``params`` stays as sent (it is what
-    answer-cache keys are built from).
+    the table's default when absent (answer-cache keys are built from it).
+    ``params`` stays as sent.
     """
 
     args: dict = field(default_factory=dict)

@@ -53,6 +53,7 @@ from repro.graph.edge_labeled import EdgeLabeledGraph
 from repro.graph.property_graph import PropertyGraph
 from repro.graph.serialize import graph_from_dict, is_json_scalar
 from repro.server.protocol import (
+    BUDGET_PARAMS,
     OP_TABLE,
     BadRequestError,
     GraphNotFoundError,
@@ -307,20 +308,19 @@ class GraphCatalog:
 _MISSING = object()
 
 
-def answer_key(graph: str, version, op: str, params: dict) -> tuple:
-    """``(graph, version, op, query, canonical JSON of the other params)``.
+def answer_key(graph: str, version, op: str, args: dict) -> tuple:
+    """``(graph, version, op, query, canonical JSON of the other args)``.
 
-    The one answer-cache key.  ``trace`` is per-request routing context,
-    not a query option: a fresh caller span id every request would make
-    every lookup a miss.  The graph name comes first because
-    :meth:`AnswerCache.invalidate_graph` matches on it.
+    The one answer-cache key, built from what the handler reads: a checked
+    request's ``args``, defaults filled in.  A budget limit decides how far
+    an evaluation may run, not what its complete answer is, and ``trace``
+    is per-request routing context, so neither is keyed.  The graph name
+    comes first because :meth:`AnswerCache.invalidate_graph` matches on it.
     """
-    options = {
-        key: value for key, value in params.items()
-        if key not in ("graph", "query", "trace")
-    }
+    unkeyed = ("graph", "query", "trace", *BUDGET_PARAMS)
+    options = {key: value for key, value in args.items() if key not in unkeyed}
     return (
-        graph, version, op, params.get("query"),
+        graph, version, op, args.get("query"),
         json.dumps(options, sort_keys=True, default=str),
     )
 
@@ -368,7 +368,7 @@ class AnswerCache:
                 del self._entries[oldest]
                 self.evictions += 1
 
-    def lookup(self, key: tuple, compute, on_put_failure=None) -> tuple:
+    def lookup(self, key: tuple, compute, *, budget=None, rows=None, on_put_failure=None) -> tuple:
         """``(answer, hit)``: the answer cached under ``key``, else ``compute()``'s.
 
         The one rule of what may be cached: only complete answers.  A
@@ -379,31 +379,48 @@ class AnswerCache:
         copy handed back, never in the cache.  A failed insert (the
         ``service.cache_put`` fault site) degrades to an uncached answer and
         calls ``on_put_failure``.
+
+        The one place ``budget``'s row ceiling meets a finished answer, a
+        hit or a computed one: over it, the answer trips with exactly
+        ``max_rows`` of its rows (stored first when complete).  The rows
+        are a result dict's ``rows`` field, as tuples, or a non-dict answer.
         """
-        cached = self.get(key)
-        if cached is not None:
-            return cached, True
-        try:
-            answer = compute()
-        except Spill:
-            # The rerun on the worker pool looks the key up again and
-            # counts this request's one miss.
-            with self._lock:
-                self.misses -= 1
-            raise
-        stored = answer
+        answer = self.get(key)
+        hit = answer is not None
+        if not hit:
+            try:
+                answer = compute()
+            except Spill:
+                # The rerun on the worker pool looks the key up again and
+                # counts this request's one miss.
+                with self._lock:
+                    self.misses -= 1
+                raise
+            self._store(key, answer, on_put_failure)
+        found = answer
+        if isinstance(answer, dict):
+            found = None if rows is None else answer[rows]
+        if budget is not None and found is not None:
+            try:
+                budget.check_rows(len(found))
+            except BudgetExceeded as exc:
+                if found is not answer:  # JSON rows, as budget_trip decodes them
+                    found = [tuple(row) if isinstance(row, list) else row for row in found]
+                raise exc.attach_partial(found)
+        return answer, hit
+
+    def _store(self, key: tuple, answer, on_put_failure) -> None:
         if isinstance(answer, dict):
             if answer.get("degraded"):
-                return answer, False
+                return
             if "trace_spans" in answer:
-                stored = {k: v for k, v in answer.items() if k != "trace_spans"}
+                answer = {k: v for k, v in answer.items() if k != "trace_spans"}
         try:
             fault_point("service.cache_put")
-            self.put(key, stored)
+            self.put(key, answer)
         except FaultError:
             if on_put_failure is not None:
                 on_put_failure()
-        return answer, False
 
     def invalidate_graph(self, name: str) -> int:
         """Drop every entry whose key belongs to graph ``name``.
@@ -446,9 +463,10 @@ class QueryService:
     and a spilled attempt counts nothing, so a request is counted once
     whichever of them answers it.
 
-    Budget limits (timeout/max_rows/max_states) travel in the request
-    params, hence in the cache key's options; a tripped budget *raises*
-    before the cache write, so the cache only ever holds complete answers.
+    Budget limits (timeout/max_rows/max_states) reach the handlers as the
+    ``budget`` argument and are never part of an answer's cache key; a
+    tripped budget *raises* before the cache write, so the cache only ever
+    holds complete answers, and the row ceiling also applies to a hit.
     """
 
     def __init__(
@@ -477,7 +495,8 @@ class QueryService:
         the app from the request's limit params and the server default) is
         threaded into the evaluators; a tripped budget raises
         :class:`BudgetExceeded` — counted under ``server_budget_exceeded``
-        — before any cache write happens.
+        — before any cache write happens, and its row ceiling trips on a
+        cached answer too.
 
         A remote ``trace`` context (``{"trace_id": <32-hex>, "span_id":
         <16-hex>}``, ``span_id`` naming the *caller's* span) makes this
@@ -787,8 +806,9 @@ class QueryService:
             return result
 
         return self.answer_cache.lookup(
-            answer_key(name, entry.version, request.op, request.params),
+            answer_key(name, entry.version, request.op, request.args),
             compute,
+            budget=budget, rows=OP_TABLE[request.op].answer,
             on_put_failure=self._count_put_failure,
         )
 

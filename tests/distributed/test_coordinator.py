@@ -172,6 +172,14 @@ class TestReplicas:
         cluster.replicate_graph(name, graph)
         full = evaluate_rpq("(a + b)*", graph, sources=["v1", "v2"])
         assert len(full) > 3
+        # The state ceiling first: once a replica has computed "(a + b)*"
+        # (the max_rows read below routes it whole), it answers the query
+        # from its cache, which spends no states.
+        with pytest.raises(BudgetExceeded) as excinfo:
+            cluster.evaluate_rpq(
+                name, "(a + b)*", budget=make_budget(max_states=10)
+            )
+        assert excinfo.value.limit == "max_states"
         with pytest.raises(BudgetExceeded) as excinfo:
             cluster.evaluate_rpq(
                 name, "(a + b)*", sources=["v1", "v2"],
@@ -180,11 +188,6 @@ class TestReplicas:
         assert excinfo.value.limit == "max_rows"
         assert len(excinfo.value.partial) == 3
         assert set(excinfo.value.partial) <= full
-        with pytest.raises(BudgetExceeded) as excinfo:
-            cluster.evaluate_rpq(
-                name, "(a + b)*", budget=make_budget(max_states=10)
-            )
-        assert excinfo.value.limit == "max_states"
 
     def test_partitioned_graph_rejects_whole_query_routing(self, cluster):
         from repro.server.protocol import BadRequestError
@@ -242,6 +245,42 @@ class TestBudgetsAndCache:
         hits_before = cluster.answer_cache.hits
         assert cluster.evaluate_rpq(name, "b a*") == first
         assert cluster.answer_cache.hits == hits_before + 1
+
+    def test_replicated_deadline_is_not_part_of_the_key(self, cluster):
+        graph = random_graph(15, 45, labels=("a", "b"), seed=7)
+        name = fresh_name("r")
+        with ShardCoordinator(cluster.addresses) as coordinator:
+            coordinator.replicate_graph(name, graph)
+            answers = [
+                coordinator.evaluate_rpq(
+                    name, "b a*", budget=make_budget(timeout=30)
+                )
+                for _ in range(3)
+            ]
+            info = coordinator.answer_cache.info()
+        assert answers[0] == answers[1] == answers[2] == evaluate_rpq("b a*", graph)
+        assert info["hits"] == 2 and info["size"] == 1
+
+    def test_routed_read_stores_the_complete_answer_then_trips(self, cluster):
+        graph = random_graph(20, 60, labels=("a", "b"), seed=8)
+        name = fresh_name("r")
+        with ShardCoordinator(cluster.addresses) as coordinator:
+            coordinator.replicate_graph(name, graph)
+            with pytest.raises(BudgetExceeded) as excinfo:
+                coordinator.rpq(name, "(a + b)*", max_rows=2)
+            assert len(excinfo.value.partial) == 2
+            # The replica answered in full (no max_rows travelled), so the
+            # unbudgeted read is a hit, and a smaller ceiling trips on it.
+            full = coordinator.rpq(name, "(a + b)*")
+            assert {tuple(pair) for pair in full["pairs"]} == evaluate_rpq(
+                "(a + b)*", graph
+            )
+            with pytest.raises(BudgetExceeded) as excinfo:
+                coordinator.rpq(name, "(a + b)*", max_rows=1)
+            assert excinfo.value.limit == "max_rows"
+            assert len(excinfo.value.partial) == excinfo.value.rows_so_far == 1
+            info = coordinator.answer_cache.info()
+        assert info["hits"] == 2 and info["size"] == 1
 
     def test_reupload_invalidates_cached_answers(self, cluster):
         graph = random_graph(10, 30, labels=("a",), seed=1)

@@ -15,6 +15,11 @@ The RPQ laws run on three layouts: the library's ``evaluate_rpq``, and
 replicated to, two in-process shards (fewer examples there: every
 evaluation uploads its graph under a fresh name, so no answer comes from
 the coordinator's cache).
+
+3. a warm answer cache keeps the row ceiling: after an unbudgeted query
+   filled it, the same query under ``max_rows=k`` on the same graph name
+   obeys law 2 — in-process ``QueryService.execute`` and both fleet
+   layouts, for RPQs and CRPQs.
 """
 
 import itertools
@@ -30,6 +35,8 @@ from repro.graph.edge_labeled import EdgeLabeledGraph
 from repro.regex.ast import Concat, Epsilon, Regex, Star, Symbol, Union, to_string
 from repro.rpq.evaluation import evaluate_rpq
 from repro.server.app import ServerThread
+from repro.server.protocol import OP_TABLE, Request
+from repro.server.service import QueryService
 
 A, B = Symbol("a"), Symbol("b")
 
@@ -65,6 +72,35 @@ def rpq_evaluator(layout: str, request):
         return coordinator.evaluate_rpq(name, to_string(regex), budget=budget)
 
     return evaluate
+
+
+def cached_evaluator(layout: str, kind: str, request):
+    """``(load, evaluate)`` on ``layout``, through its answer cache:
+    ``load(name, graph)`` puts ``graph`` under ``name``, and
+    ``evaluate(name, text, budget=None)`` answers the ``kind`` query
+    ``text`` there as a set of tuples."""
+    if layout == "service":
+        service = QueryService()
+
+        def evaluate(name, text, budget=None):
+            served = Request(kind, params={"graph": name, "query": text})
+            result = service.execute(served, budget)
+            return {tuple(row) for row in result[OP_TABLE[kind].answer]}
+
+        return service.catalog.register, evaluate
+    coordinator = request.getfixturevalue("fleet")
+    load = (
+        coordinator.partition_graph if layout == "partitioned"
+        else coordinator.replicate_graph
+    )
+    evaluate_kind = (
+        coordinator.evaluate_rpq if kind == "rpq" else coordinator.evaluate_crpq
+    )
+
+    def evaluate(name, text, budget=None):
+        return set(evaluate_kind(name, text, budget=budget))
+
+    return load, evaluate
 
 
 def regexes(max_leaves: int = 6) -> st.SearchStrategy[Regex]:
@@ -177,6 +213,40 @@ class TestMaxRowsIsAnExactSubset:
         partial = set(exc.partial)
         assert len(partial) == k
         assert partial <= full
+
+
+class TestWarmCacheKeepsTheRowCeiling:
+    @pytest.mark.parametrize("kind", ["rpq", "crpq"])
+    @pytest.mark.parametrize("layout", ["service", "partitioned", "replicated"])
+    def test_hit_partial_is_k_subset(self, layout, kind, request):
+        load, evaluate = cached_evaluator(layout, kind, request)
+
+        @settings(max_examples=60 if layout == "service" else 30, deadline=None)
+        @given(
+            regex=regexes(max_leaves=4),
+            graph=small_graphs(),
+            k=st.integers(min_value=0, max_value=5),
+        )
+        def law(regex, graph, k):
+            name = f"warm{next(_fresh_names)}"
+            load(name, graph)
+            text = to_string(regex)
+            if kind == "crpq":
+                text = f"Ans(x, y) :- ({text})(x, z), (a + b)(z, y)"
+            full = evaluate(name, text)  # fills the cache
+            budget = QueryBudget(max_rows=k, stride=1)
+            if len(full) <= k:
+                assert evaluate(name, text, budget) == full
+                return
+            with pytest.raises(BudgetExceeded) as excinfo:
+                evaluate(name, text, budget)
+            exc = excinfo.value
+            assert exc.limit == "max_rows"
+            partial = {tuple(row) for row in exc.partial}
+            assert len(partial) == len(exc.partial) == k
+            assert partial <= full
+
+        law()
 
 
 class TestTinyStateCeilingTripsOnRealWork:

@@ -61,6 +61,20 @@ class TestJsonLinesTransport:
         assert cold == warm
         assert cold["count"] == len(cold["pairs"]) > 0
 
+    def test_warm_hit_keeps_the_row_ceiling(self, client):
+        full = client.rpq("fig2", "Transfer* Transfer")
+        assert full["count"] > 1
+        hits = client.stats()["answer_cache"]["hits"]
+        with pytest.raises(ServerError) as excinfo:
+            client.rpq("fig2", "Transfer* Transfer", max_rows=1)
+        error = excinfo.value
+        assert error.code == "budget_exceeded"
+        assert error.details["limit"] == "max_rows"
+        assert error.details["rows_so_far"] == 1
+        (row,) = error.details["partial"]
+        assert row in full["pairs"]
+        assert client.stats()["answer_cache"]["hits"] == hits + 1
+
     def test_crpq(self, client):
         result = client.crpq("fig2", "Ans(x, y) :- Transfer(x, y)")
         assert result["count"] > 0

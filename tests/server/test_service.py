@@ -170,6 +170,45 @@ class TestQueryService:
         info = service.answer_cache.info()
         assert info["misses"] == 2 and info["size"] == 2
 
+    def test_key_is_the_checked_arguments_without_budget(self):
+        """A defaulted parameter keys like its default, and a budget limit
+        is not part of the key: five requests, two answers, two entries."""
+        service = QueryService()
+        path = {"graph": "fig2", "query": "Transfer+", "source": "a1", "target": "a5"}
+        service.execute(Request(op="paths", params=path))
+        service.execute(
+            Request(op="paths", params={**path, "mode": "shortest", "limit": 1000})
+        )
+        service.execute(rpq_request(query="Transfer*"))
+        service.execute(rpq_request(query="Transfer*", source=None))
+        service.execute(rpq_request(query="Transfer*", max_states=10**6))
+        info = service.answer_cache.info()
+        assert info["size"] == 2
+        assert info["hits"] == 3 and info["misses"] == 2
+
+    def test_warm_hit_keeps_the_row_ceiling(self):
+        from repro.engine.limits import BudgetExceeded, QueryBudget
+
+        service = QueryService()
+        full = service.execute(rpq_request(query="Transfer*"))
+        assert full["count"] > 1
+        with pytest.raises(BudgetExceeded) as excinfo:
+            service.execute(rpq_request(query="Transfer*"), QueryBudget(max_rows=1))
+        assert excinfo.value.limit == "max_rows"
+        assert excinfo.value.rows_so_far == 1
+        (row,) = excinfo.value.partial
+        assert list(row) in full["pairs"]
+        assert service.answer_cache.info()["hits"] == 1
+
+    def test_explain_has_no_rows_to_cap(self):
+        from repro.engine.limits import QueryBudget
+
+        service = QueryService()
+        explain = Request(op="explain", params={"graph": "fig2", "query": "Transfer*"})
+        cold = service.execute(explain, QueryBudget(max_rows=0))
+        assert service.execute(explain, QueryBudget(max_rows=0)) == cold
+        assert service.answer_cache.info()["hits"] == 1
+
     def test_crpq_and_explain(self):
         service = QueryService()
         crpq = service.execute(
