@@ -32,6 +32,7 @@ from repro.datatests.register import ConfigGraph, build_config_graph, compile_dl
 from repro.graph.bindings import ListBinding
 from repro.graph.edge_labeled import ObjectId
 from repro.graph.paths import Path
+from repro.graph.scc import strongly_connected
 from repro.graph.property_graph import PropertyGraph
 from repro.listvars.lrpq import PathBinding
 from repro.regex.ast import Regex
@@ -61,57 +62,6 @@ def _coreachable(cg: ConfigGraph, goal: set) -> set:
     return seen
 
 
-def _sccs(nodes: set, successors) -> dict:
-    """Iterative Tarjan; returns a node -> component-id mapping."""
-    index_counter = [0]
-    indices: dict = {}
-    lowlink: dict = {}
-    on_stack: set = set()
-    stack: list = []
-    component: dict = {}
-    comp_counter = [0]
-
-    for root in nodes:
-        if root in indices:
-            continue
-        work = [(root, iter(successors(root)))]
-        indices[root] = lowlink[root] = index_counter[0]
-        index_counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, iterator = work[-1]
-            advanced = False
-            for successor in iterator:
-                if successor not in nodes:
-                    continue
-                if successor not in indices:
-                    indices[successor] = lowlink[successor] = index_counter[0]
-                    index_counter[0] += 1
-                    stack.append(successor)
-                    on_stack.add(successor)
-                    work.append((successor, iter(successors(successor))))
-                    advanced = True
-                    break
-                if successor in on_stack:
-                    lowlink[node] = min(lowlink[node], indices[successor])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == indices[node]:
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component[member] = comp_counter[0]
-                    if member == node:
-                        break
-                comp_counter[0] += 1
-    return component
-
-
 def _is_infinite(cg: ConfigGraph, useful: set, mode: str) -> bool:
     """See module docstring for the two infinity criteria."""
 
@@ -120,7 +70,7 @@ def _is_infinite(cg: ConfigGraph, useful: set, mode: str) -> bool:
             if target in useful:
                 yield target
 
-    component = _sccs(useful, all_successors)
+    component = strongly_connected(useful, all_successors)
 
     if mode == "all":
         for config in useful:
@@ -140,7 +90,7 @@ def _is_infinite(cg: ConfigGraph, useful: set, mode: str) -> bool:
             if target in useful and effect.append is None:
                 yield target
 
-    stay_component = _sccs(useful, stay_successors)
+    stay_component = strongly_connected(useful, stay_successors)
     for config in useful:
         for effect, target in cg.successors(config):
             if target not in useful or effect.append is not None:

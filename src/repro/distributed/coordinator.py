@@ -658,7 +658,8 @@ class ShardCoordinator:
             if self.metrics is not None:
                 self.metrics.inc("coordinator_degraded_reads_total")
             request = Request(op, params={"graph": entry.name, **params})
-            return {**QueryService.evaluate(request, entry.graph), "degraded": True}
+            answer = QueryService.evaluate(request, entry.graph, budget=budget)
+            return {**answer, "degraded": True}
         waits = [self.breakers[shard].retry_after() for shard in preference]
         raise ShardUnavailableError(
             f"every replica of {entry.name!r} failed; "

@@ -26,21 +26,25 @@ sweep state.  On the wire, a frontier is the sorted code list delta-encoded
 :func:`local_frontier_step` is what the ``frontier_step`` protocol op runs
 on a shard.  It owns no search of its own: it translates the received
 codes from shared positions to the interner ids of the graph's CSR
-snapshot, runs :func:`repro.engine.kernel.csr_worklist` — the loop the
-single-node sweep runs — with this shard's ownership table, and translates
-the answers and the cross-shard pairs back.  The translation tables are
-derived once per snapshot (:func:`_numbering`), not per step.
+snapshot, runs :func:`repro.engine.kernel.sweep_layers` — the relation
+loop the single-node sweep runs — with this shard's ownership table, and
+translates the answers and the cross-shard pairs back.  A step therefore
+expands each code it reaches once, in the automaton's layer order, and
+hands a cross pair the complete mask it reached within the step; the
+layers order work inside this process only, so what the shards and the
+coordinator exchange is the same codes and masks either way.  The
+translation tables are derived once per snapshot (:func:`_numbering`),
+not per step.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import NamedTuple
 
 from repro.engine.cache import DEFAULT_CACHE, CompiledQuery, number_states
 from repro.engine.csr import CSRGraph, get_csr
 from repro.engine.faults import fault_point
-from repro.engine.kernel import csr_worklist
+from repro.engine.kernel import sweep_layers
 from repro.graph.edge_labeled import EdgeLabeledGraph, ObjectId
 
 
@@ -182,8 +186,8 @@ def local_frontier_step(
     """Advance ``frontier`` to a local fixpoint over this shard's edges.
 
     ``frontier`` maps packed codes (owned by this shard) to the origin
-    masks the coordinator found *novel*.  The kernel's worklist runs from
-    them over the graph's CSR rows with this shard's ownership table, so
+    masks the coordinator found *novel*.  The kernel's relation loop runs
+    from them over the graph's CSR rows with this shard's ownership table, so
     expansion stays within the owned node set: a successor owned elsewhere
     leaves the loop as a cross pair instead of being expanded.  A seed this
     shard does not own never enters the loop: it is an answer if its state
@@ -214,9 +218,7 @@ def local_frontier_step(
     finals_mask = plan.finals_mask
 
     # Everything between here and the encoding is in interner-id space.
-    origins: dict[int, int] = {}
-    pending: dict[int, int] = {}
-    queue = deque()
+    seeds: list[tuple[int, int]] = []
     answer_masks: dict[int, int] = {}
     cross: dict[int, int] = {}
     bounced = 0
@@ -238,15 +240,14 @@ def local_frontier_step(
         node = id_of[position]
         seed = (node << state_bits) | state
         if owned[node]:
-            origins[seed] = pending[seed] = mask
-            queue.append(seed)
+            seeds.append((seed, mask))
         else:
             if (finals_mask >> state) & 1:
                 answer_masks[node] = answer_masks.get(node, 0) | mask
             cross[seed] = mask
             bounced += 1
-    expanded, relaxed, _rows = csr_worklist(
-        plan, csr.out_rows, origins, pending, queue, answer_masks,
+    expanded, relaxed, _rows = sweep_layers(
+        plan, csr.out_rows, seeds, answer_masks,
         budget.tick if budget is not None else None, None,
         owned=owned, cross=cross,
     )

@@ -29,6 +29,7 @@ from collections.abc import Iterable
 from repro.automata.glushkov import compile_regex
 from repro.automata.nfa import NFA, StateType, SymbolType
 from repro.engine.faults import fault_point
+from repro.graph.scc import strongly_connected
 from repro.regex.ast import Regex, symbols
 from repro.regex.parser import parse_regex
 
@@ -134,6 +135,17 @@ class IntPlan:
     Symbols the graph has no edge for (an ``a`` queried against a ``b``-only
     graph, wildcards instantiated over query-only labels) lower to nothing:
     their transitions can never fire, so they are dropped from the rows.
+
+    The relation sweep's schedule is lowered here too.  A state's ``layer``
+    is the topological index of its strongly connected component over the
+    lowered transitions, and ``cyclic[layer]`` says whether that component
+    has a cycle (two states, or a self-loop).  A product edge follows an
+    automaton edge, so every product SCC lies inside one layer and every
+    product edge that leaves a layer enters a later one.  ``layer_rows``
+    is ``delta`` with each row's successors split by that: ``(label_int,
+    next states in the same layer, (next state, its layer) pairs of later
+    layers)``.  Layers only order work inside one process; the numbering
+    and the packed codes do not depend on them.
     """
 
     __slots__ = (
@@ -145,6 +157,9 @@ class IntPlan:
         "finals_mask",
         "delta",
         "state_ids",
+        "layer",
+        "cyclic",
+        "layer_rows",
     )
 
     def __init__(self, compiled: "CompiledQuery", interner):
@@ -170,6 +185,29 @@ class IntPlan:
             rows.sort()
             delta.append(tuple(rows))
         self.delta = tuple(delta)
+        successors = [{s for _label, nexts in rows for s in nexts} for rows in delta]
+        component = strongly_connected(range(self.num_states), successors.__getitem__)
+        last = max(component.values(), default=-1)
+        layer = self.layer = tuple([last - component[s] for s in range(self.num_states)])
+        cyclic = [False] * (last + 1)
+        layer_rows = []
+        for state, rows in enumerate(delta):
+            own = layer[state]
+            split = []
+            for label_int, nexts in rows:
+                inner = []
+                outer = []
+                for following in nexts:
+                    if layer[following] == own:
+                        inner.append(following)
+                    else:
+                        outer.append((following, layer[following]))
+                if inner:
+                    cyclic[own] = True
+                split.append((label_int, tuple(inner), tuple(outer)))
+            layer_rows.append(tuple(split))
+        self.cyclic = tuple(cyclic)
+        self.layer_rows = tuple(layer_rows)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -18,14 +18,16 @@ once, on one data plane:
   start node's answers* (:func:`reachable`, and :func:`holds` as the same
   loop with a target to stop at) is a BFS with a bytearray-bitset visited
   set; it walks ``out_rows`` forward or ``in_rows`` backward.  *A relation*
-  (:func:`evaluate_sweep`) is the origin-mask worklist
-  :func:`csr_worklist`: one bit per source of the call, so a k-source sweep
-  carries k-bit masks.  The bitset loop is not the worklist with one seed:
-  it keeps no per-code origin dicts, and a CRPQ with a bound atom runs
-  thousands of these;
-* the worklist also takes an ownership table, so a shard of a partitioned
-  graph (:mod:`repro.distributed.frontier`) steps on the same code with the
-  same fault site and budget ticks — all-owned is the single-node sweep;
+  (:func:`evaluate_sweep`) is :func:`sweep_layers`: one origin bit per
+  source of the call, so a k-source sweep carries k-bit masks, and the
+  product is visited in the topological order of the automaton's strongly
+  connected components, so each reached code is expanded exactly once.
+  The bitset loop is not the relation loop with one seed: it keeps no
+  per-code masks, and a CRPQ with a bound atom runs thousands of these;
+* the relation loop also takes an ownership table, so a shard of a
+  partitioned graph (:mod:`repro.distributed.frontier`) steps on the same
+  code with the same fault site and budget ticks — all-owned is the
+  single-node sweep;
 * the sweep returns what it computed: one origin mask per target node,
   wrapped undecoded in a read-only
   :class:`~repro.engine.relation.PairRelation` (``len`` and ``in`` never
@@ -335,16 +337,17 @@ def evaluate_sweep(
     stats: "EngineStats | None" = None,
     budget: "QueryBudget | None" = None,
 ) -> Set[tuple[ObjectId, ObjectId]]:
-    """``[[R]]_G`` in **one** multi-source product-BFS sweep.
+    """``[[R]]_G`` in **one** multi-source product sweep.
 
     Instead of one BFS per source node, every ``(v, q0)`` pair is seeded at
     once and each product pair ``(node, state)`` carries the *set of origins*
-    that reach it.  Origin sets only grow, so the sweep is a worklist
-    fixpoint: a pair re-enters the queue only when new origins arrive, and
-    each visit propagates just the not-yet-propagated origins (``pending``).
-    Work that per-source BFS repeats for every source — discovering the same
-    product edges again and again — happens here once per pair, with origin
-    bookkeeping done by big-int operations on batches of sources.
+    that reach it.  The sweep visits the product one automaton layer at a
+    time (:func:`sweep_layers`): a layer's origin sets are complete before
+    it runs, or are completed by condensing the layer's product SCCs, so
+    each pair is expanded exactly once.  Work that per-source BFS repeats
+    for every source — discovering the same product edges again and again —
+    happens here once per pair, with origin bookkeeping done by big-int
+    operations on batches of sources.
 
     ``sources`` may be any iterable (read once; non-nodes and repeats are
     dropped).  The answer comes back as the sweep holds it — a
@@ -377,8 +380,8 @@ def _evaluate_sweep(
     operations.  Bit ``i`` stands for the ``i``-th source of the call
     (``sources``: distinct nodes; ``None``: the interner's own node list,
     so bit == node id), which keeps a k-source sweep on k-bit masks however
-    large the graph is.  The seeded worklist runs in :func:`csr_worklist`
-    with every node owned; the per-target answer masks it leaves *are* the
+    large the graph is.  The seeded loop runs in :func:`sweep_layers` with
+    every node owned; the per-target answer masks it leaves *are* the
     result: they are handed back as a :class:`PairRelation`, undecoded.
     """
     started = time.perf_counter()
@@ -398,30 +401,19 @@ def _evaluate_sweep(
     node_ids = interner._node_ids
     source_list = interner._nodes if sources is None else sources
     k = plan.state_bits
-    #: code -> every origin (as a bitmask) that ever reached the pair
-    origins: dict[int, int] = {}
-    #: code -> origins not yet pushed to the pair's successors (nonzero
-    #: exactly while the code sits in the queue)
-    pending: dict[int, int] = {}
-    queue = deque()
-    append = queue.append
     initial = plan.initial
     # Sources and initial states are both duplicate-free, so every seed code
-    # is new and starts with exactly its own origin bit.
-    bit = 1
-    for source in source_list:
-        base = node_ids[source] << k
-        for state in initial:
-            code = base | state
-            origins[code] = pending[code] = bit
-            append(code)
-        bit <<= 1
+    # starts with exactly its own origin bit.
+    seeds = [
+        ((node_ids[source] << k) | state, 1 << bit)
+        for bit, source in enumerate(source_list)
+        for state in initial
+    ]
     #: target node int -> origins that reach it in a final state (nonzero)
     answer_masks: dict[int, int] = {}
     try:
-        expanded, relaxed, answer_count = csr_worklist(
-            plan, csr.out_rows, origins, pending, queue, answer_masks,
-            tick, check_rows,
+        expanded, relaxed, answer_count = sweep_layers(
+            plan, csr.out_rows, seeds, answer_masks, tick, check_rows,
         )
     except BudgetExceeded as exc:
         if stats is not None:
@@ -440,87 +432,271 @@ def _evaluate_sweep(
     return PairRelation(source_list, interner._nodes, answer_masks, answer_count)
 
 
-def csr_worklist(
-    plan, out_rows, origins, pending, queue, answer_masks, tick, check_rows,
-    owned=None, cross=None,
+def sweep_layers(
+    plan, out_rows, seeds, answer_masks, tick, check_rows, owned=None, cross=None,
 ) -> tuple[int, int, int]:
-    """Run a seeded origin-mask worklist over CSR rows to its fixpoint.
+    """Run the relation loop from ``seeds`` (``(code, origin mask)`` pairs).
 
-    The relation loop of the flat data plane: the single-node sweep above
-    and a shard's frontier step
-    (:func:`repro.distributed.frontier.local_frontier_step`) both seed
-    ``origins``/``pending``/``queue`` and call it.  ``pending`` doubles as
-    the queued signal: a code is in the queue iff its pending mask is
-    nonzero.  Answers accumulate in ``answer_masks`` as per-target origin
-    masks with an incremental ``bit_count`` row total; ``check_rows`` runs
-    once per batch of freshly arriving origins.
+    The product is visited one automaton layer at a time, in the layers'
+    topological order (``plan.layer``), so each reached code is expanded
+    exactly once.  A layer's ``{code: mask}`` bucket collects every mask
+    that reaches it from earlier layers before the layer runs, and is
+    dropped when it has run.  Each layer runs in one of three ways:
+
+    * an acyclic layer is one state with no successor in the layer: its
+      masks are complete, and each code is expanded once, in bucket order;
+    * a cyclic layer whose codes all arrived with one and the same mask
+      (every single-source sweep, most shard steps) gives that mask to all
+      it reaches inside the layer: each code is expanded once, in FIFO
+      order;
+    * any other cyclic layer runs an iterative Tarjan that expands each of
+      its codes once and condenses the layer's product SCCs (Purdom 1970;
+      Nuutila 1995).  A component's mask is its seeds' masks OR the masks
+      of the components with an edge into it, ORed along those edges in
+      topological order; its answers, its cross pairs and the codes it
+      reaches in later layers all take that mask.
+
+    Answers accumulate in ``answer_masks`` as per-target origin masks with
+    an incremental ``bit_count`` row total; ``check_rows`` runs once per
+    batch of new answer bits, and ``tick`` and the ``kernel.step`` fault
+    site once per expansion.
 
     ``owned`` (indexed by node int, truthy where this process owns the
-    node) cuts the sweep along a partition: a popped code whose node is not
-    owned hands its fresh origins to ``cross[code]`` and is neither
-    expanded nor recorded as an answer.  The test runs once per pop, never
-    per edge; ``owned=None`` owns everything and is the single-node sweep.
-    Returns ``(expanded, relaxed, answer rows added)``.
+    node) cuts the sweep along a partition: a code whose node is not owned
+    hands its mask to ``cross[code]`` and is neither expanded nor recorded
+    as an answer.  ``owned=None`` owns everything and is the single-node
+    sweep.  Returns ``(expanded, relaxed, answer rows added)``.
     """
     k = plan.state_bits
     state_mask = plan.state_mask
     finals_mask = plan.finals_mask
-    delta = plan.delta
+    layer_of = plan.layer
+    rows_of = plan.layer_rows
     fire = FAULTS.fire if FAULTS.enabled else None
+    answers_get = answer_masks.get
     answer_count = 0
     expanded = 0
     relaxed = 0
-    append = queue.append
-    popleft = queue.popleft
-    pending_pop = pending.pop
-    origins_get = origins.get
-    pending_get = pending.get
-    answers_get = answer_masks.get
-    while queue:
-        code = popleft()
-        fresh = pending_pop(code, 0)
-        if not fresh:
+    buckets = [{} for _ in plan.cyclic]
+    for code, mask in seeds:
+        bucket = buckets[layer_of[code & state_mask]]
+        bucket[code] = bucket.get(code, 0) | mask
+    for layer, cyclic in enumerate(plan.cyclic):
+        bucket = buckets[layer]
+        buckets[layer] = None
+        if not bucket:
             continue
-        node = code >> k
-        if owned is not None and not owned[node]:
-            cross[code] = cross.get(code, 0) | fresh
+
+        if not cyclic:
+            # The FIFO case below with its one state hoisted and nothing to
+            # queue: single labels and chains are mostly such layers, and
+            # the hoist is worth ~10 % of a whole-log relation pass.
+            state = next(iter(bucket)) & state_mask
+            final = (finals_mask >> state) & 1
+            rows = rows_of[state]
+            for code, mask in bucket.items():
+                node = code >> k
+                if owned is not None and not owned[node]:
+                    cross[code] = cross.get(code, 0) | mask
+                    continue
+                expanded += 1
+                if fire is not None:
+                    fire("kernel.step")
+                if tick is not None:
+                    tick()
+                if final:
+                    prev = answers_get(node, 0)
+                    new = mask & ~prev
+                    if new:
+                        answer_masks[node] = prev | new
+                        answer_count += new.bit_count()
+                        if check_rows is not None:
+                            check_rows(answer_count)
+                for label_int, _inner, outer in rows:
+                    offsets, targets = out_rows[label_int]
+                    lo = offsets[node]
+                    hi = offsets[node + 1]
+                    if lo == hi:
+                        continue
+                    relaxed += hi - lo
+                    for target in targets[lo:hi]:
+                        base = target << k
+                        for next_state, later in outer:
+                            succ = base | next_state
+                            waiting = buckets[later]
+                            waiting[succ] = waiting.get(succ, 0) | mask
             continue
-        expanded += 1
-        if fire is not None:
-            fire("kernel.step")
-        if tick is not None:
-            tick()
-        state = code & state_mask
-        if (finals_mask >> state) & 1:
-            prev = answers_get(node, 0)
-            new = fresh & ~prev
-            if new:
-                answer_masks[node] = prev | new
-                answer_count += new.bit_count()
-                if check_rows is not None:
-                    check_rows(answer_count)
-        rows = delta[state]
-        if not rows:
+
+        masks = iter(bucket.values())
+        mask = next(masks)
+        if all(other == mask for other in masks):
+            queue = list(bucket)
+            for code in queue:
+                node = code >> k
+                if owned is not None and not owned[node]:
+                    cross[code] = cross.get(code, 0) | mask
+                    continue
+                expanded += 1
+                if fire is not None:
+                    fire("kernel.step")
+                if tick is not None:
+                    tick()
+                state = code & state_mask
+                if (finals_mask >> state) & 1:
+                    prev = answers_get(node, 0)
+                    new = mask & ~prev
+                    if new:
+                        answer_masks[node] = prev | new
+                        answer_count += new.bit_count()
+                        if check_rows is not None:
+                            check_rows(answer_count)
+                for label_int, inner, outer in rows_of[state]:
+                    offsets, targets = out_rows[label_int]
+                    lo = offsets[node]
+                    hi = offsets[node + 1]
+                    if lo == hi:
+                        continue
+                    relaxed += hi - lo
+                    for target in targets[lo:hi]:
+                        base = target << k
+                        for next_state in inner:
+                            succ = base | next_state
+                            if succ not in bucket:
+                                bucket[succ] = mask
+                                queue.append(succ)
+                        for next_state, later in outer:
+                            succ = base | next_state
+                            waiting = buckets[later]
+                            waiting[succ] = waiting.get(succ, 0) | mask
             continue
-        for label_int, next_states in rows:
-            offsets, targets = out_rows[label_int]
-            lo = offsets[node]
-            hi = offsets[node + 1]
-            if lo == hi:
+
+        # Tarjan over the layer.  ``number`` holds a code's DFS number while
+        # it is open and ``closed + component`` once its component closed,
+        # so a closed code never lowers a lowlink.  What a component must do
+        # once its mask is known goes on ``effects`` as its members are
+        # expanded: a later-layer code to pass the mask to, a member's own
+        # code (an answer or a cross pair), or ``~c`` for a condensation
+        # edge to component ``c``.  The members of a component sit on top
+        # of both stacks when it closes, so closing cuts its slice off each.
+        # A code with no successor in the layer closes at once, without a
+        # frame.
+        closed = 1 << 62
+        number: dict[int, int] = {}
+        open_codes: list[int] = []
+        effects: list[int] = []
+        comp_masks: list[int] = []
+        comp_effects: list = []
+        for root in bucket:
+            if root in number:
                 continue
-            relaxed += hi - lo
-            for target in targets[lo:hi]:
-                base = target << k
-                for next_state in next_states:
-                    succ = base | next_state
-                    known = origins_get(succ, 0)
-                    novel = fresh & ~known
-                    if novel:
-                        origins[succ] = known | novel
-                        pend = pending_get(succ, 0)
-                        if pend:
-                            pending[succ] = pend | novel
+            #: [code, its successors in the layer, next to read, lowlink,
+            #:  its start on ``effects``, its start on ``open_codes``]
+            frames = []
+            code = root
+            while True:
+                if code is not None:
+                    number[code] = dfs = len(number)
+                    start = len(effects)
+                    node = code >> k
+                    inner_succs = None
+                    if owned is not None and not owned[node]:
+                        effects.append(code)
+                    else:
+                        expanded += 1
+                        if fire is not None:
+                            fire("kernel.step")
+                        if tick is not None:
+                            tick()
+                        state = code & state_mask
+                        if (finals_mask >> state) & 1:
+                            effects.append(code)
+                        for label_int, inner, outer in rows_of[state]:
+                            offsets, targets = out_rows[label_int]
+                            lo = offsets[node]
+                            hi = offsets[node + 1]
+                            if lo == hi:
+                                continue
+                            relaxed += hi - lo
+                            for target in targets[lo:hi]:
+                                base = target << k
+                                if inner:
+                                    if inner_succs is None:
+                                        inner_succs = []
+                                    for next_state in inner:
+                                        inner_succs.append(base | next_state)
+                                for next_state, _later in outer:
+                                    effects.append(base | next_state)
+                    if inner_succs is None:
+                        number[code] = closed + len(comp_masks)
+                        comp_masks.append(bucket.get(code, 0))
+                        if len(effects) > start:
+                            comp_effects.append(effects[start:])
+                            del effects[start:]
                         else:
-                            pending[succ] = novel
-                            append(succ)
+                            comp_effects.append(())
+                    else:
+                        frames.append(
+                            [code, inner_succs, 0, dfs, start, len(open_codes)]
+                        )
+                        open_codes.append(code)
+                    code = None
+                if not frames:
+                    break
+                frame = frames[-1]
+                succs = frame[1]
+                position = frame[2]
+                low = frame[3]
+                while position < len(succs):
+                    succ = succs[position]
+                    seen = number.get(succ)
+                    if seen is None:
+                        code = succ  # visit it; the edge is read again after
+                        break
+                    if seen >= closed:
+                        effects.append(~(seen - closed))
+                    elif seen < low:
+                        low = seen
+                    position += 1
+                frame[2] = position
+                frame[3] = low
+                if code is not None:
+                    continue
+                frames.pop()
+                if low == number[frame[0]]:
+                    marker = closed + len(comp_masks)
+                    seed_mask = 0
+                    members = open_codes[frame[5]:]
+                    del open_codes[frame[5]:]
+                    for member in members:
+                        number[member] = marker
+                        seed_mask |= bucket.get(member, 0)
+                    comp_masks.append(seed_mask)
+                    start = frame[4]
+                    comp_effects.append(effects[start:])
+                    del effects[start:]
+                elif frames and low < frames[-1][3]:
+                    frames[-1][3] = low
+        # Components close sinks first: propagate from the last one closed.
+        for component in range(len(comp_masks) - 1, -1, -1):
+            mask = comp_masks[component]
+            for effect in comp_effects[component]:
+                if effect < 0:
+                    comp_masks[~effect] |= mask
+                    continue
+                later = layer_of[effect & state_mask]
+                if later != layer:
+                    waiting = buckets[later]
+                    waiting[effect] = waiting.get(effect, 0) | mask
+                    continue
+                node = effect >> k
+                if owned is not None and not owned[node]:
+                    cross[effect] = cross.get(effect, 0) | mask
+                    continue
+                prev = answers_get(node, 0)
+                new = mask & ~prev
+                if new:
+                    answer_masks[node] = prev | new
+                    answer_count += new.bit_count()
+                    if check_rows is not None:
+                        check_rows(answer_count)
     return expanded, relaxed, answer_count

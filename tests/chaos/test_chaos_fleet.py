@@ -24,6 +24,7 @@ import pytest
 
 from repro.distributed import ShardCoordinator
 from repro.distributed.breaker import OPEN
+from repro.engine.limits import BudgetExceeded
 from repro.graph.generators import random_graph
 from repro.rpq.evaluation import evaluate_rpq
 from repro.server.app import QueryServer, ServerThread
@@ -255,6 +256,31 @@ class TestDegradedReads:
             assert coordinator.answer_cache.info()["size"] == 1
             cached = coordinator.rpq("chaos", "(a + b)*")
             assert "degraded" not in cached
+
+    def test_degraded_read_keeps_the_read_budget(self, faults):
+        """The fallback answers under the read's budget: a ``max_states``
+        read trips on the retained copy as it trips on a live replica,
+        instead of answering every pair of a large closure."""
+        servers = make_cluster(2)
+        try:
+            with ShardCoordinator(
+                [server.address for server in servers],
+                breaker_threshold=1,
+                allow_degraded=True,
+            ) as coordinator:
+                coordinator.replicate_graph(
+                    "wide", random_graph(400, 1200, seed=5)
+                )
+                with pytest.raises(BudgetExceeded) as live:
+                    coordinator.rpq("wide", "(a + b)*", max_states=10)
+                assert live.value.limit == "max_states"
+                self.arm_all_down(faults)
+                with pytest.raises(BudgetExceeded) as degraded:
+                    coordinator.rpq("wide", "(a + b)*", max_states=10)
+                assert degraded.value.limit == "max_states"
+        finally:
+            for server in servers:
+                server.stop()
 
     def test_degraded_refused_on_set_returning_paths(
         self, cluster, graph, faults
