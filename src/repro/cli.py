@@ -218,26 +218,21 @@ def _profile_via_shards(args: argparse.Namespace) -> int:
     """
     import json
 
+    from repro.engine.explain import query_kind
     from repro.engine.tracing import Tracer
 
+    op = query_kind(args.query)
     tracer = Tracer()
-    outcome, code = _on_shards(
-        args,
-        lambda coordinator, name: (
-            _evaluate_on_shards(args, coordinator, name),
-            coordinator.metrics.as_dict(),
-        ),
-        tracer,
-    )
+    outcome, code = _on_shards(args, op, _params(op, args), tracer)
     if code is not None:
         return code
-    rows, metrics = outcome
+    result, metrics = outcome
     _write_shard_trace(tracer, args.trace_out, drain=False)
     if args.json:
         print(
             json.dumps(
                 {
-                    "count": len(rows),
+                    "count": result["count"],
                     "spans": tracer.as_dicts(),
                     "coordinator_metrics": metrics,
                 },
@@ -248,7 +243,7 @@ def _profile_via_shards(args: argparse.Namespace) -> int:
         )
         return 0
     print(tracer.render())
-    print(f"# {len(rows)} answers", file=sys.stderr)
+    print(f"# {result['count']} answers", file=sys.stderr)
     return 0
 
 
@@ -634,35 +629,30 @@ def _on_fleet(args: argparse.Namespace, run, tracer=None, **options):
     return None, 1
 
 
-def _on_shards(args: argparse.Namespace, run, tracer=None, **options):
-    """:func:`_on_fleet` with ``args.graph`` put on the fleet first —
-    partitioned by ``--partition``, or replicated with ``--replicated`` —
-    and rounds slower than ``--slow-round-ms`` logged; ``run`` gets the
-    coordinator and the graph's name there."""
+def _on_shards(
+    args: argparse.Namespace, op: str, params: dict, tracer=None, **options
+):
+    """:func:`_on_fleet` running one ``op`` request: ``args.graph`` is put
+    on the fleet first — partitioned by ``--partition``, or replicated with
+    ``--replicated`` — and rounds slower than ``--slow-round-ms`` logged;
+    the outcome is the coordinator's result dict and its metrics."""
+    from repro.server.protocol import Request
+
+    budget = _make_budget(args)
     graph = _load_graph(args.graph)
     name = f"cli:{args.graph}"
 
-    def distribute_then_run(coordinator):
+    def distribute_then_execute(coordinator):
         if getattr(args, "replicated", False):
             coordinator.replicate_graph(name, graph)
         else:
             coordinator.partition_graph(name, graph, strategy=args.partition)
-        return run(coordinator, name)
+        request = Request(op, params={**params, "graph": name})
+        return coordinator.execute(request, budget), coordinator.metrics.as_dict()
 
     return _on_fleet(
-        args, distribute_then_run, tracer, slow_round_ms=args.slow_round_ms,
-        **options,
-    )
-
-
-def _evaluate_on_shards(args, coordinator, name, budget=None, sources=None):
-    """The CRPQ or RPQ ``args.query`` over a partitioned graph."""
-    from repro.engine.explain import query_kind
-
-    if query_kind(args.query) == "crpq":
-        return coordinator.evaluate_crpq(name, args.query, budget=budget)
-    return coordinator.evaluate_rpq(
-        name, args.query, sources=sources, budget=budget
+        args, distribute_then_execute, tracer,
+        slow_round_ms=args.slow_round_ms, **options,
     )
 
 
@@ -673,66 +663,43 @@ def _write_shard_trace(tracer, path, drain=True) -> None:
         print(f"# wrote {written} span trees to {path}", file=sys.stderr)
 
 
-def _query_via_shards(args: argparse.Namespace) -> int:
-    """Distribute a graph across a running fleet and query it there."""
-    import json
+def _answer_on_shards(args: argparse.Namespace, op: str, params: dict):
+    """The coordinator's result dict of ``op`` on the ``--shards`` fleet
+    (``None`` once a fleet failure is reported)."""
+    from repro.engine.tracing import Tracer
 
-    from repro.engine.explain import query_kind
-    from repro.server.protocol import OP_TABLE
-
-    budget = _make_budget(args)
-    tracer = None
-    if args.trace_out:
-        from repro.engine.tracing import Tracer
-
-        tracer = Tracer()
-
-    def evaluate(coordinator, name):
-        if not args.replicated:
-            sources = [args.source] if args.source else None
-            return _evaluate_on_shards(args, coordinator, name, budget, sources), False
-        # The result-dict path, not evaluate_*: hedging and the degraded
-        # fallback live on replica routing, and only this shape can carry
-        # the degraded marker to the caller.
-        op = query_kind(args.query)
-        if op == "crpq":
-            result = coordinator.crpq(name, args.query, **_limits(args))
-        else:
-            result = coordinator.rpq(
-                name, args.query, source=args.source, **_limits(args)
-            )
-        rows = {tuple(row) for row in result[OP_TABLE[op].answer]}
-        return rows, bool(result.get("degraded"))
-
-    outcome, code = _on_shards(
-        args, evaluate, tracer,
+    tracer = Tracer() if args.trace_out else None
+    outcome, _code = _on_shards(
+        args, op, params, tracer,
         hedge_after=args.hedge_after, allow_degraded=args.allow_degraded,
     )
-    if code is not None:
-        return code
-    rows, degraded = outcome
+    if outcome is None:
+        return None
     _write_shard_trace(tracer, args.trace_out)
-    if degraded:
-        print(
-            "# degraded: served from the coordinator's local copy "
-            "(every replica was down)",
-            file=sys.stderr,
-        )
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "count": len(rows),
-                    "rows": sorted(map(list, rows), key=repr),
-                    **({"degraded": True} if degraded else {}),
-                },
-                sort_keys=True,
-            )
-        )
-        return 0
-    _print_tuples(rows)
-    print(f"# {len(rows)} answers", file=sys.stderr)
-    return 0
+    return outcome[0]
+
+
+def _answer_on_server(args: argparse.Namespace, op: str, params: dict):
+    """The result dict of ``op`` from the ``--connect`` server (``None``
+    once its error is reported; a budget trip raises, as a local one does)."""
+    from repro.server.client import RetryPolicy, ServerError
+    from repro.server.protocol import budget_trip
+
+    retry = (
+        RetryPolicy(max_attempts=args.retries) if args.retries > 1 else None
+    )
+    try:
+        with _connect(args.connect, retry=retry) as client:
+            return client.request(op, **params)
+    except ServerError as exc:
+        trip = budget_trip(exc.code, exc.message, exc.details)
+        if trip is not None:
+            raise trip from None
+        print(f"error [{exc.code}]: {exc.message}", file=sys.stderr)
+    except OSError as exc:  # ConnectionLost included
+        print(f"error: cannot reach server {args.connect}: {exc}",
+              file=sys.stderr)
+    return None
 
 
 def _cmd_cluster_stats(args: argparse.Namespace) -> int:
@@ -761,36 +728,28 @@ def _cmd_cluster_stats(args: argparse.Namespace) -> int:
 
 def _cmd_query(args: argparse.Namespace) -> int:
     """Run one query against a *running* server (``--connect host:port``)
-    or a shard fleet (``--shards host:port,host:port,...``)."""
+    or a shard fleet (``--shards host:port,host:port,...``): one request,
+    answered by the server or by the fleet's coordinator, printed one way."""
     import json
 
     from repro.engine.explain import query_kind
-    from repro.server.client import RetryPolicy, ServerError
-    from repro.server.protocol import OP_TABLE, budget_trip
+    from repro.server.protocol import OP_TABLE
 
-    if args.shards:
-        return _query_via_shards(args)
     op = "explain" if args.explain else query_kind(args.query)
     params = {
         name: value for name, value in _params(op, args).items()
         if value is not None
     }
-    retry = (
-        RetryPolicy(max_attempts=args.retries) if args.retries > 1 else None
-    )
-    try:
-        with _connect(args.connect, retry=retry) as client:
-            result = client.request(op, **params)
-    except ServerError as exc:
-        trip = budget_trip(exc.code, exc.message, exc.details)
-        if trip is not None:
-            return _report_trip(args, trip)
-        print(f"error [{exc.code}]: {exc.message}", file=sys.stderr)
+    answer = _answer_on_shards if args.shards else _answer_on_server
+    result = answer(args, op, params)
+    if result is None:
         return 1
-    except OSError as exc:  # ConnectionLost included
-        print(f"error: cannot reach server {args.connect}: {exc}",
-              file=sys.stderr)
-        return 1
+    if result.get("degraded"):
+        print(
+            "# degraded: served from the coordinator's local copy "
+            "(every replica was down)",
+            file=sys.stderr,
+        )
     if args.json or args.explain:
         print(json.dumps(result, indent=2, sort_keys=True, default=str))
         return 0

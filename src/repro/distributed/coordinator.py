@@ -2,8 +2,14 @@
 
 DESIGN.md §11.  A :class:`ShardCoordinator` owns one
 :class:`~repro.server.client.ServerClient` per shard worker (any ``repro
-serve`` process) and evaluates RPQs over a graph partitioned by
-:mod:`repro.engine.partition`:
+serve`` process); its one entry, :meth:`ShardCoordinator.execute`,
+answers an op table request with the service's result dict.  A
+replicated graph sends any cacheable op whole to one replica; a
+partitioned graph answers ``rpq`` by scatter-gather rounds and ``crpq``
+by a join over them, and refuses other ops with a ``bad_request`` naming
+the layout (``rpq()`` / ``crpq()`` are one call of it; ``evaluate_rpq``
+/ ``evaluate_crpq`` hand back answer sets).  An RPQ over a graph
+partitioned by :mod:`repro.engine.partition` runs so:
 
 1. **Seed** — every requested source node becomes ``(source, q0)`` product
    codes with a one-bit origin mask (bit ``i`` for the ``i``-th distinct
@@ -31,13 +37,14 @@ coordinator's disagree) — a partial distributed answer is only ever
 surfaced as a *typed* budget trip, never as a silently-short result set.
 
 **Replicas**: :meth:`ShardCoordinator.replicate_graph` uploads full copies
-to a rendezvous-hashed subset of shards; :meth:`rpq`/:meth:`crpq` route
-whole queries to a replica (with failover down the preference list) — the
-read-throughput path ``benchmarks/bench_shard.py`` gates.  A routed read
-ships its budget's ``timeout`` and ``max_states``, never ``max_rows``, so
-a replica's answer is complete.
+to a rendezvous-hashed subset of shards; a read routes to a replica
+chosen by the key ``op|query`` (plus ``|repr(source)`` when the op takes
+a source), with failover down the preference list — the read-throughput
+path ``benchmarks/bench_shard.py`` gates.  A routed read ships its
+budget's ``timeout`` and ``max_states``, never ``max_rows``, so a
+replica's answer is complete.
 
-**One answer-cache path**: every public read is one call of the service's
+**One answer-cache path**: every read is one call of the service's
 :meth:`~repro.server.service.AnswerCache.lookup` under the caller's
 budget, keyed by :func:`~repro.server.service.answer_key` on the upload
 token and never on a budget limit, so both rules are the service's: only
@@ -109,7 +116,7 @@ from repro.server.protocol import (
     budget_trip,
     check_request,
 )
-from repro.server.service import AnswerCache, QueryService, answer_key
+from repro.server.service import AnswerCache, QueryService, answer_key, relation_result
 
 #: Seconds of network slack subtracted from the coordinator's remaining
 #: deadline before it is shipped as a shard-side round timeout, so the
@@ -599,35 +606,73 @@ class ShardCoordinator:
         copy) — lets sibling coordinators share one fleet's catalog."""
         factor = self.num_shards if factor is None else factor
         entry = self._register(name, None)
-        entry.graph = None
         entry.replicas = tuple(rendezvous(name, range(self.num_shards))[:factor])
+
+    # ------------------------------------------------------------------
+    # the one entry: an op table request, routed by the graph's layout
+    # ------------------------------------------------------------------
+    def execute(self, request: Request, budget=None) -> dict:
+        """The result dict of one query ``request``, as the service's
+        (``budget`` defaults to the one the request's limits make)."""
+        request = check_request(request)
+        op, args = request.op, request.args
+        spec = OP_TABLE[op]
+        if not spec.cacheable:
+            raise BadRequestError(
+                f"the coordinator answers query ops, not {op!r}", op=op
+            )
+        entry = self._entry(args["graph"])
+        if budget is None:
+            budget = make_budget(**{limit: args[limit] for limit in BUDGET_PARAMS})
+        if entry.replicas:
+            compute = partial(self._read_replicas, request, entry, budget)
+        elif op == "rpq":
+            sources = None if args["source"] is None else [args["source"]]
+            pairs = self.evaluate_rpq(entry.name, args["query"], sources, budget=budget)
+            return relation_result(op, args, pairs)
+        elif op == "crpq":
+            compute = partial(self._join, entry, args, budget)
+        else:
+            raise BadRequestError(
+                f"graph {entry.name!r} is partitioned: the coordinator "
+                f"answers rpq and crpq there, not {op!r}",
+                graph=entry.name, layout="partitioned", op=op,
+            )
+        result, _hit = self.answer_cache.lookup(
+            answer_key(entry.name, entry.token, op, args), compute,
+            budget=budget, rows=spec.answer,
+        )
+        return result
+
+    def rpq(self, name: str, query: str, source=None, **limits) -> dict:
+        """:meth:`execute` of one RPQ under the budget its ``limits`` make."""
+        return self.execute(Request("rpq", params={
+            "graph": name, "query": query, "source": source, **limits,
+        }))
+
+    def crpq(self, name: str, query: str, planner=None, **limits) -> dict:
+        """:meth:`execute` of one CRPQ under the budget its ``limits`` make."""
+        return self.execute(Request("crpq", params={
+            "graph": name, "query": query, "planner": planner, **limits,
+        }))
 
     # ------------------------------------------------------------------
     # replica-routed whole queries (the throughput path)
     # ------------------------------------------------------------------
-    def _route(self, op: str, name: str, route_key: str, params: dict, limits: dict) -> dict:
-        entry = self._entry(name)
-        if not entry.replicas:
-            raise BadRequestError(
-                f"graph {name!r} is partitioned, not replicated; "
-                "use evaluate_rpq/evaluate_crpq"
-            )
-        # Checked like the request a replica would get; the limits make the
-        # read's budget and never travel in the routed params.
-        args = check_request(Request(op, params={**params, **limits, "graph": name})).args
-        budget = make_budget(**{limit: args[limit] for limit in BUDGET_PARAMS})
-        result, _hit = self.answer_cache.lookup(
-            answer_key(name, entry.token, op, args),
-            partial(self._read_replicas, op, entry, route_key, params, budget),
-            budget=budget, rows=OP_TABLE[op].answer,
-        )
-        return result
-
-    def _read_replicas(self, op, entry, route_key, params, budget) -> dict:
-        """One routed read: the first replica answer down the rendezvous
-        preference (hedged or failing over), else the degraded local
-        answer, else a typed ``shard_unavailable``."""
+    def _read_replicas(self, request, entry, budget) -> dict:
+        """One routed read of the checked arguments: the first replica
+        answer down the rendezvous preference of ``op|query`` (plus
+        ``|repr(source)`` when the op takes one), hedged or failing over,
+        else the degraded local answer, else a typed ``shard_unavailable``."""
+        op, args = request.op, request.args
+        route_key = f"{op}|{args['query']}"
+        if "source" in OP_TABLE[op].params:
+            route_key += f"|{args['source']!r}"
         preference = rendezvous(f"{entry.name}|{route_key}", entry.replicas)
+        params = {
+            key: value for key, value in args.items()
+            if key not in BUDGET_PARAMS and key != "trace"
+        }
 
         def call(client):
             if fault_point("shard.crash"):
@@ -640,7 +685,7 @@ class ShardCoordinator:
                     limits["timeout"] = max(budget.deadline.remaining(), 0.001)
                 if budget.max_states is not None:
                     limits["max_states"] = budget.max_states
-            return client.request(op, graph=entry.name, **params, **limits)
+            return client.request(op, **params, **limits)
 
         route = (
             self._route_hedged
@@ -657,7 +702,6 @@ class ShardCoordinator:
             # marker keeps it out of the answer cache.
             if self.metrics is not None:
                 self.metrics.inc("coordinator_degraded_reads_total")
-            request = Request(op, params={"graph": entry.name, **params})
             answer = QueryService.evaluate(request, entry.graph, budget=budget)
             return {**answer, "degraded": True}
         waits = [self.breakers[shard].retry_after() for shard in preference]
@@ -779,20 +823,6 @@ class ShardCoordinator:
         with ServerClient(host, port, timeout=self.timeout) as client:
             return call(client)
 
-    def rpq(self, name: str, query: str, source=None, **limits) -> dict:
-        """Route one whole RPQ to a replica (result dict, like the client)
-        under the budget its ``limits`` make."""
-        params = {"query": query}
-        if source is not None:
-            params["source"] = source
-        return self._route("rpq", name, f"rpq|{query}|{source!r}", params, limits)
-
-    def crpq(self, name: str, query: str, planner=None, **limits) -> dict:
-        params = {"query": query}
-        if planner is not None:
-            params["planner"] = planner
-        return self._route("crpq", name, f"crpq|{query}", params, limits)
-
     # ------------------------------------------------------------------
     # scatter-gather RPQ evaluation (the partitioned path)
     # ------------------------------------------------------------------
@@ -818,43 +848,35 @@ class ShardCoordinator:
             sources = list(dict.fromkeys(
                 s for s in sources if not partitioned or s in entry.order_index
             ))
+        if not partitioned:
+            # One routed read (a lone source rides along as its ``source``)
+            # kept to the asked sources: the row ceiling applies after the
+            # filter, so the read itself runs under the effort limits only.
+            lone = sources[0] if sources is not None and len(sources) == 1 else None
+            keep = None if sources is None else set(sources)
+            pairs = frozenset(
+                pair for pair in self._exact_rows(
+                    "rpq", {"graph": name, "query": query, "source": lone},
+                    budget and budget.subquery(),
+                )
+                if keep is None or pair[0] in keep
+            )
+            if budget is not None:
+                try:
+                    budget.check_rows(len(pairs))
+                except BudgetExceeded as exc:
+                    raise exc.attach_partial(pairs)
+            return pairs
         source_key = None if sources is None else repr(sorted(sources, key=repr))
-        compute = self._scatter_gather if partitioned else self._replicated_pairs
         # Immutable, so the cache and every caller share the one answer.
         pairs, _hit = self.answer_cache.lookup(
             answer_key(
                 name, entry.token, "rpq:pairs",
                 {"query": query, "sources": source_key},
             ),
-            partial(compute, entry, query, sources, budget),
+            partial(self._scatter_gather, entry, query, sources, budget),
             budget=budget,
         )
-        return pairs
-
-    def _replicated_pairs(self, entry, query, sources, budget) -> frozenset:
-        """RPQ pairs of a replicated (unpartitioned) graph: one routed read
-        (a lone source rides along as its ``source``), kept to the asked
-        sources."""
-        single = sources is not None and len(sources) == 1
-        source = sources[0] if single else None
-        params = {"query": query, "source": source} if single else {"query": query}
-        result = self._read_replicas(
-            "rpq", entry, f"rpq|{query}|{source!r}", params, budget
-        )
-        if result.get("degraded"):
-            # A bare answer set has no channel for the marker, and a
-            # silently stale answer breaks exactness.
-            raise ShardUnavailableError(
-                f"replicated evaluation of {entry.name!r} needs an exact "
-                "replica answer; the degraded local fallback only serves "
-                "the result-dict rpq/crpq API where the marker is visible",
-                graph=entry.name,
-                degraded=True,
-            )
-        pairs = frozenset(tuple(pair) for pair in result["pairs"])
-        if sources is not None and not single:
-            keep = set(sources)
-            pairs = frozenset(pair for pair in pairs if pair[0] in keep)
         return pairs
 
     def _scatter_gather(self, entry, query, sources, budget) -> PairRelation:
@@ -1174,44 +1196,51 @@ class ShardCoordinator:
     def evaluate_crpq(
         self, name: str, query: str, *, planner=None, budget=None
     ) -> set[tuple]:
-        """``q(G)`` with every atom relation computed by the shard fleet.
+        """``q(G)`` over the distributed graph ``name``."""
+        return set(self._exact_rows(
+            "crpq", {"graph": name, "query": query, "planner": planner}, budget
+        ))
 
-        The *plan* still comes from the engine's cost planner running over
-        the coordinator's retained copy of the graph (label statistics are
-        a coordinator-local concern); each atom's relation comes from
+    def _exact_rows(self, op, params, budget):
+        """:meth:`execute`'s answer rows as tuples, for the answer-set
+        wrappers: they refuse a degraded answer, since a bare set has no
+        place for the marker and a silently stale answer breaks exactness."""
+        result = self.execute(Request(op, params=params), budget)
+        if result.get("degraded"):
+            raise ShardUnavailableError(
+                f"replicated evaluation of {params['graph']!r} needs an "
+                "exact replica answer; the degraded local fallback only "
+                "serves execute's result dict, where the marker is visible",
+                graph=params["graph"],
+                degraded=True,
+            )
+        return map(tuple, result[OP_TABLE[op].answer])
+
+    def _join(self, entry, args, budget) -> dict:
+        """A CRPQ over a partitioned graph, every atom relation computed by
+        the shard fleet.
+
+        The *plan* comes from the engine's cost planner running over the
+        coordinator's retained copy of the graph (label statistics are a
+        coordinator-local concern); each atom's relation comes from
         :meth:`evaluate_rpq` through the join's
         :class:`~repro.crpq.evaluation.PairsAccess` — bound atoms scatter
-        from their bound node, unbound atoms run the full broadcast sweep
-        (or one shard-local replica query when the graph is replicated),
+        from their bound node, unbound atoms run the full broadcast sweep,
         and a backward atom groups the full relation: shards hold only
         forward-partitioned edges, so there is no reversed walk here.
         """
         from repro.crpq.evaluation import PairsAccess, evaluate_crpq
 
-        entry = self._entry(name)
-        if entry.graph is None:
-            raise BadRequestError(
-                f"graph {name!r} was attached without a local copy; "
-                "CRPQ planning needs the coordinator-side graph"
-            )
-
         def pairs(regex, sources, atom_budget):
             return self.evaluate_rpq(
-                name, to_string(regex), sources, budget=atom_budget
+                entry.name, to_string(regex), sources, budget=atom_budget
             )
 
-        rows, _hit = self.answer_cache.lookup(
-            answer_key(
-                name, entry.token, "crpq:rows",
-                {"query": query, "planner": planner},
-            ),
-            lambda: frozenset(evaluate_crpq(
-                query, entry.graph, planner=planner, budget=budget,
-                access=PairsAccess(pairs, budget),
-            )),
-            budget=budget,
+        rows = evaluate_crpq(
+            args["query"], entry.graph, planner=args["planner"], budget=budget,
+            access=PairsAccess(pairs, budget),
         )
-        return set(rows)
+        return relation_result("crpq", args, rows)
 
 
 def _parse(query: str):

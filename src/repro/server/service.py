@@ -886,12 +886,7 @@ class QueryService:
             args["query"], graph, sources=None if source is None else [source],
             stats=stats, budget=budget,
         )
-        return {
-            "op": "rpq",
-            "query": args["query"],
-            "pairs": sorted(([s, t] for s, t in pairs), key=repr),
-            "count": len(pairs),
-        }
+        return relation_result("rpq", args, pairs)
 
     @staticmethod
     def _run_crpq(graph, args, stats, budget) -> dict:
@@ -901,12 +896,7 @@ class QueryService:
             args["query"], graph, planner=args["planner"], stats=stats,
             budget=budget,
         )
-        return {
-            "op": "crpq",
-            "query": args["query"],
-            "rows": sorted((list(row) for row in rows), key=repr),
-            "count": len(rows),
-        }
+        return relation_result("crpq", args, rows)
 
     @staticmethod
     def _run_dlrpq(graph, args, stats, budget) -> dict:
@@ -971,6 +961,19 @@ class QueryService:
             args["query"], graph, planner=args["planner"], budget=budget
         )
         return {"op": "explain", "report": report}
+
+
+def relation_result(op: str, args: dict, rows) -> dict:
+    """The result dict of an ``rpq`` or ``crpq`` whose answer is the tuple
+    set ``rows``: its rows as JSON lists in ``repr`` order, under the op
+    table's ``answer`` field.  The service's handlers and the shard
+    coordinator's partitioned reads both encode here."""
+    return {
+        "op": op,
+        "query": args["query"],
+        OP_TABLE[op].answer: sorted((list(row) for row in rows), key=repr),
+        "count": len(rows),
+    }
 
 
 def _rows(rows, budget) -> list:

@@ -4,10 +4,13 @@ The central acceptance property: ``ShardCoordinator.evaluate_rpq`` over a
 partitioned graph equals single-node ``evaluate_rpq`` equals the naive
 oracle (:mod:`repro.reference`) — on fixed graphs, on generated
 graph/regex pairs (Hypothesis), for both partitioning strategies, for
-full and source-restricted evaluation, and through the CRPQ join.
+full and source-restricted evaluation, and through the CRPQ join.  And
+``ShardCoordinator.execute`` answers every op table request like the
+service does, on either layout, or refuses it typed.
 """
 
 import itertools
+import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,9 +22,12 @@ from repro.distributed import ShardCoordinator
 from repro.engine.limits import BudgetExceeded, make_budget
 from repro.graph.edge_labeled import EdgeLabeledGraph
 from repro.graph.generators import random_graph
+from repro.graph.property_graph import PropertyGraph
 from repro.regex.ast import Concat, Epsilon, Star, Symbol, Union, to_string
 from repro.rpq.evaluation import evaluate_rpq
 from repro.server.app import ServerThread
+from repro.server.protocol import OP_TABLE, BadRequestError, Request
+from repro.server.service import GraphCatalog, QueryService
 
 NUM_SHARDS = 3
 
@@ -189,14 +195,13 @@ class TestReplicas:
         assert len(excinfo.value.partial) == 3
         assert set(excinfo.value.partial) <= full
 
-    def test_partitioned_graph_rejects_whole_query_routing(self, cluster):
-        from repro.server.protocol import BadRequestError
-
+    def test_partitioned_graph_answers_whole_rpq_reads(self, cluster):
         graph = random_graph(6, 10, seed=0)
         name = fresh_name()
         cluster.partition_graph(name, graph)
-        with pytest.raises(BadRequestError):
-            cluster.rpq(name, "a")
+        result = cluster.rpq(name, "a")
+        assert {tuple(pair) for pair in result["pairs"]} == evaluate_rpq("a", graph)
+        assert result["count"] == len(result["pairs"])
 
 
 class TestBudgetsAndCache:
@@ -372,3 +377,126 @@ class TestOwnershipDisagreement:
             "(a + b)*", graph
         )
         assert cluster.answer_cache.hits == hits_before
+
+
+DLRPQS = ["(_)[a](_)", "((_)[b])+ (_)", "(_)[w := q]((_)[q > w][w := q])*(_)"]
+
+
+@st.composite
+def op_requests(draw):
+    """A small property graph and one cacheable request over it: every
+    op the op table answers, over labels ``a``/``b`` and edge property
+    ``q``."""
+    num_nodes = draw(st.integers(min_value=1, max_value=4))
+    graph = PropertyGraph()
+    for index in range(num_nodes):
+        graph.add_node(f"n{index}", label="N")
+    edges = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, num_nodes - 1),
+                st.integers(0, num_nodes - 1),
+                st.sampled_from("ab"),
+                st.integers(0, 2),
+            ),
+            max_size=7,
+        )
+    )
+    for number, (src, tgt, label, q) in enumerate(edges):
+        graph.add_edge(f"e{number}", f"n{src}", f"n{tgt}", label, properties={"q": q})
+    node = st.sampled_from([f"n{index}" for index in range(num_nodes)])
+    text = to_string(draw(regexes(max_leaves=4)))
+    op = draw(st.sampled_from(["rpq", "crpq", "paths", "dlrpq", "explain"]))
+    if op == "rpq":
+        params = {"query": text, "source": draw(st.none() | node)}
+    elif op == "crpq":
+        params = {"query": f"Ans(x, y) :- ({text})(x, z), (a + b)(z, y)"}
+    elif op == "explain":
+        params = {"query": text}
+    else:
+        params = {
+            "query": text if op == "paths" else draw(st.sampled_from(DLRPQS)),
+            "source": draw(node),
+            "target": draw(node),
+            "mode": draw(st.sampled_from(["shortest", "simple", "trail", "all"])),
+            "limit": 20,
+        }
+    return graph, op, params
+
+
+def _answer(result: dict, op: str):
+    """What a result dict answers, JSON-shaped (as a replica ships it)."""
+    rows = OP_TABLE[op].answer
+    answer = result["report"] if rows is None else (result[rows], result["count"])
+    return json.loads(json.dumps(answer, sort_keys=True, default=str))
+
+
+class TestOneExecute:
+    """``ShardCoordinator.execute`` answers a request as the service does,
+    whichever layout the graph has, or refuses it typed."""
+
+    SETTINGS = settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+
+    @staticmethod
+    def served(graph, op, params) -> dict:
+        service = QueryService(GraphCatalog())
+        service.catalog.register("g", graph)
+        return service.execute(Request(op, params={**params, "graph": "g"}))
+
+    @SETTINGS
+    @given(case=op_requests())
+    def test_replicated_graph_answers_every_op_like_the_service(self, cluster, case):
+        graph, op, params = case
+        name = fresh_name("x")
+        cluster.replicate_graph(name, graph)
+        result = cluster.execute(Request(op, params={**params, "graph": name}))
+        assert result["op"] == op
+        assert _answer(result, op) == _answer(self.served(graph, op, params), op)
+
+    @SETTINGS
+    @given(case=op_requests())
+    def test_partitioned_graph_answers_rpq_and_crpq_and_refuses_the_rest(
+        self, cluster, case
+    ):
+        graph, op, params = case
+        name = fresh_name("y")
+        cluster.partition_graph(name, graph)
+        request = Request(op, params={**params, "graph": name})
+        if op not in ("rpq", "crpq"):
+            with pytest.raises(BadRequestError) as excinfo:
+                cluster.execute(request)
+            assert "partitioned" in excinfo.value.message
+            assert excinfo.value.details == {"graph": name, "layout": "partitioned", "op": op}
+            return
+        result = cluster.execute(request)
+        assert _answer(result, op) == _answer(self.served(graph, op, params), op)
+
+    @SETTINGS
+    @given(
+        graph=graphs(),
+        regex=regexes(max_leaves=4),
+        picks=st.lists(st.integers(0, 5), min_size=3, max_size=3),
+        k=st.integers(min_value=0, max_value=4),
+    )
+    def test_replicated_row_ceiling_applies_after_the_source_filter(
+        self, cluster, graph, regex, picks, k
+    ):
+        query = to_string(regex)
+        sources = [f"n{index % graph.num_nodes}" for index in picks]
+        name = fresh_name("z")
+        cluster.replicate_graph(name, graph)
+        kept = evaluate_rpq(query, graph, sources=sources)
+        budget = make_budget(max_rows=k)
+        if len(kept) <= k:
+            assert cluster.evaluate_rpq(name, query, sources, budget=budget) == kept
+            return
+        with pytest.raises(BudgetExceeded) as excinfo:
+            cluster.evaluate_rpq(name, query, sources, budget=budget)
+        assert excinfo.value.limit == "max_rows"
+        partial = set(excinfo.value.partial)
+        assert len(partial) == len(excinfo.value.partial) == k
+        assert partial <= kept

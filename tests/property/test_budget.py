@@ -20,6 +20,10 @@ the coordinator's cache).
    filled it, the same query under ``max_rows=k`` on the same graph name
    obeys law 2 — in-process ``QueryService.execute`` and both fleet
    layouts, for RPQs and CRPQs.
+
+Laws 1 and 2 also hold on the degraded cell: a replicated graph whose
+every replica is down, answered by ``ShardCoordinator.execute`` from the
+coordinator's own copy (``allow_degraded=True``).
 """
 
 import itertools
@@ -28,10 +32,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import reference
 from repro.crpq.evaluation import evaluate_crpq
 from repro.distributed import ShardCoordinator
 from repro.engine.limits import BudgetExceeded, QueryBudget
 from repro.graph.edge_labeled import EdgeLabeledGraph
+from repro.graph.generators import random_graph
 from repro.regex.ast import Concat, Epsilon, Regex, Star, Symbol, Union, to_string
 from repro.rpq.evaluation import evaluate_rpq
 from repro.server.app import ServerThread
@@ -266,3 +272,69 @@ class TestTinyStateCeilingTripsOnRealWork:
             assert set(exc.partial or ()) <= full
         else:
             assert answers == full
+
+
+class TestDegradedReadsKeepTheLaws:
+    """Laws 1 and 2 on replicated graphs whose replicas are all down."""
+
+    GRAPHS = [random_graph(4, 6, seed=seed) for seed in range(4)]
+
+    @pytest.fixture(scope="class")
+    def degraded(self):
+        servers = [ServerThread().start() for _ in range(2)]
+        coordinator = ShardCoordinator(
+            [server.address for server in servers], allow_degraded=True
+        )
+        names = []
+        for graph in self.GRAPHS:
+            names.append(f"degraded{next(_fresh_names)}")
+            coordinator.replicate_graph(names[-1], graph)
+        for server in servers:
+            server.stop()
+        yield coordinator, names
+        coordinator.close()
+
+    @staticmethod
+    def execute(coordinator, name, regex, budget):
+        request = Request("rpq", params={"graph": name, "query": to_string(regex)})
+        return coordinator.execute(request, budget)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        regex=regexes(),
+        index=st.integers(0, len(GRAPHS) - 1),
+        stride=st.sampled_from([1, 3, 256]),
+    )
+    def test_generous_budget_answers_the_reference(
+        self, degraded, regex, index, stride
+    ):
+        coordinator, names = degraded
+        result = self.execute(
+            coordinator, names[index], regex, generous_budget(stride)
+        )
+        assert result["degraded"] is True
+        assert {tuple(pair) for pair in result["pairs"]} == reference.rpq_pairs(
+            to_string(regex), self.GRAPHS[index]
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        regex=regexes(),
+        index=st.integers(0, len(GRAPHS) - 1),
+        k=st.integers(min_value=0, max_value=5),
+    )
+    def test_max_rows_trips_with_a_k_subset(self, degraded, regex, index, k):
+        coordinator, names = degraded
+        full = reference.rpq_pairs(to_string(regex), self.GRAPHS[index])
+        budget = QueryBudget(max_rows=k, stride=1)
+        if len(full) <= k:
+            result = self.execute(coordinator, names[index], regex, budget)
+            assert {tuple(pair) for pair in result["pairs"]} == full
+            return
+        with pytest.raises(BudgetExceeded) as excinfo:
+            self.execute(coordinator, names[index], regex, budget)
+        exc = excinfo.value
+        assert exc.limit == "max_rows"
+        partial = {tuple(row) for row in exc.partial}
+        assert len(partial) == len(exc.partial) == k
+        assert partial <= full

@@ -666,6 +666,38 @@ class TestQueryShardsCLI:
         )
         assert result["count"] == len(want) > 0
 
+    def test_rpq_json_is_the_result_dict(self, fleet, capsys):
+        code = main(["query", "--shards", fleet, "fig2", "Transfer*", "--json"])
+        assert code == 0
+        result = json.loads(capsys.readouterr().out)
+        from repro.graph.datasets import figure2_graph
+        from repro.rpq.evaluation import evaluate_rpq
+
+        want = evaluate_rpq("Transfer*", figure2_graph())
+        assert result["op"] == "rpq"
+        assert {tuple(pair) for pair in result["pairs"]} == want
+        assert result["count"] == len(want)
+
+    def test_explain_on_replicas_prints_the_plan(self, fleet, capsys):
+        code = main(
+            ["query", "--shards", fleet, "--replicated", "fig2", "Transfer*",
+             "--explain"]
+        )
+        assert code == 0
+        result = json.loads(capsys.readouterr().out)
+        assert result["op"] == "explain"
+        assert result["report"]["kind"] == "rpq"
+
+    def test_explain_on_partitions_is_a_bad_request(self, fleet, capsys):
+        code = main(
+            ["query", "--shards", fleet, "fig2", "Transfer*", "--explain"]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error [bad_request]: ")
+        assert "partitioned" in captured.err and "'explain'" in captured.err
+
     def test_unreachable_fleet_exits_1(self, capsys):
         import socket
 
