@@ -646,7 +646,9 @@ def _on_shards(
         if getattr(args, "replicated", False):
             coordinator.replicate_graph(name, graph)
         else:
-            coordinator.partition_graph(name, graph, strategy=args.partition)
+            coordinator.partition_graph(
+                name, graph, strategy=args.partition or "hash"
+            )
         request = Request(op, params={**params, "graph": name})
         return coordinator.execute(request, budget), coordinator.metrics.as_dict()
 
@@ -726,6 +728,14 @@ def _cmd_cluster_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+#: ``query`` options only a ``--shards`` run reads (argparse dests); a
+#: ``--connect`` query refuses each one rather than ignore it.
+_FLEET_ONLY = (
+    "trace_out", "replicated", "partition", "slow_round_ms", "hedge_after",
+    "allow_degraded",
+)
+
+
 def _cmd_query(args: argparse.Namespace) -> int:
     """Run one query against a *running* server (``--connect host:port``)
     or a shard fleet (``--shards host:port,host:port,...``): one request,
@@ -733,7 +743,17 @@ def _cmd_query(args: argparse.Namespace) -> int:
     import json
 
     from repro.engine.explain import query_kind
-    from repro.server.protocol import OP_TABLE
+    from repro.server.protocol import OP_TABLE, BadRequestError
+
+    if not args.shards:
+        for dest in _FLEET_ONLY:
+            if getattr(args, dest) not in (None, False):
+                flag = "--" + dest.replace("_", "-")
+                raise BadRequestError(
+                    f"{flag} applies to --shards only; a --connect query "
+                    "runs on one server",
+                    flag=flag,
+                )
 
     op = "explain" if args.explain else query_kind(args.query)
     params = {
@@ -810,7 +830,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_fleet_flags(subparser: argparse.ArgumentParser) -> None:
         """What ``--shards`` runs take beside the fleet's addresses."""
         subparser.add_argument(
-            "--partition", default="hash", choices=("hash", "edge-cut"),
+            "--partition", choices=("hash", "edge-cut"),
             help="with --shards: the partitioning strategy (default hash)",
         )
         subparser.add_argument(

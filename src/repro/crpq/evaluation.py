@@ -7,7 +7,7 @@ The evaluator processes atoms in the order chosen by
 relation over the variables seen so far).  Per atom it picks the cheapest
 access path:
 
-* left term bound  -> forward reachability from the bound node;
+* left term bound  -> forward reachability from the bound nodes;
 * right term bound -> reachability of the *reversed* expression over the
   reversed edges (Section 6.2's product construction runs equally well
   backwards): the kernel walks the CSR snapshot's reversed rows;
@@ -16,9 +16,11 @@ access path:
 Which of the three applies is a property of the atom and of the variables
 bound so far, not of any one binding, so it is decided once per atom:
 partial bindings are tuples over a schema (the variables in binding order)
-and an atom reads its bound terms by column position.  Reachability calls
-are memoized per (expression, start), so star-shaped joins do not recompute
-the same BFS.
+and an atom reads its bound terms by column position.  A bound atom is one
+relation for all its bound values (Figueira & Lin: the product
+reachability once per atom, not once per tuple): the distinct values of
+the bound column seed one multi-source sweep, and the rows are extended
+from what it reached per value.
 
 Two access objects answer those three questions: :class:`_AtomAccess` reads
 the graph's own relations, and :class:`PairsAccess` adapts relations
@@ -28,7 +30,7 @@ every CRPQ flavour runs this one join.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import islice
 from operator import itemgetter
 
 from repro.crpq.ast import CRPQ, RPQAtom, Var
@@ -42,12 +44,12 @@ from repro.rpq.evaluation import evaluate_rpq
 
 
 class _AtomAccess:
-    """Memoized access paths for one evaluation run.
+    """The graph's own atom relations for one evaluation run.
 
     Compilation goes through the engine's process-wide LRU cache (keyed on
     the *alphabet*, so a graph mutated between runs never resurrects a
-    stale wildcard automaton) and reachability runs on the CSR snapshot, in
-    either direction.
+    stale wildcard automaton) and every relation is one sweep on the CSR
+    snapshot, in either direction.
     """
 
     def __init__(self, graph: EdgeLabeledGraph, stats=None, budget=None):
@@ -56,17 +58,13 @@ class _AtomAccess:
         # Atom relations are *intermediate* results: they share the query's
         # deadline/cancellation but are exempt from its answer-row ceiling.
         self.budget = budget.subquery() if budget is not None else None
-        self._forward: dict = {}
-        self._backward: dict = {}
         self._full: dict = {}
         self._compiled_cache: dict = {}
 
     def _compiled(self, regex):
         # Keyed on (expression, graph version) — never on ``id(graph)``: a
         # garbage-collected graph can recycle its id and resurrect a stale
-        # automaton compiled over a different alphabet.  The cache's
-        # CompiledQuery memoizes its lowered IntPlan: a bare NFA would be
-        # re-wrapped and re-lowered by every BFS that starts from it.
+        # automaton compiled over a different alphabet.
         key = (regex, self.graph.version)
         if key not in self._compiled_cache:
             self._compiled_cache[key] = kernel.compile_query(
@@ -74,23 +72,21 @@ class _AtomAccess:
             )
         return self._compiled_cache[key]
 
-    def forward(self, regex, source: ObjectId) -> set[ObjectId]:
-        key = (regex, source)
-        if key not in self._forward:
-            self._forward[key] = kernel.reachable(
-                self._compiled(regex), self.graph, source,
-                stats=self.stats, budget=self.budget,
-            )
-        return self._forward[key]
+    def reach(self, regex, starts: list):
+        """``(start, v)`` for each ``start`` in ``starts`` and ``(start, v)``
+        in ``[[R]]_G``: one relation sweep seeded by ``starts``."""
+        return kernel.evaluate_sweep(
+            self._compiled(regex), self.graph, starts,
+            stats=self.stats, budget=self.budget,
+        )
 
-    def backward(self, regex, target: ObjectId) -> set[ObjectId]:
-        key = (regex, target)
-        if key not in self._backward:
-            self._backward[key] = kernel.reachable(
-                self._compiled(regex_reverse(regex)), self.graph, target,
-                stats=self.stats, budget=self.budget, backward=True,
-            )
-        return self._backward[key]
+    def reach_back(self, regex, ends: list):
+        """``(end, u)`` for each ``end`` in ``ends`` and ``(u, end)`` in
+        ``[[R]]_G``: one sweep of ``reverse(R)`` over the reversed rows."""
+        return kernel.evaluate_sweep_backward(
+            self._compiled(regex_reverse(regex)), self.graph, ends,
+            stats=self.stats, budget=self.budget,
+        )
 
     def full(self, regex) -> set[tuple[ObjectId, ObjectId]]:
         # The unbound-atom hot path: the kernel's one-sweep multi-source
@@ -108,11 +104,10 @@ class PairsAccess:
     ``pairs(regex, sources, budget)`` returns the atom's ``(source,
     target)`` pairs, from ``sources`` only, or all of them when ``sources``
     is ``None``: the shard fleet's ``evaluate_rpq`` for a distributed CRPQ,
-    ``dlrpq_pairs`` for a dl-CRPQ.  ``forward`` asks for one source's pairs,
-    ``full`` for all, and ``backward`` groups the full relation by target
-    in one pass (it decodes lazily, so a filter per bound target would
-    decode it once per target).  Memoized per evaluation, like
-    :class:`_AtomAccess`, and budgeted via ``budget.subquery()``: atom
+    ``dlrpq_pairs`` for a dl-CRPQ.  ``reach`` is one such call for all of
+    an atom's bound values (on the fleet, one scatter-gather), ``full`` is
+    the call for all sources, and ``reach_back`` filters the full relation
+    by target in one pass.  Budgeted via ``budget.subquery()``: atom
     relations are intermediate results, so the deadline applies and the
     row ceiling does not.
     """
@@ -120,25 +115,18 @@ class PairsAccess:
     def __init__(self, pairs, budget=None):
         self.pairs = pairs
         self.budget = budget.subquery() if budget is not None else None
-        self._forward: dict = {}
-        self._backward: dict = {}
         self._full: dict = {}
 
-    def forward(self, regex, source) -> set:
-        key = (regex, source)
-        if key not in self._forward:
-            self._forward[key] = {
-                target for _source, target in self.pairs(regex, [source], self.budget)
-            }
-        return self._forward[key]
+    def reach(self, regex, starts: list):
+        return self.pairs(regex, starts, self.budget)
 
-    def backward(self, regex, target) -> set:
-        by_target = self._backward.get(regex)
-        if by_target is None:
-            by_target = self._backward[regex] = {}
-            for source, candidate in self.full(regex):
-                by_target.setdefault(candidate, set()).add(source)
-        return by_target.get(target, set())
+    def reach_back(self, regex, ends: list) -> list:
+        ends = set(ends)
+        return [
+            (target, source)
+            for source, target in self.full(regex)
+            if target in ends
+        ]
 
     def full(self, regex):
         if regex not in self._full:
@@ -248,14 +236,14 @@ def _join(
     return schema, rows
 
 
-def _bound_nodes(term, schema: tuple, rows: list[tuple]):
-    """The node ``term`` denotes in each row, as an iterable aligned with
+def _bound_nodes(term, schema: tuple, rows: list[tuple]) -> "list | None":
+    """The node ``term`` denotes in each row, as a list aligned with
     ``rows`` — its column, or the constant itself over and over — or
     ``None`` for a variable no earlier atom has bound."""
     if not isinstance(term, Var):
-        return repeat(term)
+        return [term] * len(rows)
     if term in schema:
-        return map(itemgetter(schema.index(term)), rows)
+        return list(map(itemgetter(schema.index(term)), rows))
     return None
 
 
@@ -303,34 +291,34 @@ def _apply_atom(
         return schema, joined
 
     if lefts is not None:
-        reach, starts, ends = access.forward, lefts, rights
+        reach, starts, ends = access.reach, lefts, rights
     else:
-        reach, starts, ends = access.backward, rights, None
-    #: start node -> nodes the atom reaches from it: the regex is hashed
-    #: (by the access object's own memo) once per distinct start, not once
-    #: per row; a bound term that is no node of the graph reaches nothing.
-    reached: dict = {}
-
-    def reached_from(start):
-        found = reached.get(start)
-        if found is None:
-            found = reached[start] = (
-                reach(regex, start) if graph.has_node(start) else ()
-            )
-        return found
+        reach, starts, ends = access.reach_back, rights, None
+    # One relation for every distinct bound value (a bound term that is no
+    # node of the graph reaches nothing), as ``(start, node)`` pairs.
+    distinct = [node for node in dict.fromkeys(starts) if graph.has_node(node)]
+    relation = reach(regex, distinct) if distinct else ()
 
     if ends is not None:  # both terms bound: the atom only filters
         for row, start, end in zip(rows, starts, ends):
             if tick is not None:
                 tick()
-            if end in reached_from(start):
+            if (start, end) in relation:
                 joined.append(row)
         return schema, joined
+    #: start node -> the nodes the atom reaches from it, in decode order
+    reached: dict = {}
+    for start, node in relation:
+        found = reached.get(start)
+        if found is None:
+            reached[start] = [node]
+        else:
+            found.append(node)
     schema += (atom.right if lefts is not None else atom.left,)
     for row, start in zip(rows, starts):
         if tick is not None:
             tick()
-        for node in reached_from(start):
+        for node in reached.get(start, ()):
             if tick is not None:
                 tick()
             joined.append(row + (node,))
@@ -357,7 +345,8 @@ def evaluate_crpq(
 
     ``budget.max_rows`` applies to these head tuples: the evaluation stops
     once more than ``max_rows`` distinct tuples exist, and the raised
-    :class:`BudgetExceeded` carries exactly ``max_rows`` of them.
+    :class:`BudgetExceeded` carries exactly ``max_rows`` of them — the
+    first ones in join order.
 
     ``use_index=False`` returns :func:`repro.reference.crpq_answers` instead
     (every other option is ignored).  It stays only for the answer checks of
@@ -371,15 +360,19 @@ def evaluate_crpq(
         from repro.crpq.ast import parse_crpq
 
         query = parse_crpq(query)
-    results: set[tuple] = set()
+    #: the head tuples in join order (a dict as an insertion-ordered set)
+    results: dict[tuple, None] = {}
     try:
         schema, rows = _join(query, graph, plan, planner, stats, budget, access)
         if rows:
             head = [schema.index(var) for var in query.head]
             for row in rows:
-                results.add(tuple([row[column] for column in head]))
+                results[tuple([row[column] for column in head])] = None
                 if budget is not None:
                     budget.check_rows(len(results))
     except BudgetExceeded as exc:
-        raise exc.attach_partial(results)
-    return results
+        # A row trip keeps the first ``max_rows`` tuples in join order, so
+        # which rows a partial carries does not follow the hash seed.
+        kept = results if exc.max_rows is None else islice(results, exc.max_rows)
+        raise exc.attach_partial(set(kept))
+    return set(results)

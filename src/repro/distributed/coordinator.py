@@ -1224,10 +1224,11 @@ class ShardCoordinator:
         coordinator's retained copy of the graph (label statistics are a
         coordinator-local concern); each atom's relation comes from
         :meth:`evaluate_rpq` through the join's
-        :class:`~repro.crpq.evaluation.PairsAccess` — bound atoms scatter
-        from their bound node, unbound atoms run the full broadcast sweep,
-        and a backward atom groups the full relation: shards hold only
-        forward-partitioned edges, so there is no reversed walk here.
+        :class:`~repro.crpq.evaluation.PairsAccess` — a bound atom is one
+        scatter-gather from all its bound values, an unbound atom the full
+        broadcast sweep, and a backward atom filters the full relation:
+        shards hold only forward-partitioned edges, so there is no reversed
+        walk here.
         """
         from repro.crpq.evaluation import PairsAccess, evaluate_crpq
 

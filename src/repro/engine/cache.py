@@ -33,6 +33,12 @@ from repro.graph.scc import strongly_connected
 from repro.regex.ast import Regex, symbols
 from repro.regex.parser import parse_regex
 
+#: Lowered plans a compiled query keeps, one per interner ``uid``: enough
+#: for the few graphs one process queries in turn (two partitions stepped
+#: in one process, a service holding several graphs), small enough that a
+#: query cached for long holds no table per graph version it ever saw.
+INT_PLANS_PER_QUERY = 4
+
 
 class CompiledQuery:
     """A compiled RPQ, ready for the kernel's product BFS.
@@ -44,7 +50,7 @@ class CompiledQuery:
 
     __slots__ = (
         "regex", "alphabet", "nfa", "delta", "initial", "finals", "_dfa",
-        "_int_plan",
+        "_int_plans",
     )
 
     def __init__(self, regex: Regex, alphabet: frozenset[SymbolType], nfa: NFA):
@@ -58,7 +64,7 @@ class CompiledQuery:
         self.initial = nfa.initial
         self.finals = nfa.finals
         self._dfa = None
-        self._int_plan = None
+        self._int_plans: dict = {}
 
     @classmethod
     def from_nfa(cls, nfa: NFA) -> "CompiledQuery":
@@ -76,22 +82,26 @@ class CompiledQuery:
     def int_plan(self, interner) -> "IntPlan":
         """This query's transition table lowered into ``interner``'s int space.
 
-        The last plan is memoized on the query, keyed by the interner's
+        Plans are memoized on the query, keyed by the interner's
         process-unique ``uid`` — never by graph identity, so a mutated (or
         id-recycled) graph can never be served a table built over another
         label numbering.  The uid names the *label* numbering, the only
         part of the interner a plan reads: a caught-up interner keeps it
         until a label is added, so the memo survives writes that add
-        nodes and edges only.  One entry suffices: a compiled query is
-        overwhelmingly evaluated against one graph at a time, and a rebuild
-        is O(states × labels).  The memo write is a benign race under the
-        server's worker pool (worst case: a duplicate lowering).
+        nodes and edges only.  Up to :data:`INT_PLANS_PER_QUERY` uids are
+        kept, the oldest lowered going first, so one process that runs the
+        query over a few graphs in turn lowers it once per graph, not once
+        per call (a rebuild is O(states × labels)).  The memo write is a
+        benign race under the server's worker pool (worst case: a
+        duplicate lowering, or a plan dropped early).
         """
-        cached = self._int_plan
-        if cached is not None and cached.interner_uid == interner.uid:
-            return cached
-        plan = IntPlan(self, interner)
-        self._int_plan = plan
+        plan = self._int_plans.get(interner.uid)
+        if plan is None:
+            plan = IntPlan(self, interner)
+            # Copy on write: a reader never sees the map change under it.
+            kept = list(self._int_plans.items())
+            kept.append((interner.uid, plan))
+            self._int_plans = dict(kept[-INT_PLANS_PER_QUERY:])
         return plan
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -12,8 +12,13 @@ Layout notes:
 * one ``(offsets, targets)`` pair per label and direction, built by a
   counting sort over the edge records (O(|E| + |labels|·|N|), no numpy);
   the reversed direction is packed from the forward one when first asked
-  for — by a backward :func:`repro.engine.kernel.reachable`, which is how
-  a CRPQ atom with a bound right term runs; sweeps only walk forward;
+  for — by :func:`repro.engine.kernel.evaluate_sweep_backward`, which is
+  how a CRPQ atom with a bound right term runs, or a backward
+  :func:`repro.engine.kernel.reachable`;
+* per label, a *column* ``{target: mask of its sources}`` is packed from
+  the forward rows on first use (:meth:`CSRGraph.label_column`): it is the
+  first step of every all-sources sweep, done once per snapshot instead
+  of once per query;
 * parallel edges are preserved — the rows store one entry per *edge*, in
   insertion order within a node's run;
 * edge ids live in a column beside the forward rows, packed on first use
@@ -127,10 +132,12 @@ class CSRGraph:
     them), and every node int indexes validly into every ``offsets`` row.
 
     Sweeps and forward searches read ``out_rows``, so that is what a build
-    and a catch-up maintain.  Four slots hold what is derived from this
+    and a catch-up maintain.  Five slots hold what is derived from this
     snapshot alone, on first use, and go when a write replaces it:
-    ``in_rows`` (backward searches) and ``edge_rows`` (edge ids, for the
-    evaluators that return edges) here, and two that other modules fill:
+    ``in_rows`` (backward searches), ``edge_rows`` (edge ids, for the
+    evaluators that return edges) and the per-label ``label_column``
+    (origin masks that seed an all-sources sweep) here, and two that other
+    modules fill:
     ``shard_numbering``, the node numbering a partitioned graph's processes
     share (:mod:`repro.distributed.frontier`), and ``label_statistics``, the
     planner's per-label counts (:mod:`repro.engine.cardinality`).  Two
@@ -140,7 +147,7 @@ class CSRGraph:
 
     __slots__ = (
         "version", "interner", "num_nodes", "num_edges", "out_rows", "_in_rows",
-        "_edge_rows", "shard_numbering", "label_statistics",
+        "_edge_rows", "_label_columns", "shard_numbering", "label_statistics",
     )
 
     def __init__(self, graph: EdgeLabeledGraph, interner: "Interner | None" = None):
@@ -165,6 +172,7 @@ class CSRGraph:
         ]
         self._in_rows = None
         self._edge_rows = None
+        self._label_columns = [None] * num_labels
         self.shard_numbering = None
         self.label_statistics = None
 
@@ -174,10 +182,11 @@ class CSRGraph:
         ``self`` must be a snapshot of an earlier version of the same
         graph.  The graph only grows, so the difference is the edge records
         past ``self.num_edges`` plus the nodes and labels the interner has
-        not seen; they get the next free ids.  Cost is O(|N|) per label the
-        new edges carry (a copy and one big-integer addition), nothing per
-        old edge, and a write that adds no edge (``set_property``) only
-        re-stamps the version.  ``self`` stays valid for its own version.
+        not seen; they get the next free ids, in the order they were added
+        to the graph.  Cost is O(|N|) per label the new edges carry (a copy
+        and one big-integer addition), nothing per old edge, and a write
+        that adds no edge (``set_property``) only re-stamps the version.
+        ``self`` stays valid for its own version.
         """
         version = graph.version
         delta = list(graph.iter_edge_records(self.num_edges))
@@ -212,6 +221,7 @@ class CSRGraph:
         ]
         caught._in_rows = None
         caught._edge_rows = None
+        caught._label_columns = [None] * len(caught.out_rows)
         caught.shard_numbering = None
         caught.label_statistics = None
         return caught
@@ -231,6 +241,33 @@ class CSRGraph:
                 rows.append(_pack_rows(targets, sources, n))
             self._in_rows = rows
         return self._in_rows
+
+    def label_column(self, label_int: int) -> dict:
+        """``{target: mask}`` for one label: bit ``v`` of ``mask`` is set when
+        an edge ``v --label--> target`` exists.
+
+        This is what an all-sources sweep's first step computes, seed code by
+        seed code, when bit ``v`` stands for node ``v``: the origin masks
+        the label's edges carry out of the seeds.  Targets appear in the
+        order a seed-by-seed step first reaches them (sources ascending,
+        each source's run in row order).  Packed from ``out_rows`` on first
+        use, per label, and kept.
+        """
+        column = self._label_columns[label_int]
+        if column is None:
+            offsets, targets = self.out_rows[label_int]
+            column = {}
+            get = column.get
+            for node in range(self.num_nodes):
+                lo = offsets[node]
+                hi = offsets[node + 1]
+                if lo == hi:
+                    continue
+                bit = 1 << node
+                for target in targets[lo:hi]:
+                    column[target] = get(target, 0) | bit
+            self._label_columns[label_int] = column
+        return column
 
     def edge_rows(self, graph: EdgeLabeledGraph) -> tuple:
         """``(edges, ordinals)``: the edge ids behind the forward rows.

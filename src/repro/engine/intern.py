@@ -8,10 +8,14 @@ one pass and frozen:
 
 * **dense** — node ids cover exactly ``0..num_nodes-1`` and label ids
   ``0..num_labels-1`` with no holes (property-tested);
-* **stable per version** — two interners built from the same unmutated
-  graph assign identical ids (iteration order of an unchanged node set is
-  deterministic within a process), so a rebuilt CSR or transition table is
-  bit-identical;
+* **stable per version, whatever the hash seed** — nodes are numbered in
+  the order they were added to the graph (its ``iter_nodes`` order) and
+  labels in ``repr`` order, never in the iteration order of a set (which
+  follows ``PYTHONHASHSEED``), so two interners built from the same
+  unmutated graph assign identical ids in any process, a rebuilt CSR or
+  transition table is bit-identical, and the order a relation decodes in
+  — and with it which rows a ``max_rows`` partial keeps — is a function
+  of the graph;
 * **append-only across versions** — graphs only grow, so the interner of a
   later version is :meth:`Interner.extended` from the earlier one: old ids
   keep their meaning, new nodes and labels take the next free ids, and the
@@ -58,7 +62,7 @@ class Interner:
         self._node_ids: dict[ObjectId, int] = {
             node: index for index, node in enumerate(self._nodes)
         }
-        self._labels: list[Label] = list(graph.labels)
+        self._labels: list[Label] = sorted(graph.labels, key=repr)
         self._label_ids: dict[Label, int] = {
             label: index for index, label in enumerate(self._labels)
         }

@@ -18,12 +18,16 @@ once, on one data plane:
   start node's answers* (:func:`reachable`, and :func:`holds` as the same
   loop with a target to stop at) is a BFS with a bytearray-bitset visited
   set; it walks ``out_rows`` forward or ``in_rows`` backward.  *A relation*
-  (:func:`evaluate_sweep`) is :func:`sweep_layers`: one origin bit per
-  source of the call, so a k-source sweep carries k-bit masks, and the
-  product is visited in the topological order of the automaton's strongly
-  connected components, so each reached code is expanded exactly once.
-  The bitset loop is not the relation loop with one seed: it keeps no
-  per-code masks, and a CRPQ with a bound atom runs thousands of these;
+  (:func:`evaluate_sweep`, and :func:`evaluate_sweep_backward` over
+  ``in_rows``) is :func:`sweep_layers`: one origin bit per source of the
+  call, so a k-source sweep carries k-bit masks, and the product is
+  visited in the topological order of the automaton's strongly connected
+  components, so each reached code is expanded exactly once.  A sweep
+  from every node starts from the snapshot's label columns instead of
+  one seed code per node.  The bitset loop is not the relation loop with
+  one seed: it keeps no per-code masks (``reachable_by_rpq``, ``rpq_holds``
+  and the batch executor's single-source items run on it); a CRPQ atom,
+  bound or not, is one relation;
 * the relation loop also takes an ownership table, so a shard of a
   partitioned graph (:mod:`repro.distributed.frontier`) steps on the same
   code with the same fault site and budget ticks — all-owned is the
@@ -366,12 +370,40 @@ def evaluate_sweep(
     return _evaluate_sweep(compiled, graph, sources, stats, budget)
 
 
+def evaluate_sweep_backward(
+    compiled: CompiledQuery,
+    graph: EdgeLabeledGraph,
+    targets: Iterable[ObjectId],
+    *,
+    stats: "EngineStats | None" = None,
+    budget: "QueryBudget | None" = None,
+) -> Set[tuple[ObjectId, ObjectId]]:
+    """:func:`evaluate_sweep` over the reversed rows of the same snapshot.
+
+    The automaton reads a path from its last edge to its first, so with
+    ``compiled`` the compilation of ``reverse(R)`` the answer is every
+    ``(v, u)`` with ``v`` in ``targets`` and ``(u, v)`` in ``[[R]]_G`` —
+    one relation sweep for all the targets, as :func:`reachable` with
+    ``backward=True`` is one BFS for one of them.
+    """
+    tracer = get_tracer()
+    if tracer.enabled:
+        with tracer.span(
+            "kernel.evaluate_sweep", query=query_text(compiled), backward=True
+        ) as span:
+            answers = _evaluate_sweep(compiled, graph, targets, stats, budget, True)
+            span.set(answers=len(answers))
+            return answers
+    return _evaluate_sweep(compiled, graph, targets, stats, budget, True)
+
+
 def _evaluate_sweep(
     compiled: CompiledQuery,
     graph: EdgeLabeledGraph,
     sources: "Iterable[ObjectId] | None" = None,
     stats: "EngineStats | None" = None,
     budget: "QueryBudget | None" = None,
+    backward: bool = False,
 ) -> Set[tuple[ObjectId, ObjectId]]:
     """The uninstrumented sweep body (also the tracing-overhead baseline).
 
@@ -383,6 +415,14 @@ def _evaluate_sweep(
     large the graph is.  The seeded loop runs in :func:`sweep_layers` with
     every node owned; the per-target answer masks it leaves *are* the
     result: they are handed back as a :class:`PairRelation`, undecoded.
+
+    With bit == node id, the first step out of an initial state that is
+    alone in the first automaton layer (every Glushkov ``q0``: nothing
+    enters it) is the same for every query: a label's edges carry each
+    source's own bit to their targets.  That state is not seeded code by
+    code; :func:`_column_step` merges the snapshot's label columns into
+    the later layers instead.  Other initial states seed as one code per
+    source.
     """
     started = time.perf_counter()
     if sources is not None:
@@ -402,18 +442,34 @@ def _evaluate_sweep(
     source_list = interner._nodes if sources is None else sources
     k = plan.state_bits
     initial = plan.initial
+    first = None
+    if sources is None and not backward and plan.cyclic and not plan.cyclic[0]:
+        first = plan.layer.index(0)
+        if first in initial:
+            initial = [state for state in initial if state != first]
+        else:
+            first = None
     # Sources and initial states are both duplicate-free, so every seed code
     # starts with exactly its own origin bit.
     seeds = [
         ((node_ids[source] << k) | state, 1 << bit)
         for bit, source in enumerate(source_list)
         for state in initial
-    ]
+    ] if initial else []
     #: target node int -> origins that reach it in a final state (nonzero)
     answer_masks: dict[int, int] = {}
+    expanded = relaxed = answer_count = 0
     try:
-        expanded, relaxed, answer_count = sweep_layers(
-            plan, csr.out_rows, seeds, answer_masks, tick, check_rows,
+        if first is not None:
+            expanded, relaxed, answer_count = _column_step(
+                plan, csr, first, seeds, answer_masks, tick, check_rows
+            )
+            if answer_count and check_rows is not None:
+                # sweep_layers counts the rows it adds; the ceiling is on all
+                check_rows = _offset_rows(check_rows, answer_count)
+        swept = sweep_layers(
+            plan, csr.in_rows if backward else csr.out_rows, seeds, answer_masks,
+            tick, check_rows,
         )
     except BudgetExceeded as exc:
         if stats is not None:
@@ -423,6 +479,9 @@ def _evaluate_sweep(
         raise exc.attach_partial(
             PairRelation(source_list, interner._nodes, answer_masks, answer_count)
         )
+    expanded += swept[0]
+    relaxed += swept[1]
+    answer_count += swept[2]
     if stats is not None:
         stats.count("sweep_sources", len(source_list))
         stats.count("nodes_expanded", expanded)
@@ -430,6 +489,67 @@ def _evaluate_sweep(
         stats.count("answers", answer_count)
         stats.add_time("bfs", time.perf_counter() - started)
     return PairRelation(source_list, interner._nodes, answer_masks, answer_count)
+
+
+def _offset_rows(check_rows, rows_before: int):
+    """``check_rows`` for a loop that counts only the rows it adds."""
+    return lambda rows: check_rows(rows_before + rows)
+
+
+def _column_step(
+    plan, csr, state, seeds, answer_masks, tick, check_rows,
+) -> tuple[int, int, int]:
+    """Expand every seed code ``(v, state)`` of an all-sources sweep at once.
+
+    ``state`` is an initial state alone in an acyclic first layer, and seed
+    ``(v, state)`` carries ``1 << v``.  Expanding them all sends, per label
+    row of ``state``, each target the OR of its sources' bits: the label's
+    column (:meth:`~repro.engine.csr.CSRGraph.label_column`), merged into
+    ``seeds`` here as later-layer codes, label by label, each label's
+    targets in the order a seed-by-seed step first reaches them.  A final
+    ``state`` makes every node its own answer.
+
+    The work is counted as the seed-by-seed step counts it: ``|V|`` codes
+    expanded (one ``tick`` and ``kernel.step`` fault site each, each
+    identity answer checked against the row ceiling as it is added) and
+    every edge of each row's label relaxed.  Returns ``(expanded, relaxed,
+    answer rows)``.
+    """
+    num_nodes = csr.num_nodes
+    fire = FAULTS.fire if FAULTS.enabled else None
+    final = (plan.finals_mask >> state) & 1
+    if fire is None and tick is None and check_rows is None:
+        if final:
+            answer_masks.update({node: 1 << node for node in range(num_nodes)})
+    else:
+        for node in range(num_nodes):
+            if fire is not None:
+                fire("kernel.step")
+            if tick is not None:
+                tick()
+            if final:
+                answer_masks[node] = 1 << node
+                if check_rows is not None:
+                    check_rows(node + 1)
+    k = plan.state_bits
+    relaxed = 0
+    later: dict[int, int] = {}
+    for label_int, _inner, outer in plan.layer_rows[state]:
+        relaxed += len(csr.out_rows[label_int][1])
+        column = csr.label_column(label_int)
+        if not later and len(outer) == 1:  # nothing to merge into yet
+            next_state = outer[0][0]
+            later = {
+                (target << k) | next_state: mask for target, mask in column.items()
+            }
+            continue
+        for target, mask in column.items():
+            base = target << k
+            for next_state, _layer in outer:
+                code = base | next_state
+                later[code] = later.get(code, 0) | mask
+    seeds.extend(later.items())
+    return num_nodes, relaxed, num_nodes if final else 0
 
 
 def sweep_layers(

@@ -58,7 +58,10 @@ class EdgeLabeledGraph:
     )
 
     def __init__(self) -> None:
-        self._nodes: set[ObjectId] = set()
+        # node id -> None: a set that iterates in insertion order, so node
+        # order (and the engine's node numbering) does not follow the hash
+        # seed
+        self._nodes: dict[ObjectId, None] = {}
         # edge id -> (src, tgt, label)
         self._edges: dict[ObjectId, tuple[ObjectId, ObjectId, Label]] = {}
         # adjacency: node -> list of outgoing / incoming edge ids
@@ -120,7 +123,7 @@ class EdgeLabeledGraph:
         if node in self._edges:
             raise DuplicateObjectError(f"{node!r} is already an edge id")
         if node not in self._nodes:
-            self._nodes.add(node)
+            self._nodes[node] = None
             self._out[node] = []
             self._in[node] = []
             self._touch()
@@ -165,7 +168,8 @@ class EdgeLabeledGraph:
         return frozenset(self._edges)
 
     def iter_nodes(self) -> Iterator[ObjectId]:
-        """Iterate over node ids without copying the node set."""
+        """Iterate over node ids, in the order they were added, without
+        copying the node set."""
         return iter(self._nodes)
 
     def iter_edges(self) -> Iterator[ObjectId]:

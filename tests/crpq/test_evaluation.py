@@ -1,5 +1,9 @@
 """Tests for CRPQ evaluation — Example 13 is the gold standard."""
 
+import os
+import subprocess
+import sys
+
 from repro import reference
 from repro.crpq.ast import CRPQ, RPQAtom, Var, parse_crpq
 from repro.crpq.evaluation import evaluate_crpq
@@ -118,30 +122,57 @@ class TestGeneralEvaluation:
 
 
     def test_bound_atoms_lower_their_automaton_once(self, monkeypatch):
-        """Example 17's shape runs one BFS per bound node; the int-space
-        transition table is built per (expression, direction), not per BFS."""
+        """Example 17's shape runs one kernel traversal per atom, a bound
+        atom's from all its bound nodes at once; the int-space transition
+        table is built per (expression, direction), not per traversal."""
         from repro.engine import kernel
         from repro.engine.cache import IntPlan
 
         graph = random_graph(60, 240, labels=("a", "b"), seed=5)
         query = parse_crpq("q(x1, x2) :- a(y1, x1), a(y2, x2), b+(y1, y2)")
         lowered, traversals = [], []
-        lower, reachable = IntPlan.__init__, kernel.reachable
+        lower = IntPlan.__init__
 
         def counting_lower(plan, compiled, interner):
             lowered.append(compiled)
             lower(plan, compiled, interner)
 
-        def counting_reachable(compiled, graph, source, **kwargs):
-            traversals.append(source)
-            return reachable(compiled, graph, source, **kwargs)
-
         monkeypatch.setattr(IntPlan, "__init__", counting_lower)
-        monkeypatch.setattr(kernel, "reachable", counting_reachable)
+        for name in ("reachable", "evaluate_sweep", "evaluate_sweep_backward"):
+
+            def counting(*args, _run=getattr(kernel, name), **kwargs):
+                traversals.append(args[2] if len(args) > 2 else None)
+                return _run(*args, **kwargs)
+
+            monkeypatch.setattr(kernel, name, counting)
         assert evaluate_crpq(query, graph) == reference.crpq_answers(query, graph)
-        assert len(traversals) > 10 * len(query.atoms)
+        assert len(traversals) <= len(query.atoms)
         # each atom reads one expression in one direction
         assert len(lowered) <= len(query.atoms)
+
+
+class TestRowTrips:
+    QUERY = "q(x, y) :- Transfer(x, y), Transfer*(y, z), owner(z, w)"
+
+    def test_partial_rows_do_not_follow_the_hash_seed(self, fig2):
+        """A ``max_rows`` trip keeps the first k head tuples in join order,
+        and the join order is a function of the graph: the CLI prints the
+        same three rows in three interpreters with different hash seeds."""
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        printed = set()
+        for seed in ("0", "1", "2"):
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", "crpq", "fig2", self.QUERY,
+                 "--max-rows", "3"],
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+                capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 2, done.stderr
+            rows = {tuple(line.split("\t")) for line in done.stdout.splitlines()}
+            assert len(rows) == 3
+            assert rows <= reference.crpq_answers(parse_crpq(self.QUERY), fig2)
+            printed.add(done.stdout)
+        assert len(printed) == 1
 
 
 class TestPlanning:

@@ -127,6 +127,43 @@ class TestCompiledQuery:
         for word in (["a"], ["a", "b"], ["b"], [], ["a", "a", "b"]):
             assert dfa.accepts(word) == compiled.nfa.accepts(word)
 
+    def test_one_plan_per_graph_queried_in_turn(self, monkeypatch):
+        """Two graphs with the same labels, queried alternately through one
+        compiled query, lower it once each, not once per call; past
+        ``INT_PLANS_PER_QUERY`` interners the oldest plan goes first."""
+        from repro.engine.cache import INT_PLANS_PER_QUERY, IntPlan
+        from repro.engine.csr import get_csr
+        from repro.graph.generators import random_graph
+        from repro.rpq.evaluation import evaluate_rpq
+
+        graphs = [
+            random_graph(12, 30, labels=("a", "b"), seed=seed) for seed in (1, 2)
+        ]
+        compiled = compile_uncached(regex("a.b*"), {"a", "b"})
+        lowered = []
+        lower = IntPlan.__init__
+
+        def counting(plan, query, interner):
+            lowered.append(interner.uid)
+            lower(plan, query, interner)
+
+        monkeypatch.setattr(IntPlan, "__init__", counting)
+        for _ in range(10):
+            for graph in graphs:
+                evaluate_rpq(compiled, graph)
+        assert len(lowered) == 2
+        uids = [get_csr(graph).interner.uid for graph in graphs]
+        assert lowered == uids
+        # A bounded map: more interners than it holds evict the oldest.
+        extra = [
+            random_graph(6, 10, labels=("a", "b"), seed=seed)
+            for seed in range(3, 3 + INT_PLANS_PER_QUERY)
+        ]
+        for graph in extra:
+            evaluate_rpq(compiled, graph)
+        assert len(compiled._int_plans) == INT_PLANS_PER_QUERY
+        assert uids[0] not in compiled._int_plans
+
     def test_stats_threading(self):
         cache = CompilationCache()
         stats = EngineStats()

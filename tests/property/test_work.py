@@ -6,16 +6,26 @@ counters, ``nodes_expanded`` and ``edges_relaxed``, to quantities any
 reader can compute from the graph and the automaton, on random graphs,
 regexes with nested stars and unions, and source sets that are ``None``
 (every node) or a subset.  ``|V|``, ``|E|`` and ``|Q|`` are the graph's
-nodes and edges and the compiled automaton's states.
+nodes and edges and the compiled automaton's states.  Law (e) counts the
+kernel's traversals themselves: how many times a CRPQ enters the product.
 """
+
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import reference
+from repro.crpq.ast import CRPQ, RPQAtom, Var
+from repro.crpq.evaluation import evaluate_crpq
 from repro.engine import kernel
 from repro.engine.stats import EngineStats
-from tests.engine.test_differential import graphs
+from tests.engine.test_differential import graphs, regexes
 from tests.engine.test_sweep_layers import cyclic_graphs, nested_stars, sources_of
+
+#: The kernel's entries into the product: one start node's BFS, and the
+#: relation sweep in either direction.
+TRAVERSALS = ("reachable", "evaluate_sweep", "evaluate_sweep_backward")
 
 
 def product_codes(compiled, graph, sources) -> set:
@@ -71,3 +81,41 @@ class TestRelationSweep:
         kernel.evaluate_sweep(compiled, graph, sources, stats=stats)
         reached = product_codes(compiled, graph, sources)
         assert stats.counters.get("nodes_expanded", 0) == len(reached)
+
+
+@st.composite
+def crpqs(draw):
+    """CRPQs of one to three atoms over the variables x, y, z and the
+    constants v0, v1 (a constant may name no node), any head."""
+    terms = st.sampled_from([Var("x"), Var("y"), Var("z"), "v0", "v1"])
+    atoms = draw(
+        st.lists(st.builds(RPQAtom, regexes(max_leaves=4), terms, terms),
+                 min_size=1, max_size=3)
+    )
+    body = sorted({var for atom in atoms for var in atom.variables()}, key=repr)
+    head = draw(st.lists(st.sampled_from(body), unique=True)) if body else []
+    return CRPQ(head=tuple(head), atoms=tuple(atoms))
+
+
+class TestOneTraversalPerAtom:
+    @settings(max_examples=150, deadline=None)
+    @given(graph=graphs(max_nodes=6, max_edges=14), query=crpqs())
+    def test_kernel_traversals_per_crpq_are_at_most_its_atoms(self, graph, query):
+        """Law (e), constant 1: evaluating a CRPQ enters the kernel at most
+        ``1 ×`` its number of atoms — a bound atom is one sweep from all
+        its bound values, never one traversal per value."""
+        calls = []
+
+        def counted(name):
+            run = getattr(kernel, name)
+
+            def counting(*args, **kwargs):
+                calls.append(name)
+                return run(*args, **kwargs)
+
+            return counting
+
+        with mock.patch.multiple(kernel, **{name: counted(name) for name in TRAVERSALS}):
+            answers = evaluate_crpq(query, graph)
+        assert len(calls) <= len(query.atoms)
+        assert answers == reference.crpq_answers(query, graph)

@@ -546,6 +546,28 @@ class TestQueryConnectCLI:
         assert code == 1
         assert capsys.readouterr().err == local
 
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--trace-out", "trace.jsonl"], ["--replicated"],
+            ["--partition", "hash"], ["--slow-round-ms", "1"],
+            ["--hedge-after", "0.5"], ["--allow-degraded"],
+        ],
+        ids=lambda flag: flag[0],
+    )
+    def test_fleet_only_flags_are_refused(self, server, flag, tmp_path, capsys):
+        """A flag only a ``--shards`` run reads is a typed error naming it,
+        exit 1, not silently ignored."""
+        argv = ["query", "--connect", self._connect(server), "fig2", "Transfer*"]
+        if flag[0] == "--trace-out":
+            flag = [flag[0], str(tmp_path / flag[1])]
+        assert main(argv + flag) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error [bad_request]: {flag[0]} ")
+        assert len(captured.err.splitlines()) == 1
+        assert not (tmp_path / "trace.jsonl").exists()
+
     def test_budget_trip_reports_like_a_local_one(self, server, capsys):
         argv = ["fig3", "Transfer*", "--max-rows", "0"]
         assert main(["rpq"] + argv) == 2
