@@ -156,6 +156,15 @@ class IntPlan:
     next states in the same layer, (next state, its layer) pairs of later
     layers)``.  Layers only order work inside one process; the numbering
     and the packed codes do not depend on them.
+
+    ``first_sinks`` is a bitmask of *first-step sinks*: the successors of
+    the state alone in an acyclic first layer that are final, have no
+    lowered rows and are not initial.  It is set only where every other
+    state is one, or has no rows and is never entered (in ``a``,
+    ``a + b``, ``_``, ``!{a}`` and ``ε + a``), so an all-sources sweep
+    answers the whole query from the label columns
+    (:func:`repro.engine.kernel._column_step`) and no bucket runs between
+    two sinks; elsewhere it is ``0``.
     """
 
     __slots__ = (
@@ -170,6 +179,7 @@ class IntPlan:
         "layer",
         "cyclic",
         "layer_rows",
+        "first_sinks",
     )
 
     def __init__(self, compiled: "CompiledQuery", interner):
@@ -218,6 +228,23 @@ class IntPlan:
             layer_rows.append(tuple(split))
         self.cyclic = tuple(cyclic)
         self.layer_rows = tuple(layer_rows)
+        self.first_sinks = self._first_sinks(successors)
+
+    def _first_sinks(self, successors) -> int:
+        if not self.cyclic or self.cyclic[0]:
+            return 0
+        first = self.layer.index(0)
+        mask = 0
+        for state in range(self.num_states):
+            if state == first:
+                continue
+            if self.layer_rows[state] or state in self.initial:
+                return 0
+            if state in successors[first]:
+                if not (self.finals_mask >> state) & 1:
+                    return 0
+                mask |= 1 << state
+        return mask
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -136,7 +136,8 @@ class CSRGraph:
     snapshot alone, on first use, and go when a write replaces it:
     ``in_rows`` (backward searches), ``edge_rows`` (edge ids, for the
     evaluators that return edges) and the per-label ``label_column``
-    (origin masks that seed an all-sources sweep) here, and two that other
+    (origin masks that seed an all-sources sweep, kept with their bit
+    totals) here, and two that other
     modules fill:
     ``shard_numbering``, the node numbering a partitioned graph's processes
     share (:mod:`repro.distributed.frontier`), and ``label_statistics``, the
@@ -251,10 +252,11 @@ class CSRGraph:
         the label's edges carry out of the seeds.  Targets appear in the
         order a seed-by-seed step first reaches them (sources ascending,
         each source's run in row order).  Packed from ``out_rows`` on first
-        use, per label, and kept.
+        use, per label, and kept with its bit total (:meth:`column_rows`).
+        The dict is this snapshot's: a reader copies it before changing it.
         """
-        column = self._label_columns[label_int]
-        if column is None:
+        packed = self._label_columns[label_int]
+        if packed is None:
             offsets, targets = self.out_rows[label_int]
             column = {}
             get = column.get
@@ -266,8 +268,15 @@ class CSRGraph:
                 bit = 1 << node
                 for target in targets[lo:hi]:
                     column[target] = get(target, 0) | bit
-            self._label_columns[label_int] = column
-        return column
+            packed = column, sum(mask.bit_count() for mask in column.values())
+            self._label_columns[label_int] = packed
+        return packed[0]
+
+    def column_rows(self, label_int: int) -> int:
+        """The bit total of :meth:`label_column`: how many distinct
+        ``(source, target)`` pairs the label's edges join."""
+        self.label_column(label_int)
+        return self._label_columns[label_int][1]
 
     def edge_rows(self, graph: EdgeLabeledGraph) -> tuple:
         """``(edges, ordinals)``: the edge ids behind the forward rows.

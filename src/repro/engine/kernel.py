@@ -24,10 +24,14 @@ once, on one data plane:
   visited in the topological order of the automaton's strongly connected
   components, so each reached code is expanded exactly once.  A sweep
   from every node starts from the snapshot's label columns instead of
-  one seed code per node.  The bitset loop is not the relation loop with
-  one seed: it keeps no per-code masks (``reachable_by_rpq``, ``rpq_holds``
-  and the batch executor's single-source items run on it); a CRPQ atom,
-  bound or not, is one relation;
+  one seed code per node; where every later state is a *first-step
+  sink* (a final state with no transitions that only that step enters:
+  ``a``, ``a + b``, ``_``) the columns are the answers, no code bucketed,
+  and each sink code still counts as one expansion.  The bitset loop is not
+  the relation loop with one seed: it keeps no per-code masks
+  (``reachable_by_rpq``, ``rpq_holds`` and the batch executor's
+  single-source items run on it); a CRPQ atom, bound or not, is one
+  relation;
 * the relation loop also takes an ownership table, so a shard of a
   partitioned graph (:mod:`repro.distributed.frontier`) steps on the same
   code with the same fault site and budget ticks — all-owned is the
@@ -421,8 +425,8 @@ def _evaluate_sweep(
     enters it) is the same for every query: a label's edges carry each
     source's own bit to their targets.  That state is not seeded code by
     code; :func:`_column_step` merges the snapshot's label columns into
-    the later layers instead.  Other initial states seed as one code per
-    source.
+    the later layers instead, and answers its first-step sinks from them.
+    Other initial states seed as one code per source.
     """
     started = time.perf_counter()
     if sources is not None:
@@ -509,16 +513,27 @@ def _column_step(
     targets in the order a seed-by-seed step first reaches them.  A final
     ``state`` makes every node its own answer.
 
+    Where ``plan.first_sinks`` is set, every successor is a first-step
+    sink (a final state with no rows that only ``state`` enters): its
+    codes would be expanded only to answer their masks, so its labels'
+    columns, ORed, are its answers, sink by sink in layer order and each
+    in its bucket's order, and nothing is seeded.  With a hook or the fault
+    site live, each sink code takes its ``kernel.step`` site, ``tick`` and
+    row check as in its layer; with none, a one-label sink that answers
+    first is a copy of its column (never the snapshot's dict itself).
+
     The work is counted as the seed-by-seed step counts it: ``|V|`` codes
     expanded (one ``tick`` and ``kernel.step`` fault site each, each
-    identity answer checked against the row ceiling as it is added) and
-    every edge of each row's label relaxed.  Returns ``(expanded, relaxed,
-    answer rows)``.
+    identity answer checked against the row ceiling as it is added),
+    every edge of each row's label relaxed, and one expansion per sink
+    code, as its layer would count: a sink's distinct targets.  Returns
+    ``(expanded, relaxed, answer rows)``.
     """
     num_nodes = csr.num_nodes
     fire = FAULTS.fire if FAULTS.enabled else None
+    bulk = fire is None and tick is None and check_rows is None
     final = (plan.finals_mask >> state) & 1
-    if fire is None and tick is None and check_rows is None:
+    if bulk:
         if final:
             answer_masks.update({node: 1 << node for node in range(num_nodes)})
     else:
@@ -534,8 +549,13 @@ def _column_step(
     k = plan.state_bits
     relaxed = 0
     later: dict[int, int] = {}
+    entered: dict[int, list[int]] = {}  # sink -> the labels into it
     for label_int, _inner, outer in plan.layer_rows[state]:
         relaxed += len(csr.out_rows[label_int][1])
+        if plan.first_sinks:
+            for next_state, _layer in outer:
+                entered.setdefault(next_state, []).append(label_int)
+            continue
         column = csr.label_column(label_int)
         if not later and len(outer) == 1:  # nothing to merge into yet
             next_state = outer[0][0]
@@ -549,7 +569,34 @@ def _column_step(
                 code = base | next_state
                 later[code] = later.get(code, 0) | mask
     seeds.extend(later.items())
-    return num_nodes, relaxed, num_nodes if final else 0
+    expanded, rows = num_nodes, num_nodes if final else 0
+    for sink in sorted(entered, key=plan.layer.__getitem__):
+        label_int, *more = entered[sink]
+        column = csr.label_column(label_int)
+        if more:
+            column = dict(column)  # the snapshot's own dict is never written
+            for other in more:
+                for target, mask in csr.label_column(other).items():
+                    column[target] = column.get(target, 0) | mask
+        expanded += len(column)
+        if bulk and not answer_masks and not more:
+            answer_masks.update(column)
+            rows += csr.column_rows(label_int)
+            continue
+        answers_get = answer_masks.get
+        for target, mask in column.items():
+            if fire is not None:
+                fire("kernel.step")
+            if tick is not None:
+                tick()
+            prev = answers_get(target, 0)
+            new = mask & ~prev
+            if new:
+                answer_masks[target] = prev | new
+                rows += new.bit_count()
+                if check_rows is not None:
+                    check_rows(rows)
+    return expanded, relaxed, rows
 
 
 def sweep_layers(
@@ -579,7 +626,10 @@ def sweep_layers(
     Answers accumulate in ``answer_masks`` as per-target origin masks with
     an incremental ``bit_count`` row total; ``check_rows`` runs once per
     batch of new answer bits, and ``tick`` and the ``kernel.step`` fault
-    site once per expansion.
+    site once per expansion.  The expansions counted are the product codes
+    reached (law (b)); a first-step sink's codes, which an all-sources
+    sweep answers from the columns and never hands to this loop, are
+    counted by :func:`_column_step` as this loop would count them.
 
     ``owned`` (indexed by node int, truthy where this process owns the
     node) cuts the sweep along a partition: a code whose node is not owned

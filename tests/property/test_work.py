@@ -6,12 +6,15 @@ counters, ``nodes_expanded`` and ``edges_relaxed``, to quantities any
 reader can compute from the graph and the automaton, on random graphs,
 regexes with nested stars and unions, and source sets that are ``None``
 (every node) or a subset.  ``|V|``, ``|E|`` and ``|Q|`` are the graph's
-nodes and edges and the compiled automaton's states.  Law (e) counts the
-kernel's traversals themselves: how many times a CRPQ enters the product.
+nodes and edges and the compiled automaton's states.  Law (c) bounds the
+size of a path-multiset representation (PMR) by the graph's.  Law (e)
+counts the kernel's traversals themselves: how many times a CRPQ enters
+the product.
 """
 
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +23,9 @@ from repro.crpq.ast import CRPQ, RPQAtom, Var
 from repro.crpq.evaluation import evaluate_crpq
 from repro.engine import kernel
 from repro.engine.stats import EngineStats
+from repro.graph.generators import diamond_chain
+from repro.pmr.build import pmr_for_rpq
+from repro.pmr.ops import count_paths_of_length, pmr_size
 from tests.engine.test_differential import graphs, regexes
 from tests.engine.test_sweep_layers import cyclic_graphs, nested_stars, sources_of
 
@@ -81,6 +87,20 @@ class TestRelationSweep:
         kernel.evaluate_sweep(compiled, graph, sources, stats=stats)
         reached = product_codes(compiled, graph, sources)
         assert stats.counters.get("nodes_expanded", 0) == len(reached)
+
+
+class TestDiamondChainPMR:
+    @pytest.mark.parametrize("diamonds", [2, 4, 8, 16, 32])
+    def test_pmr_is_linear_in_the_graph(self, diamonds):
+        """Law (c), constant 1 (Fig. 5; E16, E22): the PMR of ``a*`` from
+        ``j0`` to ``j<n>`` on the ``n``-diamond chain has at most
+        ``1 · (|V| + |E|)`` nodes plus edges — today exactly ``7n + 1``,
+        one product node per graph node and one product edge per graph
+        edge — and it still holds all ``2**n`` paths of length ``2n``."""
+        graph = diamond_chain(diamonds)
+        pmr = pmr_for_rpq("a*", graph, "j0", f"j{diamonds}")
+        assert pmr_size(pmr) <= 1 * (graph.num_nodes + graph.num_edges)
+        assert count_paths_of_length(pmr, 2 * diamonds) == 2**diamonds
 
 
 @st.composite
